@@ -13,15 +13,11 @@ from scipy.optimize import linear_sum_assignment
 INFEASIBLE = float("inf")
 
 
-def hungarian_solve(
-    costs: np.ndarray, gate: float | None = None
-) -> list[tuple[int, int]]:
+def hungarian_solve(costs: np.ndarray) -> list[tuple[int, int]]:
     """Solve the assignment problem on a rectangular cost matrix.
 
     Args:
         costs: 2-D array; ``INFEASIBLE`` entries can never be matched.
-        gate: If given, matched pairs with cost greater than this are
-            dropped after solving and treated as unassigned.
 
     Returns:
         (row, col) pairs sorted by row; rows/columns appear at most once.
@@ -39,17 +35,4 @@ def hungarian_solve(
     big = 2.0 * k * max(abs(float(finite.max())), abs(float(finite.min())), 1.0) + 1.0
     padded = np.where(feasible, costs, big)
     rows, cols = linear_sum_assignment(padded)
-    pairs = []
-    for r, c in zip(rows, cols):
-        cost = costs[r, c]
-        if not np.isfinite(cost):
-            continue
-        if gate is not None and cost > gate:
-            continue
-        pairs.append((int(r), int(c)))
-    return pairs
-
-
-def matching_cost(costs: np.ndarray, pairs: list[tuple[int, int]]) -> float:
-    """Total cost of a matching."""
-    return float(sum(costs[r, c] for r, c in pairs))
+    return [(int(r), int(c)) for r, c in zip(rows, cols) if np.isfinite(costs[r, c])]

@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import PipelineConfig, load_config, save_config
+from .config import load_config, save_config
 from .errors import MaskTrackError
 from .formats import load_detections, read_results, render_overlays, write_results
 from .metrics import evaluate, format_report
@@ -24,17 +24,9 @@ from .synth import ScenarioSpec, generate_files
 def _cmd_track(args) -> int:
     cfg = load_config(args.config)
     if args.no_str:
-        cfg = PipelineConfig(
-            tracker=replace(cfg.tracker, str_enabled=False),
-            reid=cfg.reid,
-            filters=cfg.filters,
-        )
+        cfg = replace(cfg, tracker=replace(cfg.tracker, str_enabled=False))
     if args.no_reid:
-        cfg = PipelineConfig(
-            tracker=cfg.tracker,
-            reid=replace(cfg.reid, enabled=False),
-            filters=cfg.filters,
-        )
+        cfg = replace(cfg, reid=replace(cfg.reid, enabled=False))
     meta, dets_by_frame = load_detections(args.detections)
     tracks, resolved = run_pipeline(meta, dets_by_frame, cfg)
     os.makedirs(args.out, exist_ok=True)

@@ -280,8 +280,4 @@ def resolve_for_sequence(cfg: PipelineConfig, fps: float, camera_mode: str) -> P
     reid = cfg.reid
     if reid.camera_mode == "auto":
         reid = replace(reid, camera_mode=camera_mode)
-    return PipelineConfig(
-        tracker=replace(cfg.tracker, fps=fps),
-        reid=reid,
-        filters=cfg.filters,
-    )
+    return replace(cfg, tracker=replace(cfg.tracker, fps=fps), reid=reid)

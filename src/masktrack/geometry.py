@@ -2,14 +2,18 @@
 
 Masks are immutable. The run list always starts with a background run
 (possibly of length zero), alternates background/foreground, and sums to
-``height * width``. Set operations and IOU work directly on the runs, so
-their cost scales with the number of runs rather than the number of pixels.
+``height * width``. Every two-mask operation (IOU, intersection area, the
+set operations) goes through one run cut, :func:`_cut`, which works on the
+cumulative run ends each mask caches, so its cost scales with the number of
+runs rather than the number of pixels. Every computed run list is brought
+to canonical form by one function, :func:`_from_segments`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,8 +55,13 @@ class BinaryMask:
         """Number of foreground pixels."""
         return sum(self.counts[1::2])
 
-    def __bool__(self) -> bool:
-        return self.area > 0
+    @cached_property
+    def run_ends(self) -> np.ndarray:
+        """Cumulative run ends: run ``i`` covers pixels up to ``run_ends[i]``.
+
+        Cached on first use; the mask is frozen, so the cache cannot go stale.
+        """
+        return np.cumsum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -79,10 +88,6 @@ class BBox:
     def area(self) -> float:
         return self.w * self.h
 
-    @property
-    def top_left(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 # ---------------------------------------------------------------------------
 # pixel-grid codec
@@ -104,14 +109,8 @@ def rle_encode(grid: np.ndarray) -> BinaryMask:
     if grid.ndim != 2:
         raise ShapeMismatch(f"grid must be 2-D, got shape {grid.shape}")
     h, w = grid.shape
-    flat = (grid != 0).astype(np.int8).ravel(order="F")
-    fenced = np.concatenate(([-1], flat, [-1]))
-    borders = np.nonzero(np.diff(fenced))[0]
-    runs = np.diff(borders)
-    counts = runs.tolist()
-    if flat.size and flat[0] == 1:
-        counts = [0] + counts
-    return BinaryMask(h, w, tuple(counts))
+    flat = grid.ravel(order="F") != 0
+    return _from_segments(h, w, flat, np.ones(flat.size, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -170,85 +169,73 @@ def rle_from_string(token: str, height: int, width: int) -> BinaryMask:
 # run-level set operations
 # ---------------------------------------------------------------------------
 
-def _chunk_walk(a_counts, b_counts):
-    """Step both run lists in lock-step, yielding (length, value_a, value_b)."""
-    ia = ib = 0
-    ra = rb = 0
-    na, nb = len(a_counts), len(b_counts)
-    while True:
-        while ra == 0 and ia < na:
-            ra = a_counts[ia]
-            ia += 1
-        while rb == 0 and ib < nb:
-            rb = b_counts[ib]
-            ib += 1
-        if ra == 0 and rb == 0:
-            return
-        step = min(ra, rb)
-        yield step, (ia - 1) & 1, (ib - 1) & 1
-        ra -= step
-        rb -= step
+def _cut(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut two run lists at each other's boundaries.
 
-
-def _require_same_shape(a: BinaryMask, b: BinaryMask):
+    Every resulting segment has one value per mask, so intersection, union
+    and the set operations reduce to integer sums or boolean ops over
+    segments. Returns ``(lengths, in_a, in_b)``: the segment lengths (a
+    leading one may be empty) and, for each segment, whether it is
+    foreground in ``a`` and in ``b``.
+    """
     if a.height != b.height or a.width != b.width:
         raise ShapeMismatch(
             f"mask dims differ: {a.height}x{a.width} vs {b.height}x{b.width}"
         )
+    ends_a, ends_b = a.run_ends, b.run_ends
+    ends = np.union1d(ends_a, ends_b)
+    lengths = np.diff(ends, prepend=0)
+    # index of the run covering each segment; odd runs are foreground
+    in_a = (np.searchsorted(ends_a, ends, side="left") & 1).astype(bool)
+    in_b = (np.searchsorted(ends_b, ends, side="left") & 1).astype(bool)
+    return lengths, in_a, in_b
+
+
+def _from_segments(height: int, width: int, fg: np.ndarray, lengths: np.ndarray) -> BinaryMask:
+    """Canonical mask from consecutive segments and their foreground flags.
+
+    Empty segments are dropped and equal neighbours merged. A zero-length
+    background segment goes in front, so the run list starts with a
+    background run, empty when the first pixel is foreground.
+    """
+    keep = lengths > 0
+    fg = np.concatenate(([False], fg[keep]))
+    lengths = np.concatenate(([0], lengths[keep]))
+    starts = np.concatenate(([0], np.flatnonzero(fg[1:] != fg[:-1]) + 1))
+    return BinaryMask(height, width, tuple(np.add.reduceat(lengths, starts).tolist()))
 
 
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     """Intersection over union of two masks, computed on the runs.
 
-    The run lists are cut at each other's boundaries; every resulting
-    segment has one value per mask, so intersection and union reduce to
-    integer sums over segments. Returns 0.0 when the union is empty.
+    Returns 0.0 when the union is empty.
     """
-    _require_same_shape(a, b)
-    ca = np.cumsum(a.counts)
-    cb = np.cumsum(b.counts)
-    ends = np.union1d(ca, cb)
-    seg = np.diff(ends, prepend=0)
-    # index of the run covering each segment; odd runs are foreground
-    va = np.searchsorted(ca, ends, side="left") & 1
-    vb = np.searchsorted(cb, ends, side="left") & 1
-    inter = int(seg[(va & vb).astype(bool)].sum())
-    union = int(seg[(va | vb).astype(bool)].sum())
+    lengths, in_a, in_b = _cut(a, b)
+    union = int(lengths[in_a | in_b].sum())
     if union == 0:
         return 0.0
-    return inter / union
+    return int(lengths[in_a & in_b].sum()) / union
 
 
 def mask_intersection_area(a: BinaryMask, b: BinaryMask) -> int:
     """Number of pixels set in both masks."""
-    _require_same_shape(a, b)
-    return sum(step for step, va, vb in _chunk_walk(a.counts, b.counts) if va and vb)
+    lengths, in_a, in_b = _cut(a, b)
+    return int(lengths[in_a & in_b].sum())
+
+
+_MERGE_OPS = {
+    "union": lambda x, y: x | y,
+    "intersect": lambda x, y: x & y,
+    "subtract": lambda x, y: x & ~y,
+}
 
 
 def mask_merge(a: BinaryMask, b: BinaryMask, op: str) -> BinaryMask:
     """Combine two masks; ``op`` is one of 'union', 'intersect', 'subtract'."""
-    _require_same_shape(a, b)
-    if op == "union":
-        combine = lambda x, y: x | y
-    elif op == "intersect":
-        combine = lambda x, y: x & y
-    elif op == "subtract":
-        combine = lambda x, y: x & (1 - y)
-    else:
+    lengths, in_a, in_b = _cut(a, b)
+    if op not in _MERGE_OPS:
         raise ValueError(f"unknown op {op!r}")
-    counts: list[int] = []
-    cur_val = 0
-    cur_len = 0
-    for step, va, vb in _chunk_walk(a.counts, b.counts):
-        v = combine(va, vb)
-        if v == cur_val:
-            cur_len += step
-        else:
-            counts.append(cur_len)
-            cur_val = v
-            cur_len = step
-    counts.append(cur_len)
-    return BinaryMask(a.height, a.width, tuple(counts))
+    return _from_segments(a.height, a.width, _MERGE_OPS[op](in_a, in_b), lengths)
 
 
 def mask_to_bbox(mask: BinaryMask) -> BBox:
@@ -301,27 +288,18 @@ def rect_mask(height: int, width: int, box: BBox) -> BinaryMask:
     y1 = min(height, int(round(box.y + box.h)))
     if x1 <= x0 or y1 <= y0:
         return BinaryMask(height, width, (height * width,))
-    # raw alternation, zero-length runs allowed, then canonicalize
+    # Canonical counts written directly (synth rasterizes every box, and a
+    # pass through _from_segments costs more than the rest of this function):
+    # one foreground run per column with the rows outside the box between
+    # them, fused into one run when the box spans the full height; the last
+    # gap becomes the trailing background run, dropped when it is empty.
     run_h = y1 - y0
-    raw = [x0 * height + y0]
-    for col in range(x0, x1):
-        raw.append(run_h)
-        if col < x1 - 1:
-            raw.append(height - run_h)
-        else:
-            raw.append((width - 1 - col) * height + (height - y1))
-    merged: list[int] = []
-    cur_val = 0
-    cur_len = 0
-    val = 0
-    for c in raw:
-        if c:
-            if val == cur_val:
-                cur_len += c
-            else:
-                merged.append(cur_len)
-                cur_val = val
-                cur_len = c
-        val ^= 1
-    merged.append(cur_len)
-    return BinaryMask(height, width, tuple(merged))
+    if run_h == height:
+        counts = [x0 * height, (x1 - x0) * height]
+    else:
+        counts = [x0 * height + y0] + [run_h, height - run_h] * (x1 - x0)
+        counts.pop()
+    tail = (width - x1) * height + height - y1
+    if tail:
+        counts.append(tail)
+    return BinaryMask(height, width, tuple(counts))

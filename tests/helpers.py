@@ -28,6 +28,11 @@ def make_det(frame, x, y, emb, class_id=PEDESTRIAN, score=0.9, w=10.0, h=20.0):
     )
 
 
+def matching_cost(costs, pairs):
+    """Total cost of a matching; the oracle the assignment tests compare with."""
+    return float(sum(costs[r, c] for r, c in pairs))
+
+
 def make_meta(name="seq", fps=25.0, camera_mode="static"):
     return SequenceMeta(name, fps, IMG_H, IMG_W, camera_mode)
 

@@ -8,6 +8,7 @@ Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 summary lines).
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -17,8 +18,9 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from helpers import matching_cost
 
-from masktrack.assignment import INFEASIBLE, hungarian_solve, matching_cost
+from masktrack.assignment import INFEASIBLE, hungarian_solve
 from masktrack.config import PipelineConfig, load_config, parse_config_text
 from masktrack.formats import records_from_tracks
 from masktrack.geometry import mask_iou, rle_encode, rle_from_string, rle_to_string
@@ -253,6 +255,34 @@ def test_end_to_end_determinism(tmp_path):
     assert echoed.reid.camera_mode == "static"
     assert parse_config_text((outputs[0] / "config.txt").read_text()) == echoed
     announce("end-to-end runs are byte-identical; config echo round-trips")
+
+
+GOLDEN_RESULT_SHA256 = {
+    "clean": "477ff2ea84755f4935d19b3b514a343f19d4be4177c9294969ce3e7ec1faf452",
+    "gaps": "3b910aafa18d7893a299ba3314062ff087d5a1b00133aef3bc8ce53093816605",
+    # both camera modes keep every identity, so they write the same lines
+    "occlusions_static": "7672a194b4c62dc26d24e132e15bda79f0b63c263726f3792e493b8a2b657043",
+    "occlusions_moving": "7672a194b4c62dc26d24e132e15bda79f0b63c263726f3792e493b8a2b657043",
+}
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [
+        ("clean", scenario_clean()),
+        ("gaps", scenario_detector_gaps()),
+        ("occlusions_static", scenario_long_occlusions("static")),
+        ("occlusions_moving", scenario_long_occlusions("moving")),
+    ],
+)
+def test_result_lines_match_golden_hash(name, spec):
+    """The default-config result lines hash to fixed values, so a change that
+    alters any written mask, id or frame fails here, not only run to run."""
+    meta, dets, _ = generate(spec)
+    tracks, _ = run_pipeline(meta, dets, PipelineConfig())
+    lines = "\n".join(r.to_line() for r in records_from_tracks(tracks, meta))
+    assert hashlib.sha256(lines.encode("ascii")).hexdigest() == GOLDEN_RESULT_SHA256[name]
+    announce(f"{name} result lines match the golden hash")
 
 
 def test_metric_self_consistency():

@@ -2,8 +2,9 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from helpers import matching_cost
 
-from masktrack.assignment import INFEASIBLE, hungarian_solve, matching_cost
+from masktrack.assignment import INFEASIBLE, hungarian_solve
 
 
 def brute_force(costs):
@@ -48,11 +49,6 @@ class TestHungarianSolve:
     def test_all_infeasible(self):
         costs = np.full((2, 2), INFEASIBLE)
         assert hungarian_solve(costs) == []
-
-    def test_gate_drops_expensive_pairs(self):
-        costs = np.array([[0.5, 9.0], [9.0, 0.4]])
-        assert hungarian_solve(costs, gate=1.0) == [(0, 0), (1, 1)]
-        assert hungarian_solve(costs, gate=0.45) == [(1, 1)]
 
     def test_rows_and_cols_used_at_most_once(self):
         rng = np.random.default_rng(1)
