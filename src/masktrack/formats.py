@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import colorsys
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -29,12 +30,14 @@ from .errors import (
 from .geometry import (
     BBox,
     BinaryMask,
+    cannot_overlap,
+    mask_intersection_area,
     mask_merge,
     rle_decode,
     rle_from_string,
     rle_to_string,
 )
-from .tracker import Detection, Tracklet
+from .tracker import CLASS_NAMES, Detection, Tracklet
 
 RESULT_HEADER = "# frame track_id class_id img_h img_w rle"
 # feature maps from the upstream detector default to this channel count
@@ -50,8 +53,8 @@ class SequenceMeta:
     camera_mode: str
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ParseError(f"sequence fps must be positive, got {self.fps}")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ParseError(f"sequence fps must be positive and finite, got {self.fps}")
         if self.img_h <= 0 or self.img_w <= 0:
             raise ParseError(f"bad image dims {self.img_h}x{self.img_w}")
         if self.camera_mode not in ("static", "moving"):
@@ -85,10 +88,12 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
     """Read a detection file; returns the sequence meta and per-frame lists.
 
     Frames come out sorted ascending. Raises ParseError (with the offending
-    line number), MaskDimMismatch, or MissingFeatures.
+    line number), MaskDimMismatch, or MissingFeatures. Every detection's
+    embedding or feature map must have as many channels as the first one's.
     """
     meta: SequenceMeta | None = None
     by_frame: dict[int, list[Detection]] = {}
+    channels: int | None = None  # of the first detection; every other must match
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -102,10 +107,24 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
                 meta = _parse_meta(obj, path, lineno)
                 continue
             det = _parse_detection(obj, meta, path, lineno)
+            dim = det.embedding.size if det.embedding is not None else det.feature_map.shape[2]
+            if channels is None:
+                channels = dim
+            elif dim != channels:
+                raise ParseError(
+                    f"{path}:{lineno}: {dim} feature channels, the first detection has {channels}"
+                )
             by_frame.setdefault(det.frame, []).append(det)
     if meta is None:
         raise ParseError(f"{path}: missing header line")
     return meta, {f: by_frame[f] for f in sorted(by_frame)}
+
+
+def _whole(value) -> int:
+    """``int(value)``, refusing a float with a fraction (2.7 is not frame 2)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value} is not a whole number")
+    return int(value)
 
 
 def _parse_meta(obj, path, lineno) -> SequenceMeta:
@@ -113,28 +132,30 @@ def _parse_meta(obj, path, lineno) -> SequenceMeta:
         return SequenceMeta(
             name=str(obj["name"]),
             fps=float(obj["fps"]),
-            img_h=int(obj["img_h"]),
-            img_w=int(obj["img_w"]),
+            img_h=_whole(obj["img_h"]),
+            img_w=_whole(obj["img_w"]),
             camera_mode=str(obj["camera_mode"]),
         )
     except KeyError as exc:
         raise ParseError(f"{path}:{lineno}: header missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ParseError) as exc:
         raise ParseError(f"{path}:{lineno}: bad header ({exc})") from None
 
 
 def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
     where = f"{path}:{lineno}"
     try:
-        frame = int(obj["frame"])
-        class_id = int(obj["class_id"])
+        frame = _whole(obj["frame"])
+        class_id = _whole(obj["class_id"])
         score = float(obj["score"])
         bx, by, bw, bh = (float(v) for v in obj["bbox"])
         mask_obj = obj["mask"]
-        mh, mw = int(mask_obj["h"]), int(mask_obj["w"])
+        mh, mw = _whole(mask_obj["h"]), _whole(mask_obj["w"])
         token = str(mask_obj["counts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: bad detection record ({exc})") from None
+    if class_id not in CLASS_NAMES:
+        raise ParseError(f"{where}: unknown class_id {class_id}")
     if not (0.0 <= score <= 1.0):
         raise ParseError(f"{where}: score {score} outside [0, 1]")
     if (mh, mw) != (meta.img_h, meta.img_w):
@@ -151,14 +172,19 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
     embedding = None
     feature_map = None
     if "embedding" in obj and obj["embedding"] is not None:
-        embedding = np.asarray(obj["embedding"], dtype=float)
+        try:
+            embedding = np.asarray(obj["embedding"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where}: bad embedding ({exc})") from None
         if embedding.ndim != 1 or embedding.size == 0:
             raise ParseError(f"{where}: embedding must be a flat list of numbers")
+        if not np.isfinite(embedding).all():
+            raise ParseError(f"{where}: non-finite embedding value")
     elif "feature_map" in obj and obj["feature_map"] is not None:
         fm = obj["feature_map"]
         try:
-            gh, gw = int(fm["gh"]), int(fm["gw"])
-            ch = int(fm.get("c", DEFAULT_FEATURE_CHANNELS))
+            gh, gw = _whole(fm["gh"]), _whole(fm["gw"])
+            ch = _whole(fm.get("c", DEFAULT_FEATURE_CHANNELS))
             values = np.asarray(fm["values"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{where}: bad feature_map ({exc})") from None
@@ -166,6 +192,8 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
             raise ParseError(
                 f"{where}: feature_map has {values.size} values, expected {gh * gw * ch}"
             )
+        if not np.isfinite(values).all():
+            raise ParseError(f"{where}: non-finite feature_map value")
         feature_map = values.reshape(gh, gw, ch)
     else:
         raise MissingFeatures(f"{where}: record needs an embedding or a feature_map")
@@ -226,22 +254,25 @@ def resolve_records(
 
     Where masks overlap, pixels stay with the lower track id; masks emptied
     by the resolution are dropped. Output is sorted by (frame, track_id).
+    Each mask is cut only against the kept masks of its frame that
+    :func:`cannot_overlap` does not rule out; the others already miss it.
     """
     records: list[ResultRecord] = []
     for frame in sorted(per_frame):
         entries = sorted(per_frame[frame], key=lambda e: e[0])
-        union: BinaryMask | None = None
-        area_sum = 0
+        kept: list[BinaryMask] = []
         for track_id, class_id, mask in entries:
-            resolved = mask if union is None else mask_merge(mask, union, "subtract")
+            near = [k for k in kept if not cannot_overlap(mask, k)]
+            resolved = mask
+            for k in near:
+                resolved = mask_merge(resolved, k, "subtract")
             if resolved.area == 0:
                 continue
-            union = resolved if union is None else mask_merge(union, resolved, "union")
-            area_sum += resolved.area
-            if union.area != area_sum:
+            if any(mask_intersection_area(resolved, k) for k in near):
                 raise OverlapAfterResolution(
                     f"frame {frame}: masks overlap after resolution"
                 )
+            kept.append(resolved)
             records.append(
                 ResultRecord(
                     frame,

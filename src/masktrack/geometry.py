@@ -7,6 +7,13 @@ set operations) goes through one run cut, :func:`_cut`, which works on the
 cumulative run ends each mask caches, so its cost scales with the number of
 runs rather than the number of pixels. Every computed run list is brought
 to canonical form by one function, :func:`_from_segments`.
+
+Most mask pairs a tracker or an evaluator meets lie far apart. Each mask
+also caches its foreground extent (the columns and rows it spans), and
+:func:`cannot_overlap` compares two extents: when they are disjoint, or a
+mask is empty, the masks share no pixel, so IOU and intersection area are
+zero without a cut. The test is exact; it never rules out a pair that
+touches.
 """
 
 from __future__ import annotations
@@ -63,6 +70,27 @@ class BinaryMask:
         """
         return np.cumsum(self.counts)
 
+    @cached_property
+    def extent(self) -> tuple[int, int, int, int] | None:
+        """``(col_min, col_max, row_min, row_max)`` of the foreground, inclusive.
+
+        ``None`` for an empty mask. Cached like :attr:`run_ends`.
+        """
+        ends = self.run_ends
+        # odd runs are foreground; a canonical run list has no empty one
+        last = ends[1::2] - 1
+        if not last.size:
+            return None
+        first = ends[0::2][: last.size]
+        h = self.height
+        col_first, col_last = first // h, last // h
+        if (col_last > col_first).any():
+            # a run that wraps past a column reaches both the last row and the first
+            row_min, row_max = 0, h - 1
+        else:
+            row_min, row_max = int((first % h).min()), int((last % h).max())
+        return int(col_first[0]), int(col_last[-1]), row_min, row_max
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -110,7 +138,9 @@ def rle_encode(grid: np.ndarray) -> BinaryMask:
         raise ShapeMismatch(f"grid must be 2-D, got shape {grid.shape}")
     h, w = grid.shape
     flat = grid.ravel(order="F") != 0
-    return _from_segments(h, w, flat, np.ones(flat.size, dtype=np.int64))
+    # one segment per run of equal pixels, not per pixel
+    starts = np.flatnonzero(np.diff(flat, prepend=~flat[:1]))
+    return _from_segments(h, w, flat[starts], np.diff(starts, append=flat.size))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +199,34 @@ def rle_from_string(token: str, height: int, width: int) -> BinaryMask:
 # run-level set operations
 # ---------------------------------------------------------------------------
 
+def _check_dims(a: BinaryMask, b: BinaryMask):
+    if a.height != b.height or a.width != b.width:
+        raise ShapeMismatch(
+            f"mask dims differ: {a.height}x{a.width} vs {b.height}x{b.width}"
+        )
+
+
+def cannot_overlap(a: BinaryMask, b: BinaryMask) -> bool:
+    """True when ``a`` and ``b`` certainly share no pixel.
+
+    That is when either mask is empty or their extents are disjoint. A
+    False answer promises nothing: the masks may still be disjoint. Raises
+    ShapeMismatch for masks of different dimensions, empty ones included.
+    """
+    _check_dims(a, b)
+    ea, eb = a.extent, b.extent
+    return (
+        ea is None
+        or eb is None
+        or ea[1] < eb[0]
+        or eb[1] < ea[0]
+        or ea[3] < eb[2]
+        or eb[3] < ea[2]
+    )
+
+
 def _cut(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cut two run lists at each other's boundaries.
+    """Cut two run lists of equal dimensions at each other's boundaries.
 
     Every resulting segment has one value per mask, so intersection, union
     and the set operations reduce to integer sums or boolean ops over
@@ -178,10 +234,6 @@ def _cut(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray, np.ndarr
     leading one may be empty) and, for each segment, whether it is
     foreground in ``a`` and in ``b``.
     """
-    if a.height != b.height or a.width != b.width:
-        raise ShapeMismatch(
-            f"mask dims differ: {a.height}x{a.width} vs {b.height}x{b.width}"
-        )
     ends_a, ends_b = a.run_ends, b.run_ends
     ends = np.union1d(ends_a, ends_b)
     lengths = np.diff(ends, prepend=0)
@@ -210,6 +262,8 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
 
     Returns 0.0 when the union is empty.
     """
+    if cannot_overlap(a, b):
+        return 0.0
     lengths, in_a, in_b = _cut(a, b)
     union = int(lengths[in_a | in_b].sum())
     if union == 0:
@@ -219,6 +273,8 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
 
 def mask_intersection_area(a: BinaryMask, b: BinaryMask) -> int:
     """Number of pixels set in both masks."""
+    if cannot_overlap(a, b):
+        return 0
     lengths, in_a, in_b = _cut(a, b)
     return int(lengths[in_a & in_b].sum())
 
@@ -232,34 +288,18 @@ _MERGE_OPS = {
 
 def mask_merge(a: BinaryMask, b: BinaryMask, op: str) -> BinaryMask:
     """Combine two masks; ``op`` is one of 'union', 'intersect', 'subtract'."""
-    lengths, in_a, in_b = _cut(a, b)
+    _check_dims(a, b)
     if op not in _MERGE_OPS:
         raise ValueError(f"unknown op {op!r}")
+    lengths, in_a, in_b = _cut(a, b)
     return _from_segments(a.height, a.width, _MERGE_OPS[op](in_a, in_b), lengths)
 
 
 def mask_to_bbox(mask: BinaryMask) -> BBox:
     """Tight box around the foreground; empty masks give a zero-size box."""
-    h = mask.height
-    col_min = row_min = None
-    col_max = row_max = None
-    pos = 0
-    for i, run in enumerate(mask.counts):
-        if i & 1 and run:
-            start, end = pos, pos + run - 1
-            c1, r1 = start // h, start % h
-            c2, r2 = end // h, end % h
-            if c2 > c1:
-                lo, hi = 0, h - 1
-            else:
-                lo, hi = r1, r2
-            col_min = c1 if col_min is None else min(col_min, c1)
-            col_max = c2 if col_max is None else max(col_max, c2)
-            row_min = lo if row_min is None else min(row_min, lo)
-            row_max = hi if row_max is None else max(row_max, hi)
-        pos += run
-    if col_min is None:
+    if mask.extent is None:
         return BBox(0.0, 0.0, 0.0, 0.0)
+    col_min, col_max, row_min, row_max = mask.extent
     return BBox(
         float(col_min),
         float(row_min),

@@ -23,18 +23,29 @@ from helpers import matching_cost
 from masktrack.assignment import INFEASIBLE, hungarian_solve
 from masktrack.config import PipelineConfig, load_config, parse_config_text
 from masktrack.formats import records_from_tracks
-from masktrack.geometry import mask_iou, rle_encode, rle_from_string, rle_to_string
+from masktrack.geometry import (
+    mask_intersection_area,
+    mask_iou,
+    rle_encode,
+    rle_from_string,
+    rle_to_string,
+)
 from masktrack.metrics import evaluate
 from masktrack.pipeline import run_pipeline
 from masktrack.regression import huber_fit, least_squares_fit
 from masktrack.reid import ReidConfig, motion_vector, moving_merge_test
 from masktrack.synth import (
+    DetectorModel,
+    EmbeddingModel,
+    ObjectSpec,
+    ScenarioSpec,
     generate,
     generate_files,
     scenario_clean,
     scenario_detector_gaps,
     scenario_long_occlusions,
 )
+from masktrack.tracker import CAR, PEDESTRIAN
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -257,13 +268,65 @@ def test_end_to_end_determinism(tmp_path):
     announce("end-to-end runs are byte-identical; config echo round-trips")
 
 
+def scenario_crossing():
+    """Eight cars and eight pedestrians in two shared lanes, half of them
+    moving each way, so same-frame masks overlap wherever paths cross. The
+    seed scenarios never overlap, so only this one sees how overlaps are
+    resolved on write."""
+    objects = []
+    for i in range(16):
+        car = i % 4 < 2
+        w, h = (60.0, 30.0) if car else (14.0, 36.0)
+        speed = (4.0 if car else 2.0) + 0.5 * (i % 3)
+        y = (150.0, 240.0)[(i // 2) % 2] + 3.0 * (i // 4)
+        slot = i // 4
+        if i % 2 == 0:
+            x, vx = 20.0 + 60.0 * slot, speed
+        else:
+            x, vx = 620.0 - w - 60.0 * slot, -speed
+        objects.append(
+            ObjectSpec(
+                class_id=CAR if car else PEDESTRIAN,
+                width=w,
+                height=h,
+                start_x=x,
+                start_y=y,
+                vx=vx,
+            )
+        )
+    return ScenarioSpec(
+        name="crossing",
+        frames=40,
+        camera_mode="moving",
+        objects=objects,
+        detector=DetectorModel(score_mean=0.9, score_sigma=0.03, jitter_sigma=0.5),
+        embedding=EmbeddingModel(dim=16, noise_sigma=0.1),
+        seed=5,
+    )
+
+
 GOLDEN_RESULT_SHA256 = {
     "clean": "477ff2ea84755f4935d19b3b514a343f19d4be4177c9294969ce3e7ec1faf452",
     "gaps": "3b910aafa18d7893a299ba3314062ff087d5a1b00133aef3bc8ce53093816605",
     # both camera modes keep every identity, so they write the same lines
     "occlusions_static": "7672a194b4c62dc26d24e132e15bda79f0b63c263726f3792e493b8a2b657043",
     "occlusions_moving": "7672a194b4c62dc26d24e132e15bda79f0b63c263726f3792e493b8a2b657043",
+    "crossing": "4f952d02b7b6ccb9ff9da7addf1c726ff1364e2811a91ac5f98fbeca330f4e3d",
 }
+GOLDEN_CROSSING_GT_SHA256 = "00669fa1092d1d1bbed215df25e6135dc226b0354e7cf15c8a9fa3f856fef026"
+
+
+def lines_sha256(records):
+    return hashlib.sha256("\n".join(r.to_line() for r in records).encode("ascii")).hexdigest()
+
+
+def overlapping_pairs(masks_by_frame):
+    return sum(
+        mask_intersection_area(a, b) > 0
+        for masks in masks_by_frame.values()
+        for i, a in enumerate(masks)
+        for b in masks[i + 1 :]
+    )
 
 
 @pytest.mark.parametrize(
@@ -273,6 +336,7 @@ GOLDEN_RESULT_SHA256 = {
         ("gaps", scenario_detector_gaps()),
         ("occlusions_static", scenario_long_occlusions("static")),
         ("occlusions_moving", scenario_long_occlusions("moving")),
+        ("crossing", scenario_crossing()),
     ],
 )
 def test_result_lines_match_golden_hash(name, spec):
@@ -280,9 +344,29 @@ def test_result_lines_match_golden_hash(name, spec):
     alters any written mask, id or frame fails here, not only run to run."""
     meta, dets, _ = generate(spec)
     tracks, _ = run_pipeline(meta, dets, PipelineConfig())
-    lines = "\n".join(r.to_line() for r in records_from_tracks(tracks, meta))
-    assert hashlib.sha256(lines.encode("ascii")).hexdigest() == GOLDEN_RESULT_SHA256[name]
+    assert lines_sha256(records_from_tracks(tracks, meta)) == GOLDEN_RESULT_SHA256[name]
     announce(f"{name} result lines match the golden hash")
+
+
+def test_crossing_overlaps_before_resolution_and_ground_truth_golden():
+    """The crossing scenario gives overlap resolution real work on both
+    sides it runs on: the tracker's masks written as results, and the
+    ground truth that generate resolves. A noise-free detector draws the
+    exact ground-truth boxes, so its masks are the ground truth before
+    resolution."""
+    spec = scenario_crossing()
+    meta, dets, gt = generate(spec)
+    tracks, _ = run_pipeline(meta, dets, PipelineConfig())
+    written = {}
+    for t in tracks:
+        for o in t.observations:
+            written.setdefault(o.frame, []).append(o.mask)
+    _, exact, _ = generate(replace(spec, detector=DetectorModel()))
+    truth = {frame: [d.mask for d in ds] for frame, ds in exact.items()}
+    assert overlapping_pairs(written) >= 50
+    assert overlapping_pairs(truth) >= 50
+    assert lines_sha256(gt) == GOLDEN_CROSSING_GT_SHA256
+    announce("crossing scenario overlaps and its ground truth matches the golden hash")
 
 
 def test_metric_self_consistency():

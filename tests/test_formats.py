@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from helpers import IMG_H, IMG_W, make_det, make_meta, make_tracklet, unit
 
 from masktrack.errors import (
@@ -11,15 +14,23 @@ from masktrack.errors import (
 )
 from masktrack.formats import (
     ResultRecord,
+    SequenceMeta,
     load_detections,
     read_results,
     records_from_tracks,
     render_overlays,
+    resolve_records,
     write_detections,
     write_records,
     write_results,
 )
-from masktrack.geometry import BinaryMask, mask_intersection_area, rle_to_string
+from masktrack.geometry import (
+    BinaryMask,
+    mask_intersection_area,
+    rle_decode,
+    rle_encode,
+    rle_to_string,
+)
 
 
 def det_line(frame=1, class_id=2, score=0.9, bbox=(10, 10, 10, 20), counts=None, **extra):
@@ -97,10 +108,71 @@ class TestLoadDetections:
         with pytest.raises(ParseError):
             load_detections(str(path))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("img_h", IMG_H + 0.5), ("fps", float("nan")), ("fps", float("inf"))],
+        ids=["fractional_img_h", "nan_fps", "inf_fps"],
+    )
+    def test_bad_header_value_rejected(self, tmp_path, field, value):
+        path = tmp_path / "dets.jsonl"
+        path.write_text(header_line(**{field: value}) + "\n")
+        with pytest.raises(ParseError, match=r"dets\.jsonl:1"):
+            load_detections(str(path))
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         path.write_text("")
         with pytest.raises(ParseError):
+            load_detections(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frame", 2.7),
+            ("class_id", 2.5),
+            ("class_id", 3),
+            ("score", float("nan")),
+            ("bbox", [10, float("nan"), 10, 20]),
+            ("embedding", [1.0, float("nan")]),
+            ("embedding", [float("inf"), 0.0]),
+            ("embedding", ["a", 0.0]),
+            ("feature_map", {"gh": 1, "gw": 1, "c": 2, "values": [0.5, float("nan")]}),
+        ],
+        ids=[
+            "fractional_frame",
+            "fractional_class",
+            "unknown_class",
+            "nan_score",
+            "nan_bbox",
+            "nan_embedding",
+            "inf_embedding",
+            "text_embedding",
+            "nan_feature_map",
+        ],
+    )
+    def test_bad_value_rejected_with_line(self, tmp_path, field, value):
+        path = tmp_path / "dets.jsonl"
+        rec = json.loads(det_line())
+        if field == "feature_map":
+            del rec["embedding"]
+        rec[field] = value
+        path.write_text(header_line() + "\n" + det_line() + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=r"dets\.jsonl:3"):
+            load_detections(str(path))
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            {"embedding": [1.0, 0.0, 0.0]},
+            {"embedding": None, "feature_map": {"gh": 1, "gw": 1, "c": 3, "values": [0.0] * 3}},
+        ],
+        ids=["embedding", "feature_map"],
+    )
+    def test_channel_count_must_match_first_detection(self, tmp_path, features):
+        path = tmp_path / "dets.jsonl"
+        lines = [header_line(), det_line(), det_line(frame=2), det_line(frame=3, **features)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"dets\.jsonl:4: 3 feature channels.* has 2"):
             load_detections(str(path))
 
     def test_feature_map_record(self, tmp_path):
@@ -158,7 +230,6 @@ class TestResults:
     def test_id_scheme_and_token_line(self, tmp_path):
         # a single full-frame 2x2 mask at frame 1, pedestrian serial 1
         from masktrack.embedding import FeatureBank, bank_update
-        from masktrack.formats import SequenceMeta
         from masktrack.geometry import BBox
         from masktrack.tracker import Observation, Tracklet
 
@@ -240,6 +311,46 @@ class TestResults:
         path.write_text("1 2001 2 2\n")
         with pytest.raises(ParseError):
             read_results(str(path))
+
+
+@st.composite
+def overlapping_frames(draw):
+    """Per-frame (track_id, class_id, mask) entries on one small image:
+    rectangles and random blobs that often overlap, ids in random order."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    per_frame = {}
+    for frame in draw(st.sets(st.integers(1, 9), min_size=1, max_size=3)):
+        ids = draw(st.lists(st.integers(1, 99), min_size=1, max_size=6, unique=True))
+        entries = []
+        for track_id in ids:
+            if draw(st.booleans()):
+                grid = draw(arrays(np.bool_, (h, w), elements=st.booleans()))
+            else:
+                grid = np.zeros((h, w), dtype=bool)
+                x0, y0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+                grid[y0 : y0 + draw(st.integers(1, h)), x0 : x0 + draw(st.integers(1, w))] = True
+            entries.append((track_id, draw(st.sampled_from([1, 2])), rle_encode(grid)))
+        per_frame[frame] = entries
+    return h, w, per_frame
+
+
+class TestResolveRecords:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(overlapping_frames())
+    def test_matches_pixel_reference(self, drawn):
+        """Pixels go to the lowest id that claims them; emptied masks are dropped."""
+        h, w, per_frame = drawn
+        expected = []
+        for frame in sorted(per_frame):
+            taken = np.zeros((h, w), dtype=bool)
+            for track_id, class_id, mask in sorted(per_frame[frame], key=lambda e: e[0]):
+                own = rle_decode(mask).astype(bool) & ~taken
+                taken |= own
+                if own.any():
+                    token = rle_to_string(rle_encode(own))
+                    expected.append(ResultRecord(frame, track_id, class_id, h, w, token))
+        meta = SequenceMeta("resolve", 25.0, h, w, "static")
+        assert resolve_records(per_frame, meta) == expected
 
 
 class TestOverlays:

@@ -9,6 +9,7 @@ from masktrack.geometry import (
     BBox,
     BinaryMask,
     bbox_iou,
+    cannot_overlap,
     mask_intersection_area,
     mask_iou,
     mask_merge,
@@ -48,10 +49,26 @@ def grids(draw, shape):
     return grid
 
 
+# where the second grid's foreground may start, past the last row or column
+# the first grid's foreground reaches: with a gap, right next to it (extents
+# disjoint but touching), or on that same line (extents share one line)
+LAYOUT_OFFSETS = {"apart": 2, "adjacent": 1, "shared_line": 0}
+
+
 @st.composite
 def grid_pairs(draw, max_side=24):
+    """Two grids of one shape, drawn independently or with the second
+    confined to the rows or columns past the first one's foreground."""
     shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
-    return draw(grids(shape)), draw(grids(shape))
+    g1, g2 = draw(grids(shape)), draw(grids(shape))
+    layout = draw(st.sampled_from(["free", *LAYOUT_OFFSETS]))
+    if layout != "free" and g1.any():
+        axis = draw(st.sampled_from([0, 1]))
+        last = np.flatnonzero(g1.any(axis=1 - axis))[-1]
+        cleared = [slice(None), slice(None)]
+        cleared[axis] = slice(None, last + LAYOUT_OFFSETS[layout])
+        g2[tuple(cleared)] = False
+    return g1, g2
 
 
 @st.composite
@@ -186,8 +203,15 @@ class TestMaskIou:
         assert mask_iou(a, a) == 0.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            mask_iou(BinaryMask(2, 2, (4,)), BinaryMask(2, 3, (6,)))
+        pairs = [
+            (BinaryMask(2, 2, (4,)), BinaryMask(2, 3, (6,))),
+            # an empty mask passes the extent gate, but not the dims check
+            (BinaryMask(4, 4, (16,)), BinaryMask(5, 5, (0, 25))),
+        ]
+        for op in (mask_iou, mask_intersection_area, cannot_overlap):
+            for a, b in pairs:
+                with pytest.raises(ShapeMismatch):
+                    op(a, b)
 
     @ORACLE
     @given(grid_pairs(max_side=31))
@@ -199,6 +223,8 @@ class TestMaskIou:
         got = mask_iou(m1, m2)
         assert got == (inter / union if union else 0.0)
         assert mask_intersection_area(m1, m2) == inter
+        # the gate never rules out a pair that shares a pixel
+        assert not (cannot_overlap(m1, m2) and inter)
         # symmetry
         assert got == mask_iou(m2, m1)
         assert mask_intersection_area(m2, m1) == inter
@@ -219,6 +245,20 @@ class TestMaskMerge:
         assert mask_intersection_area(m1, m2) == mask_merge(m1, m2, "intersect").area
         with pytest.raises(ValueError):
             mask_merge(m1, m2, "xor")
+
+
+class TestExtent:
+    @ORACLE
+    @given(grid_pairs())
+    def test_matches_numpy_bbox(self, pair):
+        for grid in pair:
+            mask = rle_encode(grid)
+            if not grid.any():
+                assert mask.extent is None
+                continue
+            rows = np.flatnonzero(grid.any(axis=1))
+            cols = np.flatnonzero(grid.any(axis=0))
+            assert mask.extent == (cols[0], cols[-1], rows[0], rows[-1])
 
 
 class TestMaskToBbox:
