@@ -1,9 +1,11 @@
 """Flat key=value configuration covering every tunable threshold.
 
-Unknown keys are rejected, missing keys fall back to defaults, and the
-effective configuration can be serialized back out so a run's exact settings
-travel with its results. Per-class keys use the class name ('car',
-'pedestrian') as the middle path segment, e.g.::
+``_KEYS`` is the one list of keys: each row names the key's parser, its
+validator and the field of ``PipelineConfig`` it sets, and both parsing and
+dumping read it. Unknown keys are rejected, missing keys fall back to
+defaults, and the effective configuration can be serialized back out so a
+run's exact settings travel with its results. Per-class keys use the class
+name ('car', 'pedestrian') as the middle path segment, e.g.::
 
     tracker.pedestrian.n1_seconds=0.2
     reid.beta3=0.8
@@ -57,73 +59,96 @@ def _parse_camera(key: str, raw: str) -> str:
     return val
 
 
-# key -> (parser, validator); validators raise ConfigRangeError
-def _positive(key, v):
-    if v <= 0:
-        raise ConfigRangeError(f"{key}: must be positive, got {v}")
+def _rejecting(bad, rule: str):
+    """A validator that raises ConfigRangeError when ``bad(value)`` holds."""
 
-
-def _unit_interval_open(key, v):
-    if not (0.0 < v < 1.0):
-        raise ConfigRangeError(f"{key}: must lie in (0, 1), got {v}")
-
-
-def _unit_interval_closed(key, v):
-    if not (0.0 <= v <= 1.0):
-        raise ConfigRangeError(f"{key}: must lie in [0, 1], got {v}")
-
-
-def _gate_range(key, v):
-    if not (0.0 < v <= 3.0):
-        raise ConfigRangeError(f"{key}: must lie in (0, 3], got {v}")
-
-
-def _at_least(n):
     def check(key, v):
-        if v < n:
-            raise ConfigRangeError(f"{key}: must be >= {n}, got {v}")
+        if bad(v):
+            raise ConfigRangeError(f"{key}: {rule}, got {v}")
 
     return check
 
 
-def _no_check(key, v):
-    pass
+def _at_least(n):
+    return _rejecting(lambda v: v < n, f"must be >= {n}")
 
 
-_SCHEMA = {
-    "tracker.fps": (_parse_float, _positive),
-    "tracker.car.n1_seconds": (_parse_float, _positive),
-    "tracker.pedestrian.n1_seconds": (_parse_float, _positive),
-    "tracker.car.gate_cost": (_parse_float, _gate_range),
-    "tracker.pedestrian.gate_cost": (_parse_float, _gate_range),
-    "tracker.huber_delta": (_parse_float, _positive),
-    "tracker.huber_window": (_parse_int, _at_least(2)),
-    "tracker.str_distance_factor": (_parse_float, _positive),
-    "tracker.bank_size": (_parse_int, _at_least(1)),
-    "tracker.str_enabled": (_parse_bool, _no_check),
-    "reid.enabled": (_parse_bool, _no_check),
-    "reid.car.n2_seconds": (_parse_float, _positive),
-    "reid.pedestrian.n2_seconds": (_parse_float, _positive),
-    "reid.n3_frames": (_parse_int, _at_least(1)),
-    "reid.beta1": (_parse_float, _unit_interval_open),
-    "reid.beta2": (_parse_float, _unit_interval_open),
-    "reid.beta3": (_parse_float, _unit_interval_open),
-    "reid.camera_mode": (_parse_camera, _no_check),
-    "filter.min_score": (_parse_float, _unit_interval_closed),
-    "filter.min_box_area": (_parse_float, _at_least(0)),
-    "filter.car.aspect_lo": (_parse_float, _positive),
-    "filter.car.aspect_hi": (_parse_float, _positive),
-    "filter.pedestrian.aspect_lo": (_parse_float, _positive),
-    "filter.pedestrian.aspect_hi": (_parse_float, _positive),
-    "filter.min_track_len": (_parse_int, _at_least(1)),
-    "filter.min_track_avg_score": (_parse_float, _unit_interval_closed),
-    "filter.traj_iou_threshold": (_parse_float, _unit_interval_open),
+_positive = _rejecting(lambda v: v <= 0, "must be positive")
+_unit_interval_open = _rejecting(lambda v: not 0.0 < v < 1.0, "must lie in (0, 1)")
+_unit_interval_closed = _rejecting(lambda v: not 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_gate_range = _rejecting(lambda v: not 0.0 < v <= 3.0, "must lie in (0, 3]")
+_no_check = _rejecting(lambda v: False, "")
+
+
+# The single list of config keys: key -> (parser, validator, location).
+# A location is (section, field) in PipelineConfig, plus the class id for a
+# per-class dict, plus 0 (lo) or 1 (hi) for an aspect-ratio range.
+_KEYS = {
+    "tracker.fps": (_parse_float, _positive, ("tracker", "fps")),
+    "tracker.car.n1_seconds": (_parse_float, _positive, ("tracker", "n1_seconds", CAR)),
+    "tracker.pedestrian.n1_seconds":
+        (_parse_float, _positive, ("tracker", "n1_seconds", PEDESTRIAN)),
+    "tracker.car.gate_cost": (_parse_float, _gate_range, ("tracker", "gate_cost", CAR)),
+    "tracker.pedestrian.gate_cost":
+        (_parse_float, _gate_range, ("tracker", "gate_cost", PEDESTRIAN)),
+    "tracker.huber_delta": (_parse_float, _positive, ("tracker", "huber_delta")),
+    "tracker.huber_window": (_parse_int, _at_least(2), ("tracker", "huber_window")),
+    "tracker.str_distance_factor":
+        (_parse_float, _positive, ("tracker", "str_distance_factor")),
+    "tracker.bank_size": (_parse_int, _at_least(1), ("tracker", "bank_size")),
+    "tracker.str_enabled": (_parse_bool, _no_check, ("tracker", "str_enabled")),
+    "reid.enabled": (_parse_bool, _no_check, ("reid", "enabled")),
+    "reid.car.n2_seconds": (_parse_float, _positive, ("reid", "n2_seconds", CAR)),
+    "reid.pedestrian.n2_seconds":
+        (_parse_float, _positive, ("reid", "n2_seconds", PEDESTRIAN)),
+    "reid.n3_frames": (_parse_int, _at_least(1), ("reid", "n3_frames")),
+    "reid.beta1": (_parse_float, _unit_interval_open, ("reid", "beta1")),
+    "reid.beta2": (_parse_float, _unit_interval_open, ("reid", "beta2")),
+    "reid.beta3": (_parse_float, _unit_interval_open, ("reid", "beta3")),
+    "reid.camera_mode": (_parse_camera, _no_check, ("reid", "camera_mode")),
+    "filter.min_score": (_parse_float, _unit_interval_closed, ("filters", "min_score")),
+    "filter.min_box_area": (_parse_float, _at_least(0), ("filters", "min_box_area")),
+    "filter.car.aspect_lo":
+        (_parse_float, _positive, ("filters", "aspect_ratio_range", CAR, 0)),
+    "filter.car.aspect_hi":
+        (_parse_float, _positive, ("filters", "aspect_ratio_range", CAR, 1)),
+    "filter.pedestrian.aspect_lo":
+        (_parse_float, _positive, ("filters", "aspect_ratio_range", PEDESTRIAN, 0)),
+    "filter.pedestrian.aspect_hi":
+        (_parse_float, _positive, ("filters", "aspect_ratio_range", PEDESTRIAN, 1)),
+    "filter.min_track_len": (_parse_int, _at_least(1), ("filters", "min_track_len")),
+    "filter.min_track_avg_score":
+        (_parse_float, _unit_interval_closed, ("filters", "min_track_avg_score")),
+    "filter.traj_iou_threshold":
+        (_parse_float, _unit_interval_open, ("filters", "traj_iou_threshold")),
 }
+
+
+def _get(cfg: PipelineConfig, path: tuple):
+    section, name, *index = path
+    value = getattr(getattr(cfg, section), name)
+    for i in index:
+        value = value[i]
+    return value
+
+
+def _set(cfg: PipelineConfig, path: tuple, value):
+    section, name, *index = path
+    owner = getattr(cfg, section)
+    if len(index) == 2:  # one end of a (lo, hi) range: rebuild the tuple
+        class_id, end = index
+        pair = list(getattr(owner, name)[class_id])
+        pair[end] = value
+        index, value = [class_id], tuple(pair)
+    if index:
+        getattr(owner, name)[index[0]] = value
+    else:
+        setattr(owner, name, value)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
     """Parse key=value lines into a validated configuration."""
-    values: dict[str, object] = {}
+    cfg = PipelineConfig()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
         if not line or line.startswith("#"):
@@ -132,13 +157,18 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
             raise ConfigTypeError(f"{source}:{lineno}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise UnknownConfigKey(f"{source}:{lineno}: unknown key {key!r}")
-        parser, validate = _SCHEMA[key]
+        parser, validate, path = _KEYS[key]
         value = parser(key, raw.strip())
         validate(key, value)
-        values[key] = value
-    return _assemble(values)
+        _set(cfg, path, value)
+    for class_id, (lo, hi) in cfg.filters.aspect_ratio_range.items():
+        if lo >= hi:
+            raise ConfigRangeError(
+                f"filter.{CLASS_NAMES[class_id]} aspect range: lo {lo} must be < hi {hi}"
+            )
+    return cfg
 
 
 def load_config(path: str | None) -> PipelineConfig:
@@ -147,84 +177,6 @@ def load_config(path: str | None) -> PipelineConfig:
         return PipelineConfig()
     with open(path, "r", encoding="ascii") as fh:
         return parse_config_text(fh.read(), source=str(path))
-
-
-def _assemble(values: dict[str, object]) -> PipelineConfig:
-    cfg = PipelineConfig()
-
-    def take(key, default):
-        return values.get(key, default)
-
-    tracker = TrackerConfig(
-        fps=take("tracker.fps", cfg.tracker.fps),
-        n1_seconds={
-            CAR: take("tracker.car.n1_seconds", cfg.tracker.n1_seconds[CAR]),
-            PEDESTRIAN: take(
-                "tracker.pedestrian.n1_seconds", cfg.tracker.n1_seconds[PEDESTRIAN]
-            ),
-        },
-        gate_cost={
-            CAR: take("tracker.car.gate_cost", cfg.tracker.gate_cost[CAR]),
-            PEDESTRIAN: take(
-                "tracker.pedestrian.gate_cost", cfg.tracker.gate_cost[PEDESTRIAN]
-            ),
-        },
-        huber_delta=take("tracker.huber_delta", cfg.tracker.huber_delta),
-        huber_window=take("tracker.huber_window", cfg.tracker.huber_window),
-        str_distance_factor=take(
-            "tracker.str_distance_factor", cfg.tracker.str_distance_factor
-        ),
-        bank_size=take("tracker.bank_size", cfg.tracker.bank_size),
-        str_enabled=take("tracker.str_enabled", cfg.tracker.str_enabled),
-    )
-    reid = ReidConfig(
-        n2_seconds={
-            CAR: take("reid.car.n2_seconds", cfg.reid.n2_seconds[CAR]),
-            PEDESTRIAN: take(
-                "reid.pedestrian.n2_seconds", cfg.reid.n2_seconds[PEDESTRIAN]
-            ),
-        },
-        n3_frames=take("reid.n3_frames", cfg.reid.n3_frames),
-        beta1=take("reid.beta1", cfg.reid.beta1),
-        beta2=take("reid.beta2", cfg.reid.beta2),
-        beta3=take("reid.beta3", cfg.reid.beta3),
-        camera_mode=take("reid.camera_mode", cfg.reid.camera_mode),
-        enabled=take("reid.enabled", cfg.reid.enabled),
-    )
-    filters = FilterConfig(
-        min_score=take("filter.min_score", cfg.filters.min_score),
-        min_box_area=take("filter.min_box_area", cfg.filters.min_box_area),
-        aspect_ratio_range={
-            CAR: (
-                take("filter.car.aspect_lo", cfg.filters.aspect_ratio_range[CAR][0]),
-                take("filter.car.aspect_hi", cfg.filters.aspect_ratio_range[CAR][1]),
-            ),
-            PEDESTRIAN: (
-                take(
-                    "filter.pedestrian.aspect_lo",
-                    cfg.filters.aspect_ratio_range[PEDESTRIAN][0],
-                ),
-                take(
-                    "filter.pedestrian.aspect_hi",
-                    cfg.filters.aspect_ratio_range[PEDESTRIAN][1],
-                ),
-            ),
-        },
-        min_track_len=take("filter.min_track_len", cfg.filters.min_track_len),
-        min_track_avg_score=take(
-            "filter.min_track_avg_score", cfg.filters.min_track_avg_score
-        ),
-        traj_iou_threshold=take(
-            "filter.traj_iou_threshold", cfg.filters.traj_iou_threshold
-        ),
-    )
-    for class_id, rng in filters.aspect_ratio_range.items():
-        if rng[0] >= rng[1]:
-            raise ConfigRangeError(
-                f"filter.{CLASS_NAMES[class_id]} aspect range: "
-                f"lo {rng[0]} must be < hi {rng[1]}"
-            )
-    return PipelineConfig(tracker, reid, filters)
 
 
 def _fmt(value) -> str:
@@ -237,36 +189,7 @@ def _fmt(value) -> str:
 
 def dump_config(cfg: PipelineConfig) -> str:
     """Serialize every effective value, one key per line, sorted."""
-    values = {
-        "tracker.fps": cfg.tracker.fps,
-        "tracker.car.n1_seconds": cfg.tracker.n1_seconds[CAR],
-        "tracker.pedestrian.n1_seconds": cfg.tracker.n1_seconds[PEDESTRIAN],
-        "tracker.car.gate_cost": cfg.tracker.gate_cost[CAR],
-        "tracker.pedestrian.gate_cost": cfg.tracker.gate_cost[PEDESTRIAN],
-        "tracker.huber_delta": cfg.tracker.huber_delta,
-        "tracker.huber_window": cfg.tracker.huber_window,
-        "tracker.str_distance_factor": cfg.tracker.str_distance_factor,
-        "tracker.bank_size": cfg.tracker.bank_size,
-        "tracker.str_enabled": cfg.tracker.str_enabled,
-        "reid.enabled": cfg.reid.enabled,
-        "reid.car.n2_seconds": cfg.reid.n2_seconds[CAR],
-        "reid.pedestrian.n2_seconds": cfg.reid.n2_seconds[PEDESTRIAN],
-        "reid.n3_frames": cfg.reid.n3_frames,
-        "reid.beta1": cfg.reid.beta1,
-        "reid.beta2": cfg.reid.beta2,
-        "reid.beta3": cfg.reid.beta3,
-        "reid.camera_mode": cfg.reid.camera_mode,
-        "filter.min_score": cfg.filters.min_score,
-        "filter.min_box_area": cfg.filters.min_box_area,
-        "filter.car.aspect_lo": cfg.filters.aspect_ratio_range[CAR][0],
-        "filter.car.aspect_hi": cfg.filters.aspect_ratio_range[CAR][1],
-        "filter.pedestrian.aspect_lo": cfg.filters.aspect_ratio_range[PEDESTRIAN][0],
-        "filter.pedestrian.aspect_hi": cfg.filters.aspect_ratio_range[PEDESTRIAN][1],
-        "filter.min_track_len": cfg.filters.min_track_len,
-        "filter.min_track_avg_score": cfg.filters.min_track_avg_score,
-        "filter.traj_iou_threshold": cfg.filters.traj_iou_threshold,
-    }
-    lines = [f"{key}={_fmt(values[key])}" for key in sorted(values)]
+    lines = [f"{key}={_fmt(_get(cfg, path))}" for key, (_, _, path) in sorted(_KEYS.items())]
     return "\n".join(lines) + "\n"
 
 

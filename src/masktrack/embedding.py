@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     EmptyBank,
     EmptyBox,
     NonMonotonicFrame,
@@ -106,7 +105,7 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
+        raise ShapeMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
     sq_a = float(a @ a)
     sq_b = float(b @ b)
     if sq_a == 0.0 or sq_b == 0.0:

@@ -13,7 +13,7 @@ class CountsSumMismatch(MaskTrackError):
 
 
 class ShapeMismatch(MaskTrackError):
-    """Two masks or grids with incompatible dimensions."""
+    """Masks, grids, vectors or input files whose dimensions disagree."""
 
 
 class MalformedToken(MaskTrackError):
@@ -25,10 +25,6 @@ class MalformedToken(MaskTrackError):
 # ---------------------------------------------------------------------------
 class EmptyBox(MaskTrackError):
     """Bounding box with zero area where a region is required."""
-
-
-class DimensionMismatch(MaskTrackError):
-    """Embedding vectors of different length."""
 
 
 class EmptyBank(MaskTrackError):
@@ -59,10 +55,6 @@ class OutOfOrderFrame(MaskTrackError):
 # ---------------------------------------------------------------------------
 class ParseError(MaskTrackError):
     """Malformed line in an input file; message carries the line number."""
-
-
-class MaskDimMismatch(MaskTrackError):
-    """Mask inconsistent with its declared or sequence dimensions."""
 
 
 class MissingFeatures(MaskTrackError):
@@ -97,10 +89,6 @@ class ConfigRangeError(ConfigError):
 # ---------------------------------------------------------------------------
 class SpecOutOfBounds(MaskTrackError):
     """Scenario places an object outside the image during its lifetime."""
-
-
-class DimMismatch(MaskTrackError):
-    """Result and ground-truth files disagree on image dimensions."""
 
 
 class OverlappingMasksInInput(MaskTrackError):

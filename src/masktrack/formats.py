@@ -20,12 +20,11 @@ import numpy as np
 
 from .errors import (
     CountsSumMismatch,
-    DimMismatch,
     MalformedToken,
-    MaskDimMismatch,
     MissingFeatures,
     OverlapAfterResolution,
     ParseError,
+    ShapeMismatch,
 )
 from .geometry import (
     BBox,
@@ -88,7 +87,7 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
     """Read a detection file; returns the sequence meta and per-frame lists.
 
     Frames come out sorted ascending. Raises ParseError (with the offending
-    line number), MaskDimMismatch, or MissingFeatures. Every detection's
+    line number), ShapeMismatch, or MissingFeatures. Every detection's
     embedding or feature map must have as many channels as the first one's.
     """
     meta: SequenceMeta | None = None
@@ -159,7 +158,7 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
     if not (0.0 <= score <= 1.0):
         raise ParseError(f"{where}: score {score} outside [0, 1]")
     if (mh, mw) != (meta.img_h, meta.img_w):
-        raise MaskDimMismatch(
+        raise ShapeMismatch(
             f"{where}: mask dims {mh}x{mw} != sequence {meta.img_h}x{meta.img_w}"
         )
     try:
@@ -167,7 +166,7 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
     except MalformedToken as exc:
         raise ParseError(f"{where}: {exc}") from None
     except CountsSumMismatch as exc:
-        raise MaskDimMismatch(f"{where}: {exc}") from None
+        raise ShapeMismatch(f"{where}: {exc}") from None
 
     embedding = None
     feature_map = None
@@ -334,7 +333,7 @@ def read_results(path: str) -> list[ResultRecord]:
             try:
                 rec.mask()
             except (MalformedToken, CountsSumMismatch) as exc:
-                raise MaskDimMismatch(f"{path}:{lineno}: {exc}") from None
+                raise ShapeMismatch(f"{path}:{lineno}: {exc}") from None
             records.append(rec)
     return records
 
@@ -361,7 +360,7 @@ def render_overlays(records: list[ResultRecord], out_dir: str) -> list[str]:
         h, w = recs[0].img_h, recs[0].img_w
         for rec in recs:
             if (rec.img_h, rec.img_w) != (h, w):
-                raise DimMismatch(
+                raise ShapeMismatch(
                     f"frame {frame}: mixed image dims {rec.img_h}x{rec.img_w} vs {h}x{w}"
                 )
         canvas = np.zeros((h, w, 3), dtype=np.uint8)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import PipelineConfig
-from .errors import DimMismatch, OverlappingMasksInInput
+from .errors import OverlappingMasksInInput, ShapeMismatch
 from .formats import ResultRecord, records_from_tracks
 from .geometry import mask_intersection_area, mask_iou
 from .tracker import CLASS_NAMES
@@ -73,7 +73,7 @@ def evaluate(
         (r.img_h, r.img_w) for r in ground_truth
     }
     if len(dims) > 1:
-        raise DimMismatch(f"mixed image dims across inputs: {sorted(dims)}")
+        raise ShapeMismatch(f"mixed image dims across inputs: {sorted(dims)}")
     hyp_frames = _index(results, "results")
     gt_frames = _index(ground_truth, "ground truth")
 

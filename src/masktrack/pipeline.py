@@ -25,9 +25,7 @@ def run_pipeline(
         tracker.step(frame, filter_detections(dets_by_frame[frame], cfg.filters))
     tracklets = tracker.finalize()
     if cfg.reid.enabled:
-        tracklets = merge_pass(
-            tracklets, cfg.reid, cfg.tracker, cfg.tracker.fps, cfg.reid.camera_mode
-        )
+        tracklets = merge_pass(tracklets, cfg.reid, cfg.tracker)
     tracklets = prune_tracks(tracklets, cfg.filters)
     tracklets = dedup_tracks(tracklets, cfg.filters)
     return tracklets, cfg

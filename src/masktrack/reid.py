@@ -161,8 +161,6 @@ def merge_pass(
     tracklets: list[Tracklet],
     cfg: ReidConfig,
     tracker_cfg: TrackerConfig,
-    fps: float,
-    camera_mode: str,
 ) -> list[Tracklet]:
     """Greedily merge candidate pairs until none passes.
 
@@ -170,13 +168,14 @@ def merge_pass(
     tracklet gives away its tail and its head at most once per pass.
     Accepted links are stitched (chains included), keeping the earlier id,
     and the whole procedure repeats on the merged set until it is stable.
+    ``cfg.camera_mode`` must already be resolved: 'auto' raises ValueError.
     """
-    if camera_mode not in CAMERA_MODES:
-        raise ValueError(f"camera_mode must be one of {CAMERA_MODES}, got {camera_mode!r}")
+    if cfg.camera_mode not in CAMERA_MODES:
+        raise ValueError(f"camera_mode must be one of {CAMERA_MODES}, got {cfg.camera_mode!r}")
     current = sorted(tracklets, key=lambda t: t.id)
     while True:
         cands = []
-        for i, j in candidate_pairs(current, cfg, fps):
+        for i, j in candidate_pairs(current, cfg, tracker_cfg.fps):
             sim = bank_cross_similarity(current[i].bank, current[j].bank)
             cands.append((-sim, current[i].id, current[j].id, i, j))
         cands.sort()
@@ -186,7 +185,7 @@ def merge_pass(
         for _, _, _, i, j in cands:
             if i in tail_used or j in head_used:
                 continue
-            if camera_mode == "static":
+            if cfg.camera_mode == "static":
                 ok = static_merge_test(current[i], current[j], cfg, tracker_cfg)
             else:
                 ok = moving_merge_test(current[i], current[j], cfg)

@@ -2,7 +2,9 @@
 
 Each step matches the frame's detections against tracks seen in the previous
 frame with a cost of ``2 - mask_iou - feature_similarity``, solved as a
-minimum-cost assignment and gated. Tracks that missed the previous frame get
+minimum-cost assignment and gated. The gate applies after the solve: a pair
+the solve picked whose cost exceeds the gate is dropped, and its track is not
+offered another detection that frame. Tracks that missed the previous frame get
 a second chance through short-term retrieval: their box is extrapolated by
 robust regression and matched against leftover detections within a distance
 gate of twice the object width. Tracks silent for longer than the per-class

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from masktrack.config import (
@@ -8,7 +11,9 @@ from masktrack.config import (
     resolve_for_sequence,
 )
 from masktrack.errors import ConfigRangeError, ConfigTypeError, UnknownConfigKey
-from masktrack.tracker import CAR, PEDESTRIAN
+from masktrack.postfilter import FilterConfig
+from masktrack.reid import ReidConfig
+from masktrack.tracker import CAR, PEDESTRIAN, TrackerConfig
 
 
 class TestDefaults:
@@ -114,3 +119,62 @@ class TestResolveForSequence:
         base = parse_config_text("reid.camera_mode=moving\n")
         cfg = resolve_for_sequence(base, 30.0, "static")
         assert cfg.reid.camera_mode == "moving"
+
+
+# SHA-256 of dump_config(PipelineConfig()): config.txt must reproduce a run
+# bit for bit, so the default dump is pinned
+DEFAULT_DUMP_SHA256 = "4a70c07a6d18a87cb0170e1e555f462d73614863e42eb1a68719d3b8a3bfd748"
+
+
+class TestFormat:
+    def test_default_dump_matches_golden_hash(self):
+        text = dump_config(PipelineConfig())
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == DEFAULT_DUMP_SHA256
+
+    def test_every_key_round_trips_a_non_default_value(self):
+        # built field by field, not parsed, so a field the key table misses
+        # comes back from the dump at its default and breaks the equality
+        cfg = PipelineConfig(
+            tracker=TrackerConfig(
+                fps=12.5,
+                n1_seconds={CAR: 0.3, PEDESTRIAN: 0.4},
+                gate_cost={CAR: 1.1, PEDESTRIAN: 2.9},
+                huber_delta=2.5,
+                huber_window=7,
+                str_distance_factor=1.5,
+                bank_size=3,
+                str_enabled=False,
+            ),
+            reid=ReidConfig(
+                n2_seconds={CAR: 0.75, PEDESTRIAN: 2.0},
+                n3_frames=9,
+                beta1=0.35,
+                beta2=0.25,
+                beta3=0.95,
+                camera_mode="moving",
+                enabled=False,
+            ),
+            filters=FilterConfig(
+                min_score=0.25,
+                min_box_area=50.0,
+                aspect_ratio_range={CAR: (0.3, 2.5), PEDESTRIAN: (1.5, 4.0)},
+                min_track_len=2,
+                min_track_avg_score=0.7,
+                traj_iou_threshold=0.6,
+            ),
+        )
+        dumped = dump_config(cfg)
+        assert parse_config_text(dumped) == cfg
+        lines = dumped.splitlines()
+        defaults = dump_config(PipelineConfig()).splitlines()
+        assert len(lines) == len(defaults) == 27
+        for line, default in zip(lines, defaults):
+            assert line.split("=")[0] == default.split("=")[0]
+            assert line != default
+
+
+def test_readme_config_block_lists_the_defaults():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("**Config**", 1)[1].split("```\n", 2)[1]
+    lines = sorted(line.split("#", 1)[0].strip() for line in block.splitlines())
+    assert lines == dump_config(PipelineConfig()).splitlines()

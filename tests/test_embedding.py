@@ -13,7 +13,6 @@ from masktrack.embedding import (
     spatial_attention,
 )
 from masktrack.errors import (
-    DimensionMismatch,
     EmptyBank,
     EmptyBox,
     NonMonotonicFrame,
@@ -125,7 +124,7 @@ class TestCosineSimilarity:
             assert -1.0 <= cosine_similarity(a, b) <= 1.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             cosine_similarity([1.0], [1.0, 2.0])
 
 

@@ -8,9 +8,9 @@ from hypothesis.extra.numpy import arrays
 from helpers import IMG_H, IMG_W, make_det, make_meta, make_tracklet, unit
 
 from masktrack.errors import (
-    MaskDimMismatch,
     MissingFeatures,
     ParseError,
+    ShapeMismatch,
 )
 from masktrack.formats import (
     ResultRecord,
@@ -77,7 +77,7 @@ class TestLoadDetections:
         path.write_text(
             header_line() + "\n" + det_line(counts=bad_token) + "\n"
         )
-        with pytest.raises(MaskDimMismatch, match=":2"):
+        with pytest.raises(ShapeMismatch, match=":2"):
             load_detections(str(path))
 
     def test_wrong_mask_dims(self, tmp_path):
@@ -85,7 +85,7 @@ class TestLoadDetections:
         rec = json.loads(det_line())
         rec["mask"]["h"] = IMG_H + 1
         path.write_text(header_line() + "\n" + json.dumps(rec) + "\n")
-        with pytest.raises(MaskDimMismatch):
+        with pytest.raises(ShapeMismatch):
             load_detections(str(path))
 
     def test_missing_features(self, tmp_path):
@@ -303,7 +303,7 @@ class TestResults:
     def test_read_rejects_bad_token(self, tmp_path):
         path = tmp_path / "r.txt"
         path.write_text("1 2001 2 2 2 o\n")  # truncated continuation
-        with pytest.raises(MaskDimMismatch):
+        with pytest.raises(ShapeMismatch):
             read_results(str(path))
 
     def test_read_rejects_short_line(self, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from helpers import make_meta, make_tracklet, unit
 
 from masktrack.config import PipelineConfig
-from masktrack.errors import DimMismatch, OverlappingMasksInInput
+from masktrack.errors import OverlappingMasksInInput, ShapeMismatch
 from masktrack.formats import ResultRecord, records_from_tracks
 from masktrack.geometry import rle_encode, rle_to_string
 from masktrack.metrics import ablation_compare, evaluate, format_report
@@ -111,7 +111,7 @@ class TestEvaluate:
     def test_dim_mismatch_rejected(self):
         gt = [record(1, 2001, row_mask(10, 0, 5))]
         hyp = [record(1, 3501, row_mask(12, 0, 5))]
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ShapeMismatch):
             evaluate(hyp, gt)
 
     def test_smotsa_never_exceeds_motsa(self):

@@ -181,13 +181,13 @@ class TestMovingMergeTest:
 
 class TestMergePass:
     def setup_method(self):
-        self.cfg = ReidConfig()
+        self.cfg = ReidConfig(camera_mode="static")
         self.tcfg = TrackerConfig(fps=FPS)
 
     def test_split_object_reunited(self):
         a = line(2001, range(1, 31), 40, 30)
         b = line(2002, range(43, 70), 40, 30)  # gap 12 ~ half the window
-        merged = merge_pass([a, b], self.cfg, self.tcfg, FPS, "static")
+        merged = merge_pass([a, b], self.cfg, self.tcfg)
         assert [t.id for t in merged] == [2001]
         assert len(merged[0]) == len(a) + len(b)
         assert merged[0].first_frame == 1 and merged[0].last_frame == 69
@@ -195,14 +195,14 @@ class TestMergePass:
     def test_distinct_objects_untouched(self):
         a = line(2001, range(1, 31), 10, 20)
         b = line(2002, range(43, 70), 150, 90, emb=unit(1))
-        merged = merge_pass([a, b], self.cfg, self.tcfg, FPS, "static")
+        merged = merge_pass([a, b], self.cfg, self.tcfg)
         assert [t.id for t in merged] == [2001, 2002]
 
     def test_three_way_chain_converges_to_one_id(self):
         a = line(2001, range(1, 11), 40, 30)
         b = line(2002, range(16, 26), 40, 30)
         c = line(2003, range(31, 41), 40, 30)
-        merged = merge_pass([a, b, c], self.cfg, self.tcfg, FPS, "static")
+        merged = merge_pass([a, b, c], self.cfg, self.tcfg)
         assert [t.id for t in merged] == [2001]
         assert [o.frame for o in merged[0].observations] == (
             list(range(1, 11)) + list(range(16, 26)) + list(range(31, 41))
@@ -231,7 +231,7 @@ class TestMergePass:
             for t in tracklets
             for o in t.observations
         )
-        merged = merge_pass(tracklets, self.cfg, self.tcfg, FPS, "static")
+        merged = merge_pass(tracklets, self.cfg, self.tcfg)
         assert len(merged) <= len(tracklets)
         after = sorted(
             (o.frame, t.class_id, o.box.x, o.box.y)
@@ -252,11 +252,11 @@ class TestMergePass:
             line(2004, range(16, 26), 120, 70, emb=unit(1)),
         ]
         def run():
-            out = merge_pass(tracklets, self.cfg, self.tcfg, FPS, "static")
+            out = merge_pass(tracklets, self.cfg, self.tcfg)
             return [(t.id, len(t)) for t in out]
 
         assert run() == run()
 
     def test_bad_camera_mode_rejected(self):
         with pytest.raises(ValueError):
-            merge_pass([], self.cfg, self.tcfg, FPS, "auto")
+            merge_pass([], ReidConfig(), self.tcfg)

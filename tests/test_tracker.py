@@ -251,6 +251,26 @@ class TestStep:
             frames = [f for f, _ in t.history]
             assert frames == sorted(set(frames))
 
+    def test_gate_applies_after_the_solve(self, monkeypatch):
+        # the solve picks A-1 + B-2 (total 2.0) over A-2 + B-1 (2.6); B-2 then
+        # fails the 1.7 gate, although gating before the solve would have
+        # matched both tracks through A-2 and B-1
+        tracker = MaskTracker(track_cfg(gate_cost={CAR: 1.7, PEDESTRIAN: 1.7}))
+        tracker.step(1, [make_det(1, 20, 30, unit(0)), make_det(1, 60, 30, unit(1))])
+        det1, det2 = make_det(2, 20, 30, unit(0)), make_det(2, 60, 30, unit(1))
+        table = {(2001, 20.0): 0.0, (2001, 60.0): 1.0, (2002, 20.0): 1.6, (2002, 60.0): 2.0}
+        monkeypatch.setattr(
+            "masktrack.tracker.assignment_cost", lambda t, d: table[(t.id, d.box.x)]
+        )
+        out = tracker.step(2, [det1, det2])
+        assert out == {2001: det1, 2003: det2}
+        states = {t.id: t.state for t in tracker.tracks}
+        assert states == {
+            2001: TrackState.ACTIVE,
+            2002: TrackState.LOST,
+            2003: TrackState.ACTIVE,
+        }
+
     def test_out_of_order_frame_rejected(self):
         tracker = MaskTracker(track_cfg())
         tracker.step(5, [])
