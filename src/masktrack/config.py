@@ -14,6 +14,7 @@ name ('car', 'pedestrian') as the middle path segment, e.g.::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigRangeError, ConfigTypeError, UnknownConfigKey
@@ -40,9 +41,12 @@ def _parse_bool(key: str, raw: str) -> bool:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigTypeError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigTypeError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(key: str, raw: str) -> int:

@@ -42,10 +42,6 @@ class DegenerateInput(MaskTrackError):
     """Regression input with fewer than two distinct sample positions."""
 
 
-class InsufficientHistory(MaskTrackError):
-    """Track too short to extrapolate."""
-
-
 class OutOfOrderFrame(MaskTrackError):
     """Frames fed to the tracker out of order."""
 

@@ -93,36 +93,51 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
     meta: SequenceMeta | None = None
     by_frame: dict[int, list[Detection]] = {}
     channels: int | None = None  # of the first detection; every other must match
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            if meta is None:
-                meta = _parse_meta(obj, path, lineno)
-                continue
-            det = _parse_detection(obj, meta, path, lineno)
-            dim = det.embedding.size if det.embedding is not None else det.feature_map.shape[2]
-            if channels is None:
-                channels = dim
-            elif dim != channels:
-                raise ParseError(
-                    f"{path}:{lineno}: {dim} feature channels, the first detection has {channels}"
-                )
-            by_frame.setdefault(det.frame, []).append(det)
+    for lineno, raw in _text_lines(path, "utf-8"):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        if meta is None:
+            meta = _parse_meta(obj, path, lineno)
+            continue
+        det = _parse_detection(obj, meta, path, lineno)
+        dim = det.embedding.size if det.embedding is not None else det.feature_map.shape[2]
+        if channels is None:
+            channels = dim
+        elif dim != channels:
+            raise ParseError(
+                f"{path}:{lineno}: {dim} feature channels, the first detection has {channels}"
+            )
+        by_frame.setdefault(det.frame, []).append(det)
     if meta is None:
         raise ParseError(f"{path}: missing header line")
     return meta, {f: by_frame[f] for f in sorted(by_frame)}
 
 
+def _text_lines(path: str, encoding: str):
+    """Yield (line number, text) for each line of a file in ``encoding``.
+
+    A byte that is not ``encoding`` text raises ParseError naming its line.
+    """
+    with open(path, "r", encoding=encoding, errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode(encoding)
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's stand-in
+                raise ParseError(f"{path}:{lineno}: byte {byte:#04x} is not {encoding}") from None
+            yield lineno, line
+
+
 def _whole(value) -> int:
-    """``int(value)``, refusing a float with a fraction (2.7 is not frame 2)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value} is not a whole number")
+    """``int(value)``, refusing a bool (true is not frame 1) and a float with
+    a fraction (2.7 is not frame 2)."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
 
@@ -313,28 +328,27 @@ def read_results(path: str) -> list[ResultRecord]:
     """Parse a result file; validates decodability and (frame, id) uniqueness."""
     records: list[ResultRecord] = []
     seen: set[tuple[int, int]] = set()
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(" ")
-            if len(parts) != 6:
-                raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            try:
-                frame, track_id, class_id, img_h, img_w = (int(p) for p in parts[:5])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer field") from None
-            key = (frame, track_id)
-            if key in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate (frame, track_id) {key}")
-            seen.add(key)
-            rec = ResultRecord(frame, track_id, class_id, img_h, img_w, parts[5])
-            try:
-                rec.mask()
-            except (MalformedToken, CountsSumMismatch) as exc:
-                raise ShapeMismatch(f"{path}:{lineno}: {exc}") from None
-            records.append(rec)
+    for lineno, raw in _text_lines(path, "ascii"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(" ")
+        if len(parts) != 6:
+            raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+        try:
+            frame, track_id, class_id, img_h, img_w = (int(p) for p in parts[:5])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-integer field") from None
+        key = (frame, track_id)
+        if key in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate (frame, track_id) {key}")
+        seen.add(key)
+        rec = ResultRecord(frame, track_id, class_id, img_h, img_w, parts[5])
+        try:
+            rec.mask()
+        except (MalformedToken, CountsSumMismatch, ShapeMismatch) as exc:
+            raise ShapeMismatch(f"{path}:{lineno}: {exc}") from None
+        records.append(rec)
     return records
 
 

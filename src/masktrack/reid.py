@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import bank_cross_similarity, merge_banks
-from .errors import InsufficientHistory
 from .geometry import bbox_iou
 from .tracker import (
     CAR,
     PEDESTRIAN,
     Tracklet,
     TrackerConfig,
-    extrapolate_boxes,
+    extrapolate_track,
     seconds_to_frames,
 )
 
@@ -114,19 +113,10 @@ def static_merge_test(
     gap_frames = range(u.last_frame + 1, v.first_frame)
     if not gap_frames:
         return bbox_iou(u.observations[-1].box, v.observations[0].box) > cfg.beta2
-    u_obs = [(o.frame, o.box) for o in u.observations[-tracker_cfg.huber_window :]]
-    v_obs = [(o.frame, o.box) for o in v.observations[: tracker_cfg.huber_window]]
-    ious = []
-    for f in gap_frames:
-        try:
-            bu = extrapolate_boxes(u_obs, f, tracker_cfg.huber_delta)
-        except InsufficientHistory:
-            bu = u.observations[-1].box
-        try:
-            bv = extrapolate_boxes(v_obs, f, tracker_cfg.huber_delta)
-        except InsufficientHistory:
-            bv = v.observations[0].box
-        ious.append(bbox_iou(bu, bv))
+    ious = [
+        bbox_iou(extrapolate_track(u, f, tracker_cfg), extrapolate_track(v, f, tracker_cfg))
+        for f in gap_frames
+    ]
     return float(np.mean(ious)) > cfg.beta2
 
 

@@ -27,7 +27,7 @@ from .embedding import (
     instance_aware_pool,
     spatial_attention,
 )
-from .errors import InsufficientHistory, MissingFeatures, OutOfOrderFrame
+from .errors import MissingFeatures, OutOfOrderFrame
 from .geometry import BBox, BinaryMask, bbox_iou, mask_iou
 from .regression import huber_fit
 
@@ -92,36 +92,8 @@ class TrackState(enum.Enum):
 
 
 @dataclass
-class Track:
-    id: int
-    class_id: int
-    state: TrackState
-    history: list[tuple[int, Detection]]
-    bank: FeatureBank
-    last_matched_frame: int
-
-    @property
-    def last_detection(self) -> Detection:
-        return self.history[-1][1]
-
-    @property
-    def last_box(self) -> BBox:
-        return self.last_detection.box
-
-    @property
-    def last_mask(self) -> BinaryMask:
-        return self.last_detection.mask
-
-    def observe(self, frame: int, det: Detection):
-        self.history.append((frame, det))
-        self.bank = bank_update(self.bank, det.resolve_embedding(), frame)
-        self.last_matched_frame = frame
-        self.state = TrackState.ACTIVE
-
-
-@dataclass
 class Observation:
-    """One finished-track sample; what downstream stages need per frame."""
+    """One matched detection of a fragment; what later stages need per frame."""
 
     frame: int
     box: BBox
@@ -131,7 +103,12 @@ class Observation:
 
 @dataclass
 class Tracklet:
-    """A finished track fragment, the unit of offline merging."""
+    """An object fragment: its observations in frame order and its bank.
+
+    The online tracker grows each one as a :class:`Track`; offline reid
+    stitches fragments of one object, and the post-filters and the result
+    writer read them.
+    """
 
     id: int
     class_id: int
@@ -161,6 +138,27 @@ class Tracklet:
         return sum(o.score for o in self.observations) / len(self.observations)
 
 
+@dataclass
+class Track(Tracklet):
+    """A fragment the online tracker extends frame by frame; ``state`` says
+    whether it can still be matched."""
+
+    state: TrackState = TrackState.ACTIVE
+
+    @classmethod
+    def spawn(cls, track_id: int, det: Detection, bank_size: int) -> Track:
+        """A new track whose first observation is ``det``."""
+        bank = bank_update(FeatureBank(bank_size), det.resolve_embedding(), det.frame)
+        first = Observation(det.frame, det.box, det.mask, det.score)
+        return cls(track_id, det.class_id, [first], bank)
+
+    def observe(self, det: Detection):
+        """Append a matched detection; the bank refuses a frame that is not newer."""
+        self.bank = bank_update(self.bank, det.resolve_embedding(), det.frame)
+        self.observations.append(Observation(det.frame, det.box, det.mask, det.score))
+        self.state = TrackState.ACTIVE
+
+
 # ---------------------------------------------------------------------------
 # costs and extrapolation
 # ---------------------------------------------------------------------------
@@ -169,37 +167,40 @@ def assignment_cost(track: Track, det: Detection) -> float:
     """2 minus mask IOU minus bank similarity; cross-class pairs infeasible."""
     if track.class_id != det.class_id:
         return INFEASIBLE
-    iou = mask_iou(track.last_mask, det.mask)
+    iou = mask_iou(track.observations[-1].mask, det.mask)
     sim = bank_similarity(track.bank, det.resolve_embedding())
     return 2.0 - iou - sim
 
 
-def extrapolate_boxes(
-    observations: list[tuple[int, BBox]],
-    target_frame: int,
-    delta: float,
-) -> BBox:
-    """Evaluate a robust linear fit of top-left motion at ``target_frame``.
+def extrapolate_track(track: Tracklet, target_frame: int, cfg: TrackerConfig) -> BBox:
+    """Box of a fragment at ``target_frame``, from a robust linear fit of its top-left.
 
-    Width and height are copied from the observation nearest to the target.
-    Raises InsufficientHistory with fewer than two observations.
+    A target before the fragment fits its first ``huber_window`` observations,
+    any other its last ones. Width and height come from the observation at
+    that end, and a window of one observation gives that observation's box.
     """
-    if len(observations) < 2:
-        raise InsufficientHistory(f"{len(observations)} observation(s), need 2")
-    frames = [f for f, _ in observations]
-    sx, ix = huber_fit(frames, [b.x for _, b in observations], delta=delta)
-    sy, iy = huber_fit(frames, [b.y for _, b in observations], delta=delta)
-    anchor = observations[-1][1] if target_frame >= frames[-1] else observations[0][1]
+    obs = track.observations
+    if target_frame < track.first_frame:
+        window, anchor = obs[: cfg.huber_window], obs[0].box
+    else:
+        window, anchor = obs[-cfg.huber_window :], obs[-1].box
+    if len(window) < 2:
+        return anchor
+    frames = [o.frame for o in window]
+    sx, ix = huber_fit(frames, [o.box.x for o in window], delta=cfg.huber_delta)
+    sy, iy = huber_fit(frames, [o.box.y for o in window], delta=cfg.huber_delta)
     return BBox(sx * target_frame + ix, sy * target_frame + iy, anchor.w, anchor.h)
 
 
-def extrapolate_track(track: Track, target_frame: int, cfg: TrackerConfig) -> BBox:
-    """Extrapolated box of a track; falls back to its last box when too short."""
-    obs = [(f, det.box) for f, det in track.history[-cfg.huber_window :]]
-    try:
-        return extrapolate_boxes(obs, target_frame, cfg.huber_delta)
-    except InsufficientHistory:
-        return track.last_box
+def _gated_solve(
+    costs: np.ndarray, tracks: list[Track], cfg: TrackerConfig
+) -> list[tuple[int, int]]:
+    """Solve the assignment, then drop the pairs over their track's class gate."""
+    return [
+        (r, c)
+        for r, c in hungarian_solve(costs)
+        if costs[r, c] <= cfg.gate_cost[tracks[r].class_id]
+    ]
 
 
 def str_match(
@@ -220,7 +221,7 @@ def str_match(
     costs = np.full((len(lost_tracks), len(detections)), INFEASIBLE)
     for i, track in enumerate(lost_tracks):
         ex_box = extrapolate_track(track, frame, cfg)
-        reach = cfg.str_distance_factor * track.last_box.w
+        reach = cfg.str_distance_factor * track.observations[-1].box.w
         for j, det in enumerate(detections):
             if det.class_id != track.class_id:
                 continue
@@ -229,12 +230,7 @@ def str_match(
                 continue
             sim = bank_similarity(track.bank, det.resolve_embedding())
             costs[i, j] = 2.0 - sim - bbox_iou(ex_box, det.box)
-    pairs = hungarian_solve(costs)
-    return [
-        (r, c)
-        for r, c in pairs
-        if costs[r, c] <= cfg.gate_cost[lost_tracks[r].class_id]
-    ]
+    return _gated_solve(costs, lost_tracks, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +242,8 @@ class MaskTracker:
 
     def __init__(self, config: TrackerConfig):
         self.cfg = config
-        self.tracks: list[Track] = []
+        self.tracks: list[Track] = []  # every track ever spawned, in spawn order
+        self._live: list[Track] = []  # the tracks not yet terminated, in spawn order
         self._serials: dict[int, int] = {}
         self._last_frame: int | None = None
 
@@ -260,8 +257,8 @@ class MaskTracker:
                     f"detection stamped {det.frame} fed to step({frame})"
                 )
         self._refresh_states(frame)
-        active = [t for t in self.tracks if t.state is TrackState.ACTIVE]
-        lost = [t for t in self.tracks if t.state is TrackState.LOST]
+        active = [t for t in self._live if t.state is TrackState.ACTIVE]
+        lost = [t for t in self._live if t.state is TrackState.LOST]
 
         assigned: dict[int, Detection] = {}
         taken: set[int] = set()
@@ -270,10 +267,8 @@ class MaskTracker:
             costs = np.array(
                 [[assignment_cost(t, d) for d in detections] for t in active]
             )
-            for r, c in hungarian_solve(costs):
-                if costs[r, c] > self.cfg.gate_cost[active[r].class_id]:
-                    continue
-                active[r].observe(frame, detections[c])
+            for r, c in _gated_solve(costs, active, self.cfg):
+                active[r].observe(detections[c])
                 assigned[active[r].id] = detections[c]
                 taken.add(c)
         # tracks that failed the gate this frame count as unmatched from now on
@@ -286,51 +281,38 @@ class MaskTracker:
             retrieved = str_match(lost, leftovers, frame, self.cfg)
             taken2 = set()
             for r, c in retrieved:
-                lost[r].observe(frame, leftovers[c])
+                lost[r].observe(leftovers[c])
                 assigned[lost[r].id] = leftovers[c]
                 taken2.add(c)
             leftovers = [d for i, d in enumerate(leftovers) if i not in taken2]
 
         for det in leftovers:
-            track = self._spawn(frame, det)
+            track = self._spawn(det)
             assigned[track.id] = det
 
         self._last_frame = frame
         return assigned
 
     def finalize(self) -> list[Tracklet]:
-        """Convert every track ever created into a tracklet, sorted by id."""
-        out = []
-        for t in sorted(self.tracks, key=lambda t: t.id):
-            obs = [
-                Observation(f, d.box, d.mask, d.score) for f, d in t.history
-            ]
-            out.append(Tracklet(t.id, t.class_id, obs, t.bank))
-        return out
+        """Every track ever spawned, sorted by id."""
+        return sorted(self.tracks, key=lambda t: t.id)
 
     def _refresh_states(self, frame: int):
-        for t in self.tracks:
-            if t.state is TrackState.TERMINATED:
-                continue
-            missed = frame - t.last_matched_frame - 1
+        """Set each live track's state from the frames it missed; drop terminated ones."""
+        live = []
+        for t in self._live:
+            missed = frame - t.last_frame - 1
             if missed > self.cfg.n1_frames(t.class_id):
                 t.state = TrackState.TERMINATED
-            elif missed >= 1:
-                t.state = TrackState.LOST
-            else:
-                t.state = TrackState.ACTIVE
+                continue
+            t.state = TrackState.LOST if missed >= 1 else TrackState.ACTIVE
+            live.append(t)
+        self._live = live
 
-    def _spawn(self, frame: int, det: Detection) -> Track:
+    def _spawn(self, det: Detection) -> Track:
         serial = self._serials.get(det.class_id, 0) + 1
         self._serials[det.class_id] = serial
-        track = Track(
-            id=det.class_id * 1000 + serial,
-            class_id=det.class_id,
-            state=TrackState.ACTIVE,
-            history=[],
-            bank=FeatureBank(self.cfg.bank_size),
-            last_matched_frame=frame,
-        )
-        track.observe(frame, det)
+        track = Track.spawn(det.class_id * 1000 + serial, det, self.cfg.bank_size)
         self.tracks.append(track)
+        self._live.append(track)
         return track

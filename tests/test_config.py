@@ -84,6 +84,28 @@ class TestValidation:
         with pytest.raises(ConfigRangeError):
             parse_config_text("reid.camera_mode=sideways\n")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "tracker.fps",
+            "tracker.car.n1_seconds",
+            "tracker.pedestrian.n1_seconds",
+            "tracker.huber_delta",
+            "tracker.str_distance_factor",
+            "reid.car.n2_seconds",
+            "reid.pedestrian.n2_seconds",
+            "filter.min_box_area",
+            "filter.car.aspect_lo",
+            "filter.car.aspect_hi",
+            "filter.pedestrian.aspect_lo",
+            "filter.pedestrian.aspect_hi",
+        ],
+    )
+    def test_non_finite_number_rejected(self, key, raw):
+        with pytest.raises(ConfigTypeError, match=key):
+            parse_config_text(f"{key}={raw}\n")
+
 
 class TestRoundTrip:
     def test_dump_parse_identity_on_defaults(self):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from helpers import IMG_H, IMG_W, make_det, make_meta, make_tracklet, unit
@@ -125,10 +125,27 @@ class TestLoadDetections:
         with pytest.raises(ParseError):
             load_detections(str(path))
 
+    def test_utf8_header_name_accepted(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        header = header_line().replace('"seq"', '"caf\u00e9"')  # raw UTF-8 once written
+        path.write_bytes((header + "\n" + det_line() + "\n").encode("utf-8"))
+        meta, by_frame = load_detections(str(path))
+        assert meta.name == "caf\u00e9"
+        assert len(by_frame[1]) == 1
+
+    def test_undecodable_byte_reports_line(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        record = det_line().encode("ascii")
+        bad = record.replace(b'"score"', b'"sc\xe9re"')
+        path.write_bytes(header_line().encode("ascii") + b"\n" + record + b"\n" + bad + b"\n")
+        with pytest.raises(ParseError, match=r"dets\.jsonl:3: byte 0xe9 is not utf-8"):
+            load_detections(str(path))
+
     @pytest.mark.parametrize(
         "field, value",
         [
             ("frame", 2.7),
+            ("frame", True),
             ("class_id", 2.5),
             ("class_id", 3),
             ("score", float("nan")),
@@ -140,6 +157,7 @@ class TestLoadDetections:
         ],
         ids=[
             "fractional_frame",
+            "bool_frame",
             "fractional_class",
             "unknown_class",
             "nan_score",
@@ -312,6 +330,18 @@ class TestResults:
         with pytest.raises(ParseError):
             read_results(str(path))
 
+    def test_read_rejects_non_ascii_byte_with_line(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_bytes(b"1 2001 2 2 2 04\n# caf\xc3\xa9\n")
+        with pytest.raises(ParseError, match=r"r\.txt:2: byte 0xc3 is not ascii"):
+            read_results(str(path))
+
+    def test_read_rejects_zero_image_height_with_line(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("1 2001 2 2 2 04\n2 2001 2 0 2 04\n")
+        with pytest.raises(ShapeMismatch, match=r"r\.txt:2: mask dims"):
+            read_results(str(path))
+
 
 @st.composite
 def overlapping_frames(draw):
@@ -335,7 +365,6 @@ def overlapping_frames(draw):
 
 
 class TestResolveRecords:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(overlapping_frames())
     def test_matches_pixel_reference(self, drawn):
         """Pixels go to the lowest id that claims them; emptied masks are dropped."""

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,11 +27,6 @@ def random_mask(rng, max_side=64):
     w = int(rng.integers(1, max_side + 1))
     density = rng.uniform(0.0, 1.0)
     return (rng.random((h, w)) < density).astype(np.uint8)
-
-
-# fixed example sequence, no example database: the oracles run the same way
-# on every machine and leave no files behind
-ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -213,7 +208,6 @@ class TestMaskIou:
                 with pytest.raises(ShapeMismatch):
                     op(a, b)
 
-    @ORACLE
     @given(grid_pairs(max_side=31))
     def test_matches_pixel_brute_force(self, pair):
         g1, g2 = pair
@@ -232,7 +226,6 @@ class TestMaskIou:
 
 
 class TestMaskMerge:
-    @ORACLE
     @given(grid_pairs())
     def test_ops_match_numpy(self, pair):
         g1, g2 = pair
@@ -248,7 +241,6 @@ class TestMaskMerge:
 
 
 class TestExtent:
-    @ORACLE
     @given(grid_pairs())
     def test_matches_numpy_bbox(self, pair):
         for grid in pair:
@@ -321,7 +313,6 @@ class TestRectMask:
     def test_full_frame(self):
         assert rect_mask(4, 6, BBox(0, 0, 6, 4)).counts == (0, 24)
 
-    @ORACLE
     @given(clipped_rects())
     def test_matches_numpy_raster(self, rect):
         h, w, box = rect

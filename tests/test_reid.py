@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
-from helpers import make_tracklet, unit
+from helpers import IMG_H, IMG_W, make_tracklet, unit
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from masktrack.embedding import FeatureBank, bank_update
+from masktrack.geometry import BBox, bbox_iou, rect_mask
+from masktrack.regression import huber_fit
 from masktrack.reid import (
     ReidConfig,
     candidate_pairs,
@@ -10,7 +15,7 @@ from masktrack.reid import (
     moving_merge_test,
     static_merge_test,
 )
-from masktrack.tracker import TrackerConfig
+from masktrack.tracker import PEDESTRIAN, Observation, Tracklet, TrackerConfig
 
 FPS = 25.0  # pedestrian long-term window: 25 frames
 
@@ -260,3 +265,64 @@ class TestMergePass:
     def test_bad_camera_mode_rejected(self):
         with pytest.raises(ValueError):
             merge_pass([], ReidConfig(), self.tcfg)
+
+
+@st.composite
+def fragment(draw, first_frame, x0, y0):
+    """1-15 observations from ``first_frame`` on, with frame skips; velocity
+    and box size change midway, so the head and tail windows disagree."""
+    n = draw(st.integers(1, 15))
+    half = draw(st.integers(0, n))
+    frame, x, y = first_frame, x0, y0
+    positions, sizes = [], []
+    for k in range(n):
+        if k:
+            frame += draw(st.integers(1, 3))
+        slow = k < half
+        vx, vy = (1.5, 0.0) if slow else (-2.0, 1.0)
+        x, y = x + vx + draw(st.integers(-1, 1)), y + vy
+        positions.append((frame, x, y))
+        sizes.append((10.0, 20.0) if slow else (14.0, 16.0))
+    obs = [
+        Observation(f, BBox(x, y, w, h), rect_mask(IMG_H, IMG_W, BBox(x, y, w, h)), 0.9)
+        for (f, x, y), (w, h) in zip(positions, sizes)
+    ]
+    bank = FeatureBank(5)
+    for f, _, _ in positions:
+        bank = bank_update(bank, unit(0), f)
+    return Tracklet(0, PEDESTRIAN, obs, bank)
+
+
+def reference_gap_iou(u, v, window, delta):
+    """Mean box IOU over the gap, from one Huber line per fragment end:
+    u's last ``window`` observations forward, v's first ones backward."""
+
+    def line(obs, anchor):
+        if len(obs) < 2:
+            return lambda f: anchor
+        frames = [o.frame for o in obs]
+        sx, ix = huber_fit(frames, [o.box.x for o in obs], delta=delta)
+        sy, iy = huber_fit(frames, [o.box.y for o in obs], delta=delta)
+        return lambda f: BBox(sx * f + ix, sy * f + iy, anchor.w, anchor.h)
+
+    forward = line(u.observations[-window:], u.observations[-1].box)
+    backward = line(v.observations[:window], v.observations[0].box)
+    gap = range(u.last_frame + 1, v.first_frame)
+    if not gap:
+        return bbox_iou(u.observations[-1].box, v.observations[0].box)
+    return sum(bbox_iou(forward(f), backward(f)) for f in gap) / len(gap)
+
+
+class TestStaticMergeReference:
+    @settings(max_examples=150)
+    @given(st.data(), st.integers(2, 6), st.floats(0.5, 8.0), st.floats(0.01, 0.99))
+    def test_matches_huber_reference(self, data, window, delta, beta2):
+        u = data.draw(fragment(1, 60.0, 40.0))
+        gap = data.draw(st.integers(0, 8))
+        dx, dy = data.draw(st.integers(-12, 12)), data.draw(st.integers(-6, 6))
+        end = u.observations[-1].box
+        v = data.draw(fragment(u.last_frame + gap + 1, end.x + dx, end.y + dy))
+        ref = reference_gap_iou(u, v, window, delta)
+        assume(abs(ref - beta2) > 1e-9)
+        cfg, tcfg = ReidConfig(beta2=beta2), TrackerConfig(huber_window=window, huber_delta=delta)
+        assert static_merge_test(u, v, cfg, tcfg) == (ref > beta2)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import make_det, unit
 
 from masktrack.assignment import INFEASIBLE
-from masktrack.embedding import FeatureBank
 from masktrack.errors import OutOfOrderFrame
 from masktrack.tracker import (
     CAR,
@@ -19,17 +20,10 @@ from masktrack.tracker import (
 )
 
 
-def make_track(track_id, dets, class_id=PEDESTRIAN):
-    track = Track(
-        id=track_id,
-        class_id=class_id,
-        state=TrackState.ACTIVE,
-        history=[],
-        bank=FeatureBank(5),
-        last_matched_frame=dets[0].frame,
-    )
-    for det in dets:
-        track.observe(det.frame, det)
+def make_track(track_id, dets):
+    track = Track.spawn(track_id, dets[0], bank_size=5)
+    for det in dets[1:]:
+        track.observe(det)
     return track
 
 
@@ -151,7 +145,7 @@ class TestStep:
         tracker.step(1, [make_det(1, 20, 30, unit(0))])
         tracker.step(2, [make_det(2, 22, 30, unit(0))])
         assert len(tracker.tracks) == 1
-        assert len(tracker.tracks[0].history) == 2
+        assert len(tracker.tracks[0].observations) == 2
 
     def test_ids_monotonic_per_class(self):
         tracker = MaskTracker(track_cfg())
@@ -207,7 +201,7 @@ class TestStep:
             tracker.step(f, [make_det(f, 20, 30, unit(0))])
         ids = {t.id for t in tracker.tracks}
         assert ids == {2001, 2002}
-        assert len([t for t in tracker.tracks if t.id == 2002][0].history) == 5
+        assert len([t for t in tracker.tracks if t.id == 2002][0].observations) == 5
 
     def test_crossing_objects_keep_identities(self):
         # two objects swap sides; masks coincide mid-crossing but the
@@ -227,10 +221,10 @@ class TestStep:
         tracks = {t.id: t for t in tracker.tracks}
         assert set(tracks) == {2001, 2002}
         # identity A started left and must end right
-        assert tracks[2001].history[0][1].box.x == 20.0
-        assert tracks[2001].history[-1][1].box.x == 60.0
-        assert tracks[2002].history[0][1].box.x == 60.0
-        assert tracks[2002].history[-1][1].box.x == 20.0
+        assert tracks[2001].observations[0].box.x == 20.0
+        assert tracks[2001].observations[-1].box.x == 60.0
+        assert tracks[2002].observations[0].box.x == 60.0
+        assert tracks[2002].observations[-1].box.x == 20.0
 
     def test_one_to_one_assignment_per_frame(self):
         rng = np.random.default_rng(19)
@@ -248,7 +242,7 @@ class TestStep:
             out = tracker.step(f, dets)
             assert len(set(out)) == len(out)
         for t in tracker.tracks:
-            frames = [f for f, _ in t.history]
+            frames = [o.frame for o in t.observations]
             assert frames == sorted(set(frames))
 
     def test_gate_applies_after_the_solve(self, monkeypatch):
@@ -320,3 +314,50 @@ class TestStep:
         tracklets = tracker.finalize()
         assert [t.id for t in tracklets] == [2001, 2002]
         assert all(len(t.observations) == 1 for t in tracklets)
+
+
+@st.composite
+def frame_streams(draw):
+    """Increasing frames, some after gaps long enough to terminate tracks,
+    each with 0-4 detections of either class whose embeddings come from a
+    few unit vectors."""
+    frames, frame = [], 0
+    for _ in range(draw(st.integers(1, 14))):
+        frame += draw(st.sampled_from([1, 1, 1, 2, 4, 7]))
+        dets = []
+        for _ in range(draw(st.integers(0, 4))):
+            class_id = draw(st.sampled_from([CAR, PEDESTRIAN]))
+            w, h = (20.0, 10.0) if class_id == CAR else (10.0, 20.0)
+            x = float(draw(st.integers(0, 9))) * 8.0
+            y = float(draw(st.integers(0, 4))) * 8.0
+            emb = unit(draw(st.integers(0, 2)))
+            dets.append(make_det(frame, x, y, emb, class_id=class_id, w=w, h=h))
+        frames.append((frame, dets))
+    return frames
+
+
+class TestTrackerInvariants:
+    @settings(max_examples=100)
+    @given(frame_streams())
+    def test_step_invariants(self, stream):
+        tracker = MaskTracker(track_cfg(fps=25.0))  # windows: car 3, pedestrian 5 frames
+        spawned = {CAR: [], PEDESTRIAN: []}
+        terminated: set[int] = set()
+        for frame, dets in stream:
+            out = tracker.step(frame, dets)
+            # every detection goes to exactly one id
+            assert len(out) == len(dets)
+            assert {id(d) for d in out.values()} == {id(d) for d in dets}
+            terminated |= {t.id for t in tracker.tracks if t.state is TrackState.TERMINATED}
+            assert terminated.isdisjoint(out)
+            for t in tracker.tracks:
+                assert (t.state is TrackState.ACTIVE) == (t.id in out)
+            for track_id, det in out.items():
+                known = spawned[det.class_id]
+                if track_id not in known:
+                    known.append(track_id)
+        for class_id, ids in spawned.items():
+            assert ids == [class_id * 1000 + k for k in range(1, len(ids) + 1)]
+        for tracklet in tracker.finalize():
+            frames = [o.frame for o in tracklet.observations]
+            assert all(a < b for a, b in zip(frames, frames[1:]))
