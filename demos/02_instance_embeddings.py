@@ -55,7 +55,6 @@ for frame in range(1, 13):
     look = early_look if frame <= 5 else late_look
     bank = bank_update(bank, look + rng.normal(0, 0.05, 4), frame)
 
-print("bank head frames:", [f for f, _ in bank.head])
-print("bank tail frames:", [f for f, _ in bank.tail])
+print("bank entry frames:", [f for f, _ in bank.entries])
 print("similarity to the early appearance:", round(bank_similarity(bank, early_look), 3))
 print("similarity to the late appearance: ", round(bank_similarity(bank, late_look), 3))

@@ -14,8 +14,8 @@ import sys
 from dataclasses import replace
 
 from .config import load_config, save_config
-from .errors import MaskTrackError
-from .formats import load_detections, read_results, render_overlays, write_results
+from .errors import MaskTrackError, ParseError
+from .formats import load_detections, read_results, render_overlays, text_lines, write_results
 from .metrics import evaluate, format_report
 from .pipeline import run_pipeline
 from .synth import ScenarioSpec, generate_files
@@ -46,8 +46,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.scenario, "r", encoding="ascii") as fh:
-        spec = ScenarioSpec.from_json(fh.read())
+    text = "".join(line for _, line in text_lines(args.scenario, "ascii"))
+    try:
+        spec = ScenarioSpec.from_json(text)
+    except ParseError as exc:
+        raise ParseError(f"{args.scenario}: {exc}") from None
     dets_path, gt_path = generate_files(spec, args.out)
     print(f"detections -> {dets_path}")
     print(f"ground truth -> {gt_path}")

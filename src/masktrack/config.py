@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigRangeError, ConfigTypeError, UnknownConfigKey
+from .errors import ConfigError, ConfigRangeError, ConfigTypeError, ParseError, UnknownConfigKey
+from .formats import text_lines
 from .postfilter import FilterConfig
 from .reid import CAMERA_MODES, ReidConfig
 from .tracker import CAR, CLASS_NAMES, PEDESTRIAN, TrackerConfig
@@ -176,11 +177,17 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
 
 
 def load_config(path: str | None) -> PipelineConfig:
-    """Read a config file; None or a missing value keeps every default."""
+    """Read a config file; None or a missing value keeps every default.
+
+    A byte that is not ASCII raises ConfigError naming its line.
+    """
     if path is None:
         return PipelineConfig()
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    try:
+        text = "".join(line for _, line in text_lines(path, "ascii"))
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
+    return parse_config_text(text, source=str(path))
 
 
 def _fmt(value) -> str:

@@ -116,25 +116,22 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FeatureBank:
-    """Embeddings from a track's first and most recent frames, kept separate.
+    """Embeddings from a track's first and most recent frames, each frame once.
 
-    ``head`` holds the earliest ``size`` entries, ``tail`` the latest; short
-    tracks may carry the same frame in both. Entries are (frame, vector).
+    ``entries`` holds distinct (frame, vector) pairs in frame order: every
+    frame while there are at most ``2 * size``, then the first ``size`` and
+    the last ``size``.
     """
 
     size: int = 5
-    head: tuple[tuple[int, np.ndarray], ...] = field(default_factory=tuple)
-    tail: tuple[tuple[int, np.ndarray], ...] = field(default_factory=tuple)
+    entries: tuple[tuple[int, np.ndarray], ...] = field(default_factory=tuple)
 
     def __len__(self) -> int:
-        return len(self.head) + len(self.tail)
-
-    def entries(self):
-        return self.head + self.tail
+        return len(self.entries)
 
     @property
     def last_frame(self) -> int | None:
-        return self.tail[-1][0] if self.tail else None
+        return self.entries[-1][0] if self.entries else None
 
 
 def bank_update(bank: FeatureBank, emb: np.ndarray, frame: int) -> FeatureBank:
@@ -145,11 +142,7 @@ def bank_update(bank: FeatureBank, emb: np.ndarray, frame: int) -> FeatureBank:
     last = bank.last_frame
     if last is not None and frame <= last:
         raise NonMonotonicFrame(f"frame {frame} not after bank frame {last}")
-    head = bank.head
-    if len(head) < bank.size:
-        head = head + ((frame, emb),)
-    tail = (bank.tail + ((frame, emb),))[-bank.size :]
-    return FeatureBank(bank.size, head, tail)
+    return merge_banks(bank, FeatureBank(bank.size, ((frame, emb),)))
 
 
 def _max_sim_against(entries, query: np.ndarray) -> float:
@@ -172,19 +165,19 @@ def bank_similarity(bank: FeatureBank, query: np.ndarray) -> float:
     """Maximum cosine similarity between the query and any bank entry."""
     if len(bank) == 0:
         raise EmptyBank("similarity against an empty feature bank")
-    return _max_sim_against(bank.entries(), query)
+    return _max_sim_against(bank.entries, query)
 
 
 def bank_cross_similarity(a: FeatureBank, b: FeatureBank) -> float:
     """Maximum pairwise cosine similarity between two banks' entries."""
     if len(a) == 0 or len(b) == 0:
         raise EmptyBank("cross similarity with an empty feature bank")
-    return max(_max_sim_against(a.entries(), eb) for _, eb in b.entries())
+    return max(_max_sim_against(a.entries, eb) for _, eb in b.entries)
 
 
 def merge_banks(earlier: FeatureBank, later: FeatureBank) -> FeatureBank:
     """Bank for a track stitched from an earlier and a later fragment."""
-    size = earlier.size
-    head = (earlier.head + later.head)[:size]
-    tail = (earlier.tail + later.tail)[-size:]
-    return FeatureBank(size, head, tail)
+    size, entries = earlier.size, earlier.entries + later.entries
+    if len(entries) > 2 * size:
+        entries = entries[:size] + entries[-size:]
+    return FeatureBank(size, entries)

@@ -93,7 +93,7 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
     meta: SequenceMeta | None = None
     by_frame: dict[int, list[Detection]] = {}
     channels: int | None = None  # of the first detection; every other must match
-    for lineno, raw in _text_lines(path, "utf-8"):
+    for lineno, raw in text_lines(path, "utf-8"):
         line = raw.strip()
         if not line:
             continue
@@ -118,7 +118,7 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
     return meta, {f: by_frame[f] for f in sorted(by_frame)}
 
 
-def _text_lines(path: str, encoding: str):
+def text_lines(path: str, encoding: str):
     """Yield (line number, text) for each line of a file in ``encoding``.
 
     A byte that is not ``encoding`` text raises ParseError naming its line.
@@ -328,7 +328,7 @@ def read_results(path: str) -> list[ResultRecord]:
     """Parse a result file; validates decodability and (frame, id) uniqueness."""
     records: list[ResultRecord] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in _text_lines(path, "ascii"):
+    for lineno, raw in text_lines(path, "ascii"):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

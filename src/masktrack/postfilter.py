@@ -71,27 +71,24 @@ def trajectory_iou(a: Tracklet, b: Tracklet) -> float:
 def dedup_tracks(tracks: list[Tracklet], cfg: FilterConfig) -> list[Tracklet]:
     """Remove duplicated trajectories, keeping the longer of each pair.
 
-    Sweeps all same-class pairs, marks the shorter one of every pair whose
-    trajectory IOU exceeds the threshold (ties drop the higher id), removes
-    the marked set, and repeats until stable.
+    One sweep over all same-class pairs marks the shorter one of every pair
+    whose trajectory IOU exceeds the threshold (ties drop the higher id), and
+    the marked set is removed. One sweep is enough: it compared every pair of
+    survivors and found none above the threshold.
     """
     alive = sorted(tracks, key=lambda t: t.id)
-    while True:
-        doomed: set[int] = set()
-        for i in range(len(alive)):
-            for j in range(i + 1, len(alive)):
-                a, b = alive[i], alive[j]
-                if a.class_id != b.class_id:
-                    continue
-                if trajectory_iou(a, b) <= cfg.traj_iou_threshold:
-                    continue
-                if len(a) < len(b):
-                    loser = a
-                elif len(b) < len(a):
-                    loser = b
-                else:
-                    loser = a if a.id > b.id else b
-                doomed.add(loser.id)
-        if not doomed:
-            return alive
-        alive = [t for t in alive if t.id not in doomed]
+    doomed: set[int] = set()
+    for i, a in enumerate(alive):
+        for b in alive[i + 1 :]:
+            if a.class_id != b.class_id:
+                continue
+            if trajectory_iou(a, b) <= cfg.traj_iou_threshold:
+                continue
+            if len(a) < len(b):
+                loser = a
+            elif len(b) < len(a):
+                loser = b
+            else:
+                loser = a if a.id > b.id else b
+            doomed.add(loser.id)
+    return [t for t in alive if t.id not in doomed]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -51,7 +52,6 @@ class MotionVector:
 
     mx: float
     my: float
-    confident: bool = True
 
     @property
     def magnitude(self) -> float:
@@ -62,7 +62,7 @@ def motion_vector(tracklet: Tracklet, end: str, n3: int) -> MotionVector:
     """Mean consecutive displacement over the first or last ``n3`` frames.
 
     ``end`` is 'head' or 'tail'. A single-observation tracklet yields the
-    zero vector flagged as low-confidence.
+    zero vector, which has no direction.
     """
     if end == "head":
         window = tracklet.observations[: min(n3, len(tracklet))]
@@ -71,7 +71,7 @@ def motion_vector(tracklet: Tracklet, end: str, n3: int) -> MotionVector:
     else:
         raise ValueError(f"end must be 'head' or 'tail', got {end!r}")
     if len(window) < 2:
-        return MotionVector(0.0, 0.0, confident=False)
+        return MotionVector(0.0, 0.0)
     xs = np.array([o.box.x for o in window])
     ys = np.array([o.box.y for o in window])
     return MotionVector(float(np.mean(np.diff(xs))), float(np.mean(np.diff(ys))))
@@ -79,11 +79,11 @@ def motion_vector(tracklet: Tracklet, end: str, n3: int) -> MotionVector:
 
 def candidate_pairs(
     tracklets: list[Tracklet], cfg: ReidConfig, fps: float
-) -> list[tuple[int, int]]:
-    """Ordered index pairs (u, v) eligible for merging.
+) -> list[tuple[int, int, float]]:
+    """Ordered index pairs (u, v, sim) eligible for merging.
 
     u must end before v starts, the gap must fit in the per-class long-term
-    window, and the banks must look alike (max pairwise cosine above beta1).
+    window, and the banks must look alike (max pairwise cosine sim above beta1).
     """
     pairs = []
     for i, u in enumerate(tracklets):
@@ -95,9 +95,9 @@ def candidate_pairs(
             gap = v.first_frame - u.last_frame - 1
             if gap > cfg.n2_frames(u.class_id, fps):
                 continue
-            if bank_cross_similarity(u.bank, v.bank) <= cfg.beta1:
-                continue
-            pairs.append((i, j))
+            sim = bank_cross_similarity(u.bank, v.bank)
+            if sim > cfg.beta1:
+                pairs.append((i, j, sim))
     return pairs
 
 
@@ -106,17 +106,16 @@ def static_merge_test(
 ) -> bool:
     """Do forward and backward extrapolations overlap across the gap?
 
-    Every gap frame gets u extrapolated forward and v backward; the mean box
-    IOU must exceed beta2. Adjacent tracklets compare u's last box with v's
-    first directly.
+    Every gap frame gets u extrapolated forward and v backward, from one fit
+    per fragment end; the mean box IOU must exceed beta2. Adjacent tracklets
+    compare u's last box with v's first directly.
     """
-    gap_frames = range(u.last_frame + 1, v.first_frame)
-    if not gap_frames:
+    gap = range(u.last_frame + 1, v.first_frame)
+    if not gap:
         return bbox_iou(u.observations[-1].box, v.observations[0].box) > cfg.beta2
-    ious = [
-        bbox_iou(extrapolate_track(u, f, tracker_cfg), extrapolate_track(v, f, tracker_cfg))
-        for f in gap_frames
-    ]
+    forward = extrapolate_track(u, gap, tracker_cfg)
+    backward = extrapolate_track(v, gap, tracker_cfg)
+    ious = [bbox_iou(a, b) for a, b in zip(forward, backward)]
     return float(np.mean(ious)) > cfg.beta2
 
 
@@ -136,15 +135,12 @@ def moving_merge_test(u: Tracklet, v: Tracklet, cfg: ReidConfig) -> bool:
 
 
 def _stitch(parts: list[Tracklet]) -> Tracklet:
-    merged = parts[0]
-    for nxt in parts[1:]:
-        merged = Tracklet(
-            id=merged.id,
-            class_id=merged.class_id,
-            observations=merged.observations + nxt.observations,
-            bank=merge_banks(merged.bank, nxt.bank),
-        )
-    return merged
+    return Tracklet(
+        id=parts[0].id,
+        class_id=parts[0].class_id,
+        observations=[o for p in parts for o in p.observations],
+        bank=reduce(merge_banks, (p.bank for p in parts)),
+    )
 
 
 def merge_pass(
@@ -164,11 +160,10 @@ def merge_pass(
         raise ValueError(f"camera_mode must be one of {CAMERA_MODES}, got {cfg.camera_mode!r}")
     current = sorted(tracklets, key=lambda t: t.id)
     while True:
-        cands = []
-        for i, j in candidate_pairs(current, cfg, tracker_cfg.fps):
-            sim = bank_cross_similarity(current[i].bank, current[j].bank)
-            cands.append((-sim, current[i].id, current[j].id, i, j))
-        cands.sort()
+        cands = sorted(
+            (-sim, current[i].id, current[j].id, i, j)
+            for i, j, sim in candidate_pairs(current, cfg, tracker_cfg.fps)
+        )
         tail_used: set[int] = set()
         head_used: set[int] = set()
         links: dict[int, int] = {}

@@ -12,13 +12,14 @@ the object stays in the ground truth.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .embedding import l2_normalize
-from .errors import SpecOutOfBounds
+from .errors import ParseError, SpecOutOfBounds
 from .formats import (
     ResultRecord,
     SequenceMeta,
@@ -86,13 +87,49 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        obj = json.loads(text)
-        obj["objects"] = [ObjectSpec(**o) for o in obj.get("objects", [])]
-        obj["occlusions"] = [VisibilityEvent(**o) for o in obj.get("occlusions", [])]
-        obj["dropouts"] = [VisibilityEvent(**o) for o in obj.get("dropouts", [])]
-        obj["detector"] = DetectorModel(**obj.get("detector", {}))
-        obj["embedding"] = EmbeddingModel(**obj.get("embedding", {}))
+        """Parse a spec as ``to_json`` writes it; missing fields keep their defaults.
+
+        Invalid JSON, a field the spec does not have and an object size that
+        is not a positive number raise ParseError naming the line or field.
+        """
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
+        _check_fields(cls, obj, "scenario")
+        obj["objects"] = _build_all(ObjectSpec, obj.get("objects", []), "objects")
+        obj["occlusions"] = _build_all(VisibilityEvent, obj.get("occlusions", []), "occlusions")
+        obj["dropouts"] = _build_all(VisibilityEvent, obj.get("dropouts", []), "dropouts")
+        obj["detector"] = _build(DetectorModel, obj.get("detector", {}), "detector")
+        obj["embedding"] = _build(EmbeddingModel, obj.get("embedding", {}), "embedding")
+        for i, o in enumerate(obj["objects"]):
+            for name in ("width", "height"):
+                value = getattr(o, name)
+                if not (type(value) in (int, float) and 0 < value < math.inf):
+                    raise ParseError(
+                        f"objects[{i}].{name}: expected a positive size, got {value!r}"
+                    )
         return cls(**obj)
+
+
+def _check_fields(kind, obj, where: str):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    known = {f.name for f in fields(kind)}
+    for name in obj:
+        if name not in known:
+            raise ParseError(f"{where}: unknown field {name!r}")
+
+
+def _build(kind, obj, where: str):
+    _check_fields(kind, obj, where)
+    return kind(**obj)
+
+
+def _build_all(kind, items, where: str) -> list:
+    if not isinstance(items, list):
+        raise ParseError(f"{where}: expected a JSON list, got {type(items).__name__}")
+    return [_build(kind, item, f"{where}[{i}]") for i, item in enumerate(items)]
 
 
 def _hidden_frames(events: list[VisibilityEvent], obj_index: int) -> set[int]:

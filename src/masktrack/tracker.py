@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -172,24 +173,29 @@ def assignment_cost(track: Track, det: Detection) -> float:
     return 2.0 - iou - sim
 
 
-def extrapolate_track(track: Tracklet, target_frame: int, cfg: TrackerConfig) -> BBox:
-    """Box of a fragment at ``target_frame``, from a robust linear fit of its top-left.
+def extrapolate_track(track: Tracklet, frames, cfg: TrackerConfig) -> list[BBox]:
+    """Boxes of a fragment at ``frames``, from a robust linear fit of its top-left.
 
-    A target before the fragment fits its first ``huber_window`` observations,
-    any other its last ones. Width and height come from the observation at
-    that end, and a window of one observation gives that observation's box.
+    A frame before the fragment faces its first ``huber_window`` observations,
+    any other frame its last ones. One fit per fragment end: an end is fitted
+    when the first frame facing it comes up, and its line serves every frame
+    that faces it. Width and height come from the observation at that end, and
+    a window of one observation gives that observation's box.
     """
     obs = track.observations
-    if target_frame < track.first_frame:
-        window, anchor = obs[: cfg.huber_window], obs[0].box
-    else:
-        window, anchor = obs[-cfg.huber_window :], obs[-1].box
-    if len(window) < 2:
-        return anchor
-    frames = [o.frame for o in window]
-    sx, ix = huber_fit(frames, [o.box.x for o in window], delta=cfg.huber_delta)
-    sy, iy = huber_fit(frames, [o.box.y for o in window], delta=cfg.huber_delta)
-    return BBox(sx * target_frame + ix, sy * target_frame + iy, anchor.w, anchor.h)
+
+    @cache
+    def fit_end(head: bool):
+        window = obs[: cfg.huber_window] if head else obs[-cfg.huber_window :]
+        anchor = window[0].box if head else window[-1].box
+        if len(window) < 2:
+            return lambda frame: anchor
+        times = [o.frame for o in window]
+        sx, ix = huber_fit(times, [o.box.x for o in window], delta=cfg.huber_delta)
+        sy, iy = huber_fit(times, [o.box.y for o in window], delta=cfg.huber_delta)
+        return lambda frame: BBox(sx * frame + ix, sy * frame + iy, anchor.w, anchor.h)
+
+    return [fit_end(frame < track.first_frame)(frame) for frame in frames]
 
 
 def _gated_solve(
@@ -220,7 +226,7 @@ def str_match(
         return []
     costs = np.full((len(lost_tracks), len(detections)), INFEASIBLE)
     for i, track in enumerate(lost_tracks):
-        ex_box = extrapolate_track(track, frame, cfg)
+        ex_box = extrapolate_track(track, [frame], cfg)[0]
         reach = cfg.str_distance_factor * track.observations[-1].box.w
         for j, det in enumerate(detections):
             if det.class_id != track.class_id:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from helpers import matching_cost
 
+from masktrack import pipeline, reid
 from masktrack.assignment import INFEASIBLE, hungarian_solve
 from masktrack.config import PipelineConfig, load_config, parse_config_text
 from masktrack.formats import records_from_tracks
@@ -39,6 +40,7 @@ from masktrack.synth import (
     EmbeddingModel,
     ObjectSpec,
     ScenarioSpec,
+    VisibilityEvent,
     generate,
     generate_files,
     scenario_clean,
@@ -305,6 +307,51 @@ def scenario_crossing():
     )
 
 
+def scenario_reid():
+    """Forty pedestrians on a static camera, born five frames apart and alive
+    for sixty frames each, so a dozen are on screen at once, each in its own
+    slot of a 4x3 grid. Every one is hidden again and again for 6-11 frames:
+    longer than the tracker's 5-frame memory, so each occlusion ends a track,
+    and within reid's 25-frame window, so only the offline merger can join
+    the fragments."""
+    objects, occlusions = [], []
+    for i in range(40):
+        birth = 1 + 5 * i
+        death = min(240, birth + 59)
+        row, col = divmod(i % 12, 4)
+        sign = 1 if (row + col) % 2 == 0 else -1
+        objects.append(
+            ObjectSpec(
+                class_id=PEDESTRIAN,
+                width=14.0,
+                height=36.0,
+                start_x=100.0 + 150.0 * col,
+                start_y=60.0 + 150.0 * row,
+                vx=sign * (0.5 + 0.25 * (i % 3)),
+                vy=0.2 * ((i % 3) - 1),
+                birth=birth,
+                death=death,
+            )
+        )
+        t, k = birth + 10 + i % 4, 0
+        while True:
+            length = 6 + (i + k) % 6
+            if t + length >= death - 8:
+                break
+            occlusions.append(VisibilityEvent(i, t, length))
+            t += length + 10 + k % 3
+            k += 1
+    return ScenarioSpec(
+        name="reid",
+        frames=240,
+        objects=objects,
+        occlusions=occlusions,
+        detector=DetectorModel(score_mean=0.9, score_sigma=0.03, jitter_sigma=0.5),
+        embedding=EmbeddingModel(dim=40, noise_sigma=0.1),
+        seed=7,
+    )
+
+
 GOLDEN_RESULT_SHA256 = {
     "clean": "477ff2ea84755f4935d19b3b514a343f19d4be4177c9294969ce3e7ec1faf452",
     "gaps": "3b910aafa18d7893a299ba3314062ff087d5a1b00133aef3bc8ce53093816605",
@@ -312,6 +359,7 @@ GOLDEN_RESULT_SHA256 = {
     "occlusions_static": "7672a194b4c62dc26d24e132e15bda79f0b63c263726f3792e493b8a2b657043",
     "occlusions_moving": "7672a194b4c62dc26d24e132e15bda79f0b63c263726f3792e493b8a2b657043",
     "crossing": "4f952d02b7b6ccb9ff9da7addf1c726ff1364e2811a91ac5f98fbeca330f4e3d",
+    "reid": "3d2d136dab9713e359d940eb1674f0a68f90b229f2c89e3b683e310ef4dcc5e1",
 }
 GOLDEN_CROSSING_GT_SHA256 = "00669fa1092d1d1bbed215df25e6135dc226b0354e7cf15c8a9fa3f856fef026"
 
@@ -337,6 +385,7 @@ def overlapping_pairs(masks_by_frame):
         ("occlusions_static", scenario_long_occlusions("static")),
         ("occlusions_moving", scenario_long_occlusions("moving")),
         ("crossing", scenario_crossing()),
+        ("reid", scenario_reid()),
     ],
 )
 def test_result_lines_match_golden_hash(name, spec):
@@ -367,6 +416,36 @@ def test_crossing_overlaps_before_resolution_and_ground_truth_golden():
     assert overlapping_pairs(truth) >= 50
     assert lines_sha256(gt) == GOLDEN_CROSSING_GT_SHA256
     announce("crossing scenario overlaps and its ground truth matches the golden hash")
+
+
+def test_reid_scenario_splits_and_merges(monkeypatch):
+    """The reid scenario gives the offline merger real work: the tracker
+    leaves at least 100 tracklets, and merge_pass runs at least two passes
+    and makes at least 50 merges."""
+    passes, sizes = [], {}
+    real_pairs, real_merge = reid.candidate_pairs, pipeline.merge_pass
+
+    def counted_pairs(*args):
+        passes.append(1)
+        return real_pairs(*args)
+
+    def sized_merge(tracklets, *args):
+        merged = real_merge(tracklets, *args)
+        sizes.update(before=len(tracklets), after=len(merged))
+        return merged
+
+    monkeypatch.setattr(reid, "candidate_pairs", counted_pairs)
+    monkeypatch.setattr(pipeline, "merge_pass", sized_merge)
+    meta, dets, _ = generate(scenario_reid())
+    run_pipeline(meta, dets, PipelineConfig())
+    assert sizes["before"] >= 100
+    assert len(passes) >= 2
+    merges = sizes["before"] - sizes["after"]
+    assert merges >= 50
+    announce(
+        "reid scenario splits and merges",
+        f"{sizes['before']} tracklets, {len(passes)} passes, {merges} merges",
+    )
 
 
 def test_metric_self_consistency():

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -37,6 +38,25 @@ class TestSynthCommand:
         assert (out / "long_occlusions_static.jsonl").exists()
         assert (out / "long_occlusions_static_gt.txt").exists()
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"name": "x",\n "frames": 10,,}\n', ["line 2", "invalid JSON"]),
+            (json.dumps({"objects": [{"colour": "red"}]}), ["objects[0]", "'colour'"]),
+            (json.dumps({"objects": [{}, {"height": -4.0}]}), ["objects[1].height", "-4.0"]),
+        ],
+        ids=["invalid_json", "unknown_object_field", "negative_object_size"],
+    )
+    def test_bad_scenario_fails_cleanly(self, tmp_path, text, named):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = run_cli("synth", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"error: {path}: " in proc.stderr
+        for part in named:
+            assert part in proc.stderr
+
 
 class TestTrackCommand:
     def test_writes_results_and_config_echo(self, scenario_dir):
@@ -71,18 +91,24 @@ class TestTrackCommand:
         assert "error:" in proc.stderr
 
     def test_bad_config_fails_cleanly(self, scenario_dir, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("reid.beta3=1.5\n")
-        proc = run_cli(
-            "track",
-            str(scenario_dir / "data" / "long_occlusions_static.jsonl"),
-            "--config",
-            str(cfg),
-            "--out",
-            str(tmp_path / "out"),
-        )
-        assert proc.returncode == 1
-        assert "reid.beta3" in proc.stderr
+        cases = [
+            (b"reid.beta3=1.5\n", "reid.beta3"),
+            ("reid.beta3=0.7\n# caf\u00e9\n".encode("utf-8"), "bad.cfg:2: byte 0xc3"),
+        ]
+        for content, named in cases:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_bytes(content)
+            proc = run_cli(
+                "track",
+                str(scenario_dir / "data" / "long_occlusions_static.jsonl"),
+                "--config",
+                str(cfg),
+                "--out",
+                str(tmp_path / "out"),
+            )
+            assert proc.returncode == 1
+            assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+            assert named in proc.stderr
 
 
 class TestEvalCommand:

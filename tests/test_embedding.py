@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from masktrack.embedding import (
     FeatureBank,
@@ -138,13 +140,11 @@ def build_bank(vectors, size=5):
 class TestFeatureBank:
     def test_few_updates_fill_head_and_tail(self):
         bank = build_bank([[1, 0], [0, 1], [1, 1]])
-        assert [f for f, _ in bank.head] == [1, 2, 3]
-        assert [f for f, _ in bank.tail] == [1, 2, 3]
+        assert [f for f, _ in bank.entries] == [1, 2, 3]
 
     def test_twelve_updates_keep_first_and_last_five(self):
         bank = build_bank([[float(i), 1.0] for i in range(12)])
-        assert [f for f, _ in bank.head] == [1, 2, 3, 4, 5]
-        assert [f for f, _ in bank.tail] == [8, 9, 10, 11, 12]
+        assert [f for f, _ in bank.entries] == [1, 2, 3, 4, 5, 8, 9, 10, 11, 12]
 
     def test_non_monotonic_frame_rejected(self):
         bank = build_bank([[1, 0]])
@@ -176,7 +176,7 @@ class TestFeatureBank:
             vecs = rng.normal(size=(int(rng.integers(1, 15)), 4))
             bank = build_bank(vecs.tolist())
             q = rng.normal(size=4)
-            ref = max(cosine_similarity(v, q) for _, v in bank.entries())
+            ref = max(cosine_similarity(v, q) for _, v in bank.entries)
             assert bank_similarity(bank, q) == ref
             assert bank_similarity(bank, q) <= 1.0
 
@@ -191,8 +191,7 @@ class TestFeatureBank:
         for frame in range(20, 32):
             late = bank_update(late, np.array([0.0, float(frame)]), frame)
         merged = merge_banks(early, late)
-        assert [f for f, _ in merged.head] == [1, 2, 3, 4, 5]
-        assert [f for f, _ in merged.tail] == [27, 28, 29, 30, 31]
+        assert [f for f, _ in merged.entries] == [1, 2, 3, 4, 5, 27, 28, 29, 30, 31]
 
     def test_merge_banks_short_fragments(self):
         early = build_bank([[1.0, 0.0]] * 2)  # frames 1, 2
@@ -200,8 +199,40 @@ class TestFeatureBank:
         for frame in (10, 11):
             late = bank_update(late, np.array([0.0, 1.0]), frame)
         merged = merge_banks(early, late)
-        assert [f for f, _ in merged.head] == [1, 2, 10, 11]
-        assert [f for f, _ in merged.tail] == [1, 2, 10, 11]
+        assert [f for f, _ in merged.entries] == [1, 2, 10, 11]
+
+
+def frame_runs(max_len):
+    """Strictly increasing frames from 1 on, with skips."""
+    return st.lists(st.integers(1, 4), max_size=max_len).map(
+        lambda steps: [sum(steps[: k + 1]) for k in range(len(steps))]
+    )
+
+
+def updated(bank, frames):
+    for f in frames:
+        bank = bank_update(bank, np.array([float(f), 1.0]), f)
+    return bank
+
+
+class TestFeatureBankProperties:
+    @given(st.integers(1, 6), frame_runs(30))
+    def test_entries_are_the_distinct_first_and_last_frames(self, size, frames):
+        bank = updated(FeatureBank(size), frames)
+        expected = sorted(set(frames[:size]) | set(frames[-size:]))
+        assert [f for f, _ in bank.entries] == expected
+        assert all(v[0] == f for f, v in bank.entries)
+        assert len(bank) == len(expected)
+
+    @given(st.integers(1, 6), frame_runs(30), st.integers(0, 30))
+    def test_merge_equals_building_from_both_fragments(self, size, frames, cut):
+        earlier, later = frames[:cut], frames[cut:]
+        merged = merge_banks(updated(FeatureBank(size), earlier), updated(FeatureBank(size), later))
+        whole = updated(FeatureBank(size), frames)
+        assert merged.size == whole.size
+        assert len(merged.entries) == len(whole.entries)
+        for (fm, vm), (fw, vw) in zip(merged.entries, whole.entries):
+            assert fm == fw and np.array_equal(vm, vw)
 
 
 class TestL2Normalize:

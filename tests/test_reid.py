@@ -4,7 +4,7 @@ from helpers import IMG_H, IMG_W, make_tracklet, unit
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from masktrack.embedding import FeatureBank, bank_update
+from masktrack.embedding import FeatureBank, bank_cross_similarity, bank_update
 from masktrack.geometry import BBox, bbox_iou, rect_mask
 from masktrack.regression import huber_fit
 from masktrack.reid import (
@@ -42,12 +42,12 @@ class TestCandidatePairs:
     def test_gap_at_window_included(self):
         a = line(2001, range(1, 11), 10, 30)
         b = line(2002, range(36, 50), 10, 30)  # gap of exactly 25
-        assert candidate_pairs([a, b], self.cfg, FPS) == [(0, 1)]
+        assert candidate_pairs([a, b], self.cfg, FPS) == [(0, 1, 1.0)]
 
     def test_identical_banks_small_gap_included(self):
         a = line(2001, range(1, 11), 10, 30)
         b = line(2002, range(14, 30), 10, 30)
-        assert candidate_pairs([a, b], self.cfg, FPS) == [(0, 1)]
+        assert candidate_pairs([a, b], self.cfg, FPS) == [(0, 1, 1.0)]
 
     def test_dissimilar_banks_excluded(self):
         a = line(2001, range(1, 11), 10, 30, emb=unit(0))
@@ -61,6 +61,30 @@ class TestCandidatePairs:
         assert candidate_pairs([a, b], self.cfg, FPS) == []
 
 
+@st.composite
+def looks(draw, first_frame):
+    """A tracklet of 1-12 frames from ``first_frame`` whose embeddings are
+    noisy copies of one of two prototypes, so banks meet beta1 or miss it."""
+    n = draw(st.integers(1, 12))
+    proto = unit(draw(st.integers(0, 1)))
+    noise = st.lists(st.floats(-0.6, 0.6), min_size=8, max_size=8)
+    positions = [(first_frame + k, 40.0, 30.0) for k in range(n)]
+    bank = FeatureBank(5)
+    for f, _, _ in positions:
+        bank = bank_update(bank, proto + np.array(draw(noise)), f)
+    return Tracklet(2000, PEDESTRIAN, make_tracklet(2000, positions, proto).observations, bank)
+
+
+class TestCandidatePairsProperty:
+    @given(st.data(), st.lists(st.integers(1, 60), min_size=2, max_size=6))
+    def test_sim_is_the_pairs_cross_similarity(self, data, starts):
+        tracklets = [data.draw(looks(s)) for s in starts]
+        pairs = candidate_pairs(tracklets, ReidConfig(), FPS)
+        for i, j, sim in pairs:
+            assert sim == bank_cross_similarity(tracklets[i].bank, tracklets[j].bank)
+            assert sim > ReidConfig().beta1
+
+
 class TestMotionVector:
     def test_uniform_motion(self):
         tr = make_tracklet(2001, [(f, float(f - 1), 0.0) for f in range(1, 6)], unit(0))
@@ -71,7 +95,7 @@ class TestMotionVector:
         tr = make_tracklet(2001, [(f, 7.0, 9.0) for f in range(1, 6)], unit(0))
         vec = motion_vector(tr, "head", 5)
         assert (vec.mx, vec.my) == (0.0, 0.0)
-        assert vec.confident
+        assert vec.magnitude == 0.0
 
     def test_telescoping_hand_case(self):
         tops = [(0, 0), (5, 2), (6, 3), (7, 4), (8, 4)]
@@ -105,7 +129,7 @@ class TestMotionVector:
         tr = make_tracklet(2001, [(1, 5.0, 5.0)], unit(0))
         vec = motion_vector(tr, "tail", 5)
         assert (vec.mx, vec.my) == (0.0, 0.0)
-        assert not vec.confident
+        assert vec.magnitude == 0.0
 
 
 class TestStaticMergeTest:

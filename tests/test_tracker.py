@@ -81,14 +81,14 @@ class TestExtrapolateTrack:
     def test_stationary(self):
         dets = [make_det(f, 40, 50, unit(0)) for f in range(1, 6)]
         track = make_track(2001, dets)
-        box = extrapolate_track(track, 9, TrackerConfig())
+        box, = extrapolate_track(track, [9], TrackerConfig())
         assert (box.x, box.y) == (pytest.approx(40), pytest.approx(50))
         assert (box.w, box.h) == (10, 20)
 
     def test_linear_motion_extends(self):
         dets = [make_det(f, 10 + 2 * f, 50, unit(0)) for f in range(1, 6)]
         track = make_track(2001, dets)
-        box = extrapolate_track(track, 8, TrackerConfig())
+        box, = extrapolate_track(track, [8], TrackerConfig())
         # moving +2 px/frame, 3 frames past the last observation at f=5
         assert box.x == pytest.approx(10 + 2 * 5 + 6, abs=1e-6)
         assert box.y == pytest.approx(50, abs=1e-6)
@@ -96,8 +96,30 @@ class TestExtrapolateTrack:
     def test_single_observation_falls_back_to_last_box(self):
         det = make_det(1, 33, 44, unit(0))
         track = make_track(2001, [det])
-        box = extrapolate_track(track, 7, TrackerConfig())
+        box, = extrapolate_track(track, [7], TrackerConfig())
         assert (box.x, box.y) == (33, 44)
+
+
+class TestExtrapolateTrackProperty:
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(-2, 2)),
+            min_size=1,
+            max_size=15,
+        ),
+        st.lists(st.integers(-15, 60), max_size=12),
+        st.integers(1, 8),
+        st.floats(0.5, 8.0),
+    )
+    def test_each_box_equals_the_single_frame_call(self, steps, frames, window, delta):
+        frame, x, y, dets = 10, 60, 40, []
+        for skip, dx, dy in steps:
+            frame, x, y = frame + skip, x + dx, y + dy
+            dets.append(make_det(frame, x, y, unit(0)))
+        track = make_track(2001, dets)
+        cfg = TrackerConfig(huber_window=window, huber_delta=delta)
+        boxes = extrapolate_track(track, frames, cfg)
+        assert boxes == [extrapolate_track(track, [f], cfg)[0] for f in frames]
 
 
 class TestStrMatch:
