@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from .config import load_config, save_config
-from .errors import MaskTrackError, ParseError
+from .errors import MaskTrackError, ParseError, SpecOutOfBounds
 from .formats import load_detections, read_results, render_overlays, text_lines, write_results
 from .metrics import evaluate, format_report
 from .pipeline import run_pipeline
@@ -48,10 +48,9 @@ def _cmd_eval(args) -> int:
 def _cmd_synth(args) -> int:
     text = "".join(line for _, line in text_lines(args.scenario, "ascii"))
     try:
-        spec = ScenarioSpec.from_json(text)
-    except ParseError as exc:
-        raise ParseError(f"{args.scenario}: {exc}") from None
-    dets_path, gt_path = generate_files(spec, args.out)
+        dets_path, gt_path = generate_files(ScenarioSpec.from_json(text), args.out)
+    except (ParseError, SpecOutOfBounds) as exc:
+        raise type(exc)(f"{args.scenario}: {exc}") from None
     print(f"detections -> {dets_path}")
     print(f"ground truth -> {gt_path}")
     return 0

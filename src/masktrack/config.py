@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError, ConfigRangeError, ConfigTypeError, ParseError, UnknownConfigKey
+from .errors import ConfigError, ParseError
 from .formats import text_lines
 from .postfilter import FilterConfig
 from .reid import CAMERA_MODES, ReidConfig
@@ -37,16 +37,16 @@ def _parse_bool(key: str, raw: str) -> bool:
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigTypeError(f"{key}: expected a boolean, got {raw!r}")
+    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
 def _parse_float(key: str, raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigTypeError(f"{key}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigTypeError(f"{key}: expected a finite number, got {raw!r}")
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
     return value
 
 
@@ -54,22 +54,22 @@ def _parse_int(key: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigTypeError(f"{key}: expected an integer, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
 
 
 def _parse_camera(key: str, raw: str) -> str:
     val = raw.strip()
     if val not in CAMERA_MODES + ("auto",):
-        raise ConfigRangeError(f"{key}: must be static, moving or auto, got {raw!r}")
+        raise ConfigError(f"{key}: must be static, moving or auto, got {raw!r}")
     return val
 
 
 def _rejecting(bad, rule: str):
-    """A validator that raises ConfigRangeError when ``bad(value)`` holds."""
+    """A validator that raises ConfigError when ``bad(value)`` holds."""
 
     def check(key, v):
         if bad(v):
-            raise ConfigRangeError(f"{key}: {rule}, got {v}")
+            raise ConfigError(f"{key}: {rule}, got {v}")
 
     return check
 
@@ -152,26 +152,32 @@ def _set(cfg: PipelineConfig, path: tuple, value):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
-    """Parse key=value lines into a validated configuration."""
+    """Parse key=value lines into a validated configuration.
+
+    A bad line raises ConfigError naming ``source`` and the line.
+    """
     cfg = PipelineConfig()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigTypeError(f"{source}:{lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
         if key not in _KEYS:
-            raise UnknownConfigKey(f"{source}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         parser, validate, path = _KEYS[key]
-        value = parser(key, raw.strip())
-        validate(key, value)
+        try:
+            value = parser(key, raw.strip())
+            validate(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}:{lineno}: {exc}") from None
         _set(cfg, path, value)
     for class_id, (lo, hi) in cfg.filters.aspect_ratio_range.items():
         if lo >= hi:
-            raise ConfigRangeError(
-                f"filter.{CLASS_NAMES[class_id]} aspect range: lo {lo} must be < hi {hi}"
+            raise ConfigError(
+                f"{source}: filter.{CLASS_NAMES[class_id]} aspect range: lo {lo} must be < hi {hi}"
             )
     return cfg
 

@@ -15,13 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyBank,
-    EmptyBox,
-    NonMonotonicFrame,
-    ShapeMismatch,
-)
-from .geometry import BBox, BinaryMask, rle_decode
+from .errors import DegenerateInput, OutOfOrderFrame, ShapeMismatch
+from .geometry import BBox, BinaryMask
 
 FOREGROUND_WEIGHT = 1.0
 BACKGROUND_WEIGHT = 0.5
@@ -34,7 +29,8 @@ def spatial_attention(
 
     Each grid cell takes the mask value at its centre by nearest-neighbor
     lookup: foreground cells weigh 1.0, background cells 0.5. Cells whose
-    centre falls outside the image count as background.
+    centre falls outside the image count as background. A cell's pixel is
+    looked up in the mask's cached run ends, so the frame is never decoded.
 
     Args:
         mask: Instance mask in full image coordinates.
@@ -48,22 +44,20 @@ def spatial_attention(
     if grid_h <= 0 or grid_w <= 0:
         raise ShapeMismatch(f"grid dims must be positive, got {grid_h}x{grid_w}")
     if box.empty:
-        raise EmptyBox(f"cannot sample attention under a zero-area box: {box}")
-    grid = rle_decode(mask)
+        raise DegenerateInput(f"cannot sample attention under a zero-area box: {box}")
     ys = box.y + (np.arange(grid_h) + 0.5) * box.h / grid_h
     xs = box.x + (np.arange(grid_w) + 0.5) * box.w / grid_w
     rows = np.floor(ys).astype(int)
     cols = np.floor(xs).astype(int)
     inside_r = (rows >= 0) & (rows < mask.height)
     inside_c = (cols >= 0) & (cols < mask.width)
-    attn = np.full((grid_h, grid_w), BACKGROUND_WEIGHT)
     r_idx = np.clip(rows, 0, mask.height - 1)
     c_idx = np.clip(cols, 0, mask.width - 1)
-    fg = grid[np.ix_(r_idx, c_idx)].astype(bool)
-    fg &= inside_r[:, None]
-    fg &= inside_c[None, :]
-    attn[fg] = FOREGROUND_WEIGHT
-    return attn
+    # column-major pixel index; the run holding it is foreground when odd
+    pixels = c_idx[None, :] * mask.height + r_idx[:, None]
+    odd_run = np.searchsorted(mask.run_ends, pixels, side="right") & 1
+    fg = (odd_run == 1) & inside_r[:, None] & inside_c[None, :]
+    return np.where(fg, FOREGROUND_WEIGHT, BACKGROUND_WEIGHT)
 
 
 def l2_normalize(vec: np.ndarray) -> np.ndarray:
@@ -74,13 +68,10 @@ def l2_normalize(vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
-def instance_aware_pool(
-    fmap: np.ndarray, attn: np.ndarray, normalize: bool = True
-) -> np.ndarray:
+def instance_aware_pool(fmap: np.ndarray, attn: np.ndarray) -> np.ndarray:
     """Attention-weighted average pooling over a (gh, gw, c) feature map.
 
-    The pooled vector is L2-normalized unless ``normalize`` is False; an
-    all-zero pool is returned unnormalized either way.
+    The pooled vector is L2-normalized; an all-zero pool is returned as is.
     """
     fmap = np.asarray(fmap, dtype=float)
     attn = np.asarray(attn, dtype=float)
@@ -91,10 +82,7 @@ def instance_aware_pool(
             f"feature grid {fmap.shape[:2]} does not match attention {attn.shape}"
         )
     weights = attn[:, :, None]
-    pooled = (fmap * weights).sum(axis=(0, 1)) / attn.sum()
-    if not normalize:
-        return pooled
-    return l2_normalize(pooled)
+    return l2_normalize((fmap * weights).sum(axis=(0, 1)) / attn.sum())
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -141,7 +129,7 @@ def bank_update(bank: FeatureBank, emb: np.ndarray, frame: int) -> FeatureBank:
     """
     last = bank.last_frame
     if last is not None and frame <= last:
-        raise NonMonotonicFrame(f"frame {frame} not after bank frame {last}")
+        raise OutOfOrderFrame(f"frame {frame} not after bank frame {last}")
     return merge_banks(bank, FeatureBank(bank.size, ((frame, emb),)))
 
 
@@ -164,14 +152,14 @@ def _max_sim_against(entries, query: np.ndarray) -> float:
 def bank_similarity(bank: FeatureBank, query: np.ndarray) -> float:
     """Maximum cosine similarity between the query and any bank entry."""
     if len(bank) == 0:
-        raise EmptyBank("similarity against an empty feature bank")
+        raise DegenerateInput("similarity against an empty feature bank")
     return _max_sim_against(bank.entries, query)
 
 
 def bank_cross_similarity(a: FeatureBank, b: FeatureBank) -> float:
     """Maximum pairwise cosine similarity between two banks' entries."""
     if len(a) == 0 or len(b) == 0:
-        raise EmptyBank("cross similarity with an empty feature bank")
+        raise DegenerateInput("cross similarity with an empty feature bank")
     return max(_max_sim_against(a.entries, eb) for _, eb in b.entries)
 
 

@@ -1,90 +1,48 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package: one class per kind of failure.
+
+Every input file is checked when it is read, so a bad file fails there with
+a ``ParseError``, ``ShapeMismatch`` or ``ConfigError`` naming the file and
+line. The other classes mark bad values handed to the library in memory
+(``OutOfOrderFrame``, ``DegenerateInput``, ``SpecOutOfBounds``) and bad
+result sets (``OverlapAfterResolution``, ``OverlappingMasksInInput``).
+"""
 
 
 class MaskTrackError(Exception):
     """Base class for all masktrack errors."""
 
 
-# ---------------------------------------------------------------------------
-# mask / geometry
-# ---------------------------------------------------------------------------
-class CountsSumMismatch(MaskTrackError):
-    """RLE counts do not sum to height * width."""
+class ParseError(MaskTrackError):
+    """Malformed input: bad JSON or field, a truncated or invalid RLE token,
+    a detection with neither an embedding nor a feature map. Raised from a
+    file, the message carries its name and line."""
 
 
 class ShapeMismatch(MaskTrackError):
-    """Masks, grids, vectors or input files whose dimensions disagree."""
+    """Masks, grids, vectors or input files whose dimensions disagree, RLE
+    counts that are negative, non-canonical or do not sum to
+    ``height * width`` included."""
 
 
-class MalformedToken(MaskTrackError):
-    """Compressed RLE string is truncated or contains invalid characters."""
-
-
-# ---------------------------------------------------------------------------
-# embeddings / feature banks
-# ---------------------------------------------------------------------------
-class EmptyBox(MaskTrackError):
-    """Bounding box with zero area where a region is required."""
-
-
-class EmptyBank(MaskTrackError):
-    """Similarity queried against a feature bank with no entries."""
-
-
-class NonMonotonicFrame(MaskTrackError):
-    """Bank update with a frame index not newer than existing entries."""
-
-
-# ---------------------------------------------------------------------------
-# tracking
-# ---------------------------------------------------------------------------
-class DegenerateInput(MaskTrackError):
-    """Regression input with fewer than two distinct sample positions."""
+class ConfigError(MaskTrackError):
+    """A config key that is unknown, a value of the wrong type or out of range."""
 
 
 class OutOfOrderFrame(MaskTrackError):
-    """Frames fed to the tracker out of order."""
+    """Frames fed to the tracker or a feature bank not strictly increasing."""
 
 
-# ---------------------------------------------------------------------------
-# file formats
-# ---------------------------------------------------------------------------
-class ParseError(MaskTrackError):
-    """Malformed line in an input file; message carries the line number."""
+class DegenerateInput(MaskTrackError):
+    """Too little to compute from: regression samples at fewer than two
+    positions, a zero-area box to sample attention under, an empty bank."""
 
 
-class MissingFeatures(MaskTrackError):
-    """Detection record with neither an embedding nor a feature map."""
+class SpecOutOfBounds(MaskTrackError):
+    """Scenario places an object outside the image during its lifetime."""
 
 
 class OverlapAfterResolution(MaskTrackError):
     """Masks still overlap after overlap resolution; indicates a codec bug."""
-
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-class ConfigError(MaskTrackError):
-    """Base class for configuration file problems."""
-
-
-class UnknownConfigKey(ConfigError):
-    """Config file contains a key that is not part of the schema."""
-
-
-class ConfigTypeError(ConfigError):
-    """Config value cannot be coerced to the expected type."""
-
-
-class ConfigRangeError(ConfigError):
-    """Config value outside its valid range."""
-
-
-# ---------------------------------------------------------------------------
-# synthetic data / evaluation
-# ---------------------------------------------------------------------------
-class SpecOutOfBounds(MaskTrackError):
-    """Scenario places an object outside the image during its lifetime."""
 
 
 class OverlappingMasksInInput(MaskTrackError):

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CountsSumMismatch,
-    MalformedToken,
-    MissingFeatures,
-    OverlapAfterResolution,
-    ParseError,
-    ShapeMismatch,
-)
+from .errors import DegenerateInput, OverlapAfterResolution, ParseError, ShapeMismatch
 from .geometry import (
     BBox,
     BinaryMask,
@@ -86,9 +79,10 @@ class ResultRecord:
 def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]]:
     """Read a detection file; returns the sequence meta and per-frame lists.
 
-    Frames come out sorted ascending. Raises ParseError (with the offending
-    line number), ShapeMismatch, or MissingFeatures. Every detection's
-    embedding or feature map must have as many channels as the first one's.
+    Frames come out sorted ascending. A detection given a feature map is
+    pooled into its embedding as it is read. Raises ParseError or
+    ShapeMismatch naming the file and line. Every detection's embedding or
+    feature map must have as many channels as the first one's.
     """
     meta: SequenceMeta | None = None
     by_frame: dict[int, list[Detection]] = {}
@@ -105,7 +99,7 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
             meta = _parse_meta(obj, path, lineno)
             continue
         det = _parse_detection(obj, meta, path, lineno)
-        dim = det.embedding.size if det.embedding is not None else det.feature_map.shape[2]
+        dim = det.embedding.size
         if channels is None:
             channels = dim
         elif dim != channels:
@@ -178,10 +172,8 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
         )
     try:
         mask = rle_from_string(token, mh, mw)
-    except MalformedToken as exc:
-        raise ParseError(f"{where}: {exc}") from None
-    except CountsSumMismatch as exc:
-        raise ShapeMismatch(f"{where}: {exc}") from None
+    except (ParseError, ShapeMismatch) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
     embedding = None
     feature_map = None
@@ -202,6 +194,8 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
             values = np.asarray(fm["values"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{where}: bad feature_map ({exc})") from None
+        if min(gh, gw, ch) < 1:
+            raise ParseError(f"{where}: feature_map gh, gw and c must be >= 1, got {gh}x{gw}x{ch}")
         if values.size != gh * gw * ch:
             raise ParseError(
                 f"{where}: feature_map has {values.size} values, expected {gh * gw * ch}"
@@ -209,13 +203,10 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
         if not np.isfinite(values).all():
             raise ParseError(f"{where}: non-finite feature_map value")
         feature_map = values.reshape(gh, gw, ch)
-    else:
-        raise MissingFeatures(f"{where}: record needs an embedding or a feature_map")
     try:
-        box = BBox(bx, by, bw, bh)
-    except ValueError as exc:
+        return Detection(frame, class_id, score, BBox(bx, by, bw, bh), mask, embedding, feature_map)
+    except (ValueError, DegenerateInput) as exc:
         raise ParseError(f"{where}: {exc}") from None
-    return Detection(frame, class_id, score, box, mask, embedding, feature_map)
 
 
 def write_detections(
@@ -346,8 +337,8 @@ def read_results(path: str) -> list[ResultRecord]:
         rec = ResultRecord(frame, track_id, class_id, img_h, img_w, parts[5])
         try:
             rec.mask()
-        except (MalformedToken, CountsSumMismatch, ShapeMismatch) as exc:
-            raise ShapeMismatch(f"{path}:{lineno}: {exc}") from None
+        except (ParseError, ShapeMismatch) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
         records.append(rec)
     return records
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CountsSumMismatch, MalformedToken, ShapeMismatch
+from .errors import ParseError, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,12 @@ class BinaryMask:
         object.__setattr__(self, "counts", counts)
         for i, c in enumerate(counts):
             if c < 0:
-                raise CountsSumMismatch(f"negative run length {c} at index {i}")
+                raise ShapeMismatch(f"negative run length {c} at index {i}")
             if c == 0 and i > 0:
-                raise CountsSumMismatch(f"zero-length run at index {i} (non-canonical)")
+                raise ShapeMismatch(f"zero-length run at index {i} (non-canonical)")
         total = sum(counts)
         if total != self.height * self.width:
-            raise CountsSumMismatch(
-                f"counts sum {total} != {self.height}*{self.width}"
-            )
+            raise ShapeMismatch(f"counts sum {total} != {self.height}*{self.width}")
 
     @property
     def area(self) -> int:
@@ -179,10 +177,10 @@ def rle_from_string(token: str, height: int, width: int) -> BinaryMask:
         more = True
         while more:
             if pos >= n:
-                raise MalformedToken(f"token truncated at character {pos}")
+                raise ParseError(f"token truncated at character {pos}")
             chunk = ord(token[pos]) - 48
             if chunk < 0 or chunk > 63:
-                raise MalformedToken(f"invalid character {token[pos]!r} at {pos}")
+                raise ParseError(f"invalid character {token[pos]!r} at {pos}")
             x |= (chunk & 0x1F) << shift
             more = bool(chunk & 0x20)
             pos += 1

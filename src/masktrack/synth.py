@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -89,47 +90,78 @@ class ScenarioSpec:
     def from_json(cls, text: str) -> "ScenarioSpec":
         """Parse a spec as ``to_json`` writes it; missing fields keep their defaults.
 
-        Invalid JSON, a field the spec does not have and an object size that
-        is not a positive number raise ParseError naming the line or field.
+        Invalid JSON, a field the spec does not have or a required one left
+        out, a value not of its field's type (a whole number for an ``int``,
+        a finite number for a ``float``), an object size that is not
+        positive and an event whose ``object_index`` names no object raise
+        ParseError naming the line or field.
         """
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
-        _check_fields(cls, obj, "scenario")
-        obj["objects"] = _build_all(ObjectSpec, obj.get("objects", []), "objects")
-        obj["occlusions"] = _build_all(VisibilityEvent, obj.get("occlusions", []), "occlusions")
-        obj["dropouts"] = _build_all(VisibilityEvent, obj.get("dropouts", []), "dropouts")
-        obj["detector"] = _build(DetectorModel, obj.get("detector", {}), "detector")
-        obj["embedding"] = _build(EmbeddingModel, obj.get("embedding", {}), "embedding")
-        for i, o in enumerate(obj["objects"]):
+        spec = _build(cls, obj, "")
+        for i, o in enumerate(spec.objects):
             for name in ("width", "height"):
                 value = getattr(o, name)
-                if not (type(value) in (int, float) and 0 < value < math.inf):
+                if value <= 0:
                     raise ParseError(
                         f"objects[{i}].{name}: expected a positive size, got {value!r}"
                     )
-        return cls(**obj)
-
-
-def _check_fields(kind, obj, where: str):
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    known = {f.name for f in fields(kind)}
-    for name in obj:
-        if name not in known:
-            raise ParseError(f"{where}: unknown field {name!r}")
+        for kind in ("occlusions", "dropouts"):
+            for i, ev in enumerate(getattr(spec, kind)):
+                if not 0 <= ev.object_index < len(spec.objects):
+                    raise ParseError(
+                        f"{kind}[{i}].object_index: {ev.object_index} names no object "
+                        f"of {len(spec.objects)}"
+                    )
+        return spec
 
 
 def _build(kind, obj, where: str):
-    _check_fields(kind, obj, where)
-    return kind(**obj)
+    """``kind(**obj)``, each field's value checked against the field's type;
+    a nested spec or list of specs is built the same way."""
+    label = where or "scenario"
+    if not isinstance(obj, dict):
+        raise ParseError(f"{label}: expected a JSON object, got {type(obj).__name__}")
+    hints = get_type_hints(kind)
+    for f in fields(kind):
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise ParseError(f"{label}: missing field {f.name!r}")
+    values = {}
+    for name, value in obj.items():
+        if name not in hints:
+            raise ParseError(f"{label}: unknown field {name!r}")
+        values[name] = _value(hints[name], value, f"{where}.{name}" if where else name)
+    return kind(**values)
 
 
-def _build_all(kind, items, where: str) -> list:
-    if not isinstance(items, list):
-        raise ParseError(f"{where}: expected a JSON list, got {type(items).__name__}")
-    return [_build(kind, item, f"{where}[{i}]") for i, item in enumerate(items)]
+_EXPECTED = {
+    str: "a string",
+    float: "a finite number",
+    int: "a whole number",
+    int | None: "a whole number or null",
+}
+
+
+def _value(hint, value, where: str):
+    if get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ParseError(f"{where}: expected a JSON list, got {type(value).__name__}")
+        (item,) = get_args(hint)
+        return [_build(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if is_dataclass(hint):
+        return _build(hint, value, where)
+    if value is None and hint == int | None:
+        return None
+    if hint is str and isinstance(value, str):
+        return value
+    if hint is float and type(value) in (int, float) and math.isfinite(value):
+        return value
+    whole = type(value) is int or (type(value) is float and value.is_integer())
+    if hint in (int, int | None) and whole:
+        return int(value)
+    raise ParseError(f"{where}: expected {_EXPECTED[hint]}, got {value!r}")
 
 
 def _hidden_frames(events: list[VisibilityEvent], obj_index: int) -> set[int]:

@@ -28,7 +28,7 @@ from .embedding import (
     instance_aware_pool,
     spatial_attention,
 )
-from .errors import MissingFeatures, OutOfOrderFrame
+from .errors import OutOfOrderFrame
 from .geometry import BBox, BinaryMask, bbox_iou, mask_iou
 from .regression import huber_fit
 
@@ -63,7 +63,12 @@ class TrackerConfig:
 
 @dataclass
 class Detection:
-    """One frame-level hypothesis: box, score, mask, appearance features."""
+    """One frame-level hypothesis: box, score, mask, appearance features.
+
+    A detection given a feature map and no embedding pools the map under
+    the mask's spatial attention when it is built, so ``embedding`` is
+    always set.
+    """
 
     frame: int
     class_id: int
@@ -73,17 +78,16 @@ class Detection:
     embedding: np.ndarray | None = None
     feature_map: np.ndarray | None = None
 
-    def resolve_embedding(self) -> np.ndarray:
-        """Return the appearance vector, pooling the feature map on demand."""
-        if self.embedding is None:
-            if self.feature_map is None:
-                raise MissingFeatures(
-                    f"detection at frame {self.frame} has no embedding or feature map"
-                )
-            gh, gw = self.feature_map.shape[:2]
-            attn = spatial_attention(self.mask, self.box, gh, gw)
-            self.embedding = instance_aware_pool(self.feature_map, attn)
-        return self.embedding
+    def __post_init__(self):
+        if self.embedding is not None:
+            return
+        if self.feature_map is None:
+            raise ValueError(
+                f"detection at frame {self.frame} has neither an embedding nor a feature map"
+            )
+        gh, gw = self.feature_map.shape[:2]
+        attn = spatial_attention(self.mask, self.box, gh, gw)
+        self.embedding = instance_aware_pool(self.feature_map, attn)
 
 
 class TrackState(enum.Enum):
@@ -149,13 +153,13 @@ class Track(Tracklet):
     @classmethod
     def spawn(cls, track_id: int, det: Detection, bank_size: int) -> Track:
         """A new track whose first observation is ``det``."""
-        bank = bank_update(FeatureBank(bank_size), det.resolve_embedding(), det.frame)
+        bank = bank_update(FeatureBank(bank_size), det.embedding, det.frame)
         first = Observation(det.frame, det.box, det.mask, det.score)
         return cls(track_id, det.class_id, [first], bank)
 
     def observe(self, det: Detection):
         """Append a matched detection; the bank refuses a frame that is not newer."""
-        self.bank = bank_update(self.bank, det.resolve_embedding(), det.frame)
+        self.bank = bank_update(self.bank, det.embedding, det.frame)
         self.observations.append(Observation(det.frame, det.box, det.mask, det.score))
         self.state = TrackState.ACTIVE
 
@@ -169,7 +173,7 @@ def assignment_cost(track: Track, det: Detection) -> float:
     if track.class_id != det.class_id:
         return INFEASIBLE
     iou = mask_iou(track.observations[-1].mask, det.mask)
-    sim = bank_similarity(track.bank, det.resolve_embedding())
+    sim = bank_similarity(track.bank, det.embedding)
     return 2.0 - iou - sim
 
 
@@ -234,7 +238,7 @@ def str_match(
             dist = math.hypot(ex_box.x - det.box.x, ex_box.y - det.box.y)
             if dist > reach:
                 continue
-            sim = bank_similarity(track.bank, det.resolve_embedding())
+            sim = bank_similarity(track.bank, det.embedding)
             costs[i, j] = 2.0 - sim - bbox_iou(ex_box, det.box)
     return _gated_solve(costs, lost_tracks, cfg)
 

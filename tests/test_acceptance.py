@@ -352,6 +352,51 @@ def scenario_reid():
     )
 
 
+def scenario_features():
+    """Six objects whose detections carry feature maps in place of
+    embeddings, so every appearance vector comes from pooling under the
+    mask. Two of them are hidden for longer than the tracker's memory, so
+    reid compares banks of pooled vectors too."""
+    lanes = [30.0, 100.0, 170.0, 240.0, 310.0, 380.0]
+    return ScenarioSpec(
+        name="features",
+        frames=60,
+        objects=[
+            ObjectSpec(
+                class_id=CAR if i % 2 else PEDESTRIAN,
+                width=40.0 if i % 2 else 14.0,
+                height=24.0 if i % 2 else 36.0,
+                start_x=20.0 + 30.0 * i,
+                start_y=y,
+                vx=2.0 + 0.5 * i,
+            )
+            for i, y in enumerate(lanes)
+        ],
+        occlusions=[VisibilityEvent(1, 20, 10), VisibilityEvent(4, 30, 12)],
+        dropouts=[VisibilityEvent(2, 15, 3)],
+        detector=DetectorModel(score_mean=0.9, score_sigma=0.03, jitter_sigma=0.5),
+        embedding=EmbeddingModel(dim=8, noise_sigma=0.1),
+        seed=9,
+    )
+
+
+def with_feature_maps(dets_by_frame, grid=4, seed=9):
+    """Each detection again, its embedding swapped for a (grid, grid, C) map
+    whose every cell holds the embedding plus independent noise."""
+    rng = np.random.default_rng(seed)
+    return {
+        frame: [
+            replace(
+                det,
+                embedding=None,
+                feature_map=det.embedding + rng.normal(0.0, 0.05, (grid, grid, det.embedding.size)),
+            )
+            for det in dets
+        ]
+        for frame, dets in dets_by_frame.items()
+    }
+
+
 GOLDEN_RESULT_SHA256 = {
     "clean": "477ff2ea84755f4935d19b3b514a343f19d4be4177c9294969ce3e7ec1faf452",
     "gaps": "3b910aafa18d7893a299ba3314062ff087d5a1b00133aef3bc8ce53093816605",
@@ -360,6 +405,7 @@ GOLDEN_RESULT_SHA256 = {
     "occlusions_moving": "7672a194b4c62dc26d24e132e15bda79f0b63c263726f3792e493b8a2b657043",
     "crossing": "4f952d02b7b6ccb9ff9da7addf1c726ff1364e2811a91ac5f98fbeca330f4e3d",
     "reid": "3d2d136dab9713e359d940eb1674f0a68f90b229f2c89e3b683e310ef4dcc5e1",
+    "features": "b15b0f64c242ad1a2208e46df251444e74323f24d8db940bcdffffb77d17ab71",
 }
 GOLDEN_CROSSING_GT_SHA256 = "00669fa1092d1d1bbed215df25e6135dc226b0354e7cf15c8a9fa3f856fef026"
 
@@ -386,12 +432,15 @@ def overlapping_pairs(masks_by_frame):
         ("occlusions_moving", scenario_long_occlusions("moving")),
         ("crossing", scenario_crossing()),
         ("reid", scenario_reid()),
+        ("features", scenario_features()),
     ],
 )
 def test_result_lines_match_golden_hash(name, spec):
     """The default-config result lines hash to fixed values, so a change that
     alters any written mask, id or frame fails here, not only run to run."""
     meta, dets, _ = generate(spec)
+    if name == "features":
+        dets = with_feature_maps(dets)
     tracks, _ = run_pipeline(meta, dets, PipelineConfig())
     assert lines_sha256(records_from_tracks(tracks, meta)) == GOLDEN_RESULT_SHA256[name]
     announce(f"{name} result lines match the golden hash")

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from masktrack import cli
+from masktrack.geometry import BBox, rect_mask, rle_to_string
 from masktrack.synth import scenario_long_occlusions
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -44,8 +52,35 @@ class TestSynthCommand:
             ('{"name": "x",\n "frames": 10,,}\n', ["line 2", "invalid JSON"]),
             (json.dumps({"objects": [{"colour": "red"}]}), ["objects[0]", "'colour'"]),
             (json.dumps({"objects": [{}, {"height": -4.0}]}), ["objects[1].height", "-4.0"]),
+            (json.dumps({"objects": [{"vx": "fast"}]}), ["objects[0].vx", "'fast'"]),
+            (json.dumps({"frames": 2.5, "objects": [{}]}), ["frames", "whole number", "2.5"]),
+            (
+                json.dumps(
+                    {"objects": [{}], "occlusions": [{"object_index": 1, "start": 3, "length": 2}]}
+                ),
+                ["occlusions[0].object_index", "names no object"],
+            ),
+            (
+                json.dumps({"objects": [{}], "dropouts": [{"start": 3}]}),
+                ["dropouts[0]", "'object_index'"],
+            ),
+            (
+                json.dumps({"camera_mode": "sideways", "objects": [{}]}),
+                ["camera_mode", "'sideways'"],
+            ),
+            (json.dumps({"objects": [{"start_x": 700.0}]}), ["object 0 leaves the 640x480 image"]),
         ],
-        ids=["invalid_json", "unknown_object_field", "negative_object_size"],
+        ids=[
+            "invalid_json",
+            "unknown_object_field",
+            "negative_object_size",
+            "text_velocity",
+            "fractional_frames",
+            "unknown_object_index",
+            "missing_event_field",
+            "unknown_camera_mode",
+            "object_outside_image",
+        ],
     )
     def test_bad_scenario_fails_cleanly(self, tmp_path, text, named):
         path = tmp_path / "bad.json"
@@ -92,7 +127,7 @@ class TestTrackCommand:
 
     def test_bad_config_fails_cleanly(self, scenario_dir, tmp_path):
         cases = [
-            (b"reid.beta3=1.5\n", "reid.beta3"),
+            (b"reid.beta3=1.5\n", "bad.cfg:1: reid.beta3"),
             ("reid.beta3=0.7\n# caf\u00e9\n".encode("utf-8"), "bad.cfg:2: byte 0xc3"),
         ]
         for content, named in cases:
@@ -109,6 +144,25 @@ class TestTrackCommand:
             assert proc.returncode == 1
             assert "error:" in proc.stderr and "Traceback" not in proc.stderr
             assert named in proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "feature_map",
+        [
+            {"gh": 0, "gw": 2, "c": 2, "values": []},
+            {"gh": -1, "gw": -1, "c": 2, "values": [0.5, 0.5]},
+            {"gh": 1, "gw": 1, "c": 0, "values": []},
+        ],
+        ids=["zero_rows", "negative_grid", "zero_channels"],
+    )
+    def test_bad_feature_map_fails_cleanly(self, tmp_path, capsys, feature_map):
+        records = fuzz_records()
+        records[0].pop("embedding")
+        records[0]["feature_map"] = feature_map
+        path = tmp_path / "dets.jsonl"
+        path.write_text(fuzz_text(records))
+        assert cli.main(["track", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: feature_map gh, gw and c")
 
 
 class TestEvalCommand:
@@ -136,3 +190,124 @@ class TestOverlayCommand:
         ppms = sorted(out.glob("*.ppm"))
         assert len(ppms) == 100
         assert ppms[0].read_bytes().startswith(b"P6\n")
+
+
+FUZZ_H, FUZZ_W = 24, 40
+
+
+def fuzz_records():
+    """Two pedestrians over the five frames a track must last, the first
+    with embeddings and the second with 1x2 feature maps of two channels."""
+    records = []
+    for frame in range(1, 6):
+        for k, (x, y) in enumerate([(2.0 + frame, 3.0), (24.0, 4.0 + frame)]):
+            box = BBox(x, y, 8.0, 14.0)
+            counts = rle_to_string(rect_mask(FUZZ_H, FUZZ_W, box))
+            rec = {
+                "frame": frame,
+                "class_id": 2,
+                "score": 0.9,
+                "bbox": [box.x, box.y, box.w, box.h],
+                "mask": {"h": FUZZ_H, "w": FUZZ_W, "counts": counts},
+            }
+            if k == 0:
+                rec["embedding"] = [1.0, 0.1 * frame]
+            else:
+                values = [0.1, 1.0, 0.2 * frame, 0.9]
+                rec["feature_map"] = {"gh": 1, "gw": 2, "c": 2, "values": values}
+            records.append(rec)
+    return records
+
+
+def fuzz_text(lines):
+    """A detection file: the fuzz header, then each record or ready-made line."""
+    header = {"name": "fuzz", "fps": 25.0, "img_h": FUZZ_H, "img_w": FUZZ_W}
+    header["camera_mode"] = "static"
+    rows = [line if isinstance(line, str) else json.dumps(line) for line in lines]
+    return "\n".join([json.dumps(header)] + rows) + "\n"
+
+
+def key_paths(value, prefix=()):
+    """Every path of keys and indices into a JSON value, the value's own included."""
+    paths = [prefix]
+    if isinstance(value, dict):
+        for key, item in value.items():
+            paths += key_paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            paths += key_paths(item, prefix + (i,))
+    return paths
+
+
+# numbers near the records' own, which often leave a record valid but odd
+NEAR_NUMBERS = st.integers(-2, 60) | st.floats(-60.0, 60.0)
+JSON_VALUES = NEAR_NUMBERS | st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.sampled_from([2**70, 0.5, -0.5, 1e308, float("nan"), float("inf"), "", "x", "04"])
+    | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["h", "w", "counts", "gh", "gw", "c", "values"]), inner),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_detection_files(draw):
+    """The fuzz records as detection-file lines, one of them mutated: a value
+    replaced or deleted at any depth, the line cut short, one character
+    replaced, or a feature-map record given a new box size (0 to 9 per side)
+    and a new grid (``gh``, ``gw`` and ``c`` from -1 to 3) with as many
+    values as the grid declares."""
+    records = fuzz_records()
+    index = draw(st.integers(0, len(records) - 1))
+    rec = records[index]
+    kind = draw(st.sampled_from(["replace", "delete", "truncate", "character", "grid"]))
+    if kind == "grid":
+        index = 2 * draw(st.integers(0, len(records) // 2 - 1)) + 1
+        gh, gw, c = (draw(st.integers(-1, 3)) for _ in range(3))
+        records[index]["bbox"][2:] = [draw(st.integers(0, 9)), draw(st.integers(0, 9))]
+        values = [0.5] * abs(gh * gw * c)
+        records[index]["feature_map"] = {"gh": gh, "gw": gw, "c": c, "values": values}
+    elif kind in ("replace", "delete"):
+        *parents, last = draw(st.sampled_from(key_paths(rec)[1:]))
+        owner = rec
+        for key in parents:
+            owner = owner[key]
+        if kind == "replace":
+            owner[last] = draw(JSON_VALUES)
+        else:
+            del owner[last]
+    lines = [json.dumps(r) for r in records]
+    if kind == "truncate":
+        lines[index] = lines[index][: draw(st.integers(0, len(lines[index]) - 1))]
+    elif kind == "character":
+        at = draw(st.integers(0, len(lines[index]) - 1))
+        char = draw(st.characters(codec="utf-8", exclude_categories=["Cs"]))
+        lines[index] = lines[index][:at] + char + lines[index][at + 1 :]
+    return fuzz_text(lines)
+
+
+class TestTrackFuzz:
+    def test_fuzz_records_track_cleanly(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        path.write_text(fuzz_text(fuzz_records()))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["track", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "fuzz: 2 tracks, 10 masks" in out.getvalue()
+
+    @given(mutated_detection_files())
+    def test_mutated_detection_line_exits_0_or_names_file_and_line(self, text):
+        """However a detection line is broken, ``track`` either runs or exits 1
+        with an ``error:`` line naming the file and line; it never raises."""
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "dets.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["track", path, "--out", os.path.join(work, "out")])
+        assert code in (0, 1)
+        if code == 1:
+            assert re.match(rf"error: {re.escape(path)}:\d+: ", err.getvalue()), err.getvalue()

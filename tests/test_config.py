@@ -10,7 +10,7 @@ from masktrack.config import (
     parse_config_text,
     resolve_for_sequence,
 )
-from masktrack.errors import ConfigRangeError, ConfigTypeError, UnknownConfigKey
+from masktrack.errors import ConfigError
 from masktrack.postfilter import FilterConfig
 from masktrack.reid import ReidConfig
 from masktrack.tracker import CAR, PEDESTRIAN, TrackerConfig
@@ -53,35 +53,39 @@ class TestOverrides:
 
 class TestValidation:
     def test_unknown_key(self):
-        with pytest.raises(UnknownConfigKey):
+        with pytest.raises(ConfigError, match="unknown key 'tracker.bogus'"):
             parse_config_text("tracker.bogus=1\n")
 
+    def test_bad_value_names_source_and_line(self):
+        with pytest.raises(ConfigError, match="run.cfg:2: reid.beta3"):
+            parse_config_text("reid.enabled=true\nreid.beta3=1.5\n", source="run.cfg")
+
     def test_type_error_names_key(self):
-        with pytest.raises(ConfigTypeError, match="tracker.fps"):
+        with pytest.raises(ConfigError, match="tracker.fps"):
             parse_config_text("tracker.fps=fast\n")
 
     def test_beta_range(self):
-        with pytest.raises(ConfigRangeError, match="reid.beta3"):
+        with pytest.raises(ConfigError, match="reid.beta3"):
             parse_config_text("reid.beta3=1.5\n")
 
     def test_gate_range(self):
-        with pytest.raises(ConfigRangeError):
+        with pytest.raises(ConfigError, match="tracker.pedestrian.gate_cost"):
             parse_config_text("tracker.pedestrian.gate_cost=3.5\n")
 
     def test_negative_fps(self):
-        with pytest.raises(ConfigRangeError):
+        with pytest.raises(ConfigError, match="tracker.fps: must be positive"):
             parse_config_text("tracker.fps=-5\n")
 
     def test_aspect_range_cross_check(self):
-        with pytest.raises(ConfigRangeError):
+        with pytest.raises(ConfigError, match="filter.car aspect range"):
             parse_config_text("filter.car.aspect_lo=3.0\nfilter.car.aspect_hi=2.0\n")
 
     def test_missing_equals(self):
-        with pytest.raises(ConfigTypeError):
+        with pytest.raises(ConfigError, match="expected key=value"):
             parse_config_text("tracker.fps 30\n")
 
     def test_bad_camera_mode(self):
-        with pytest.raises(ConfigRangeError):
+        with pytest.raises(ConfigError, match="reid.camera_mode"):
             parse_config_text("reid.camera_mode=sideways\n")
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
@@ -103,7 +107,7 @@ class TestValidation:
         ],
     )
     def test_non_finite_number_rejected(self, key, raw):
-        with pytest.raises(ConfigTypeError, match=key):
+        with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key}={raw}\n")
 
 

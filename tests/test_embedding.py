@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from masktrack.embedding import (
     FeatureBank,
@@ -14,13 +17,8 @@ from masktrack.embedding import (
     merge_banks,
     spatial_attention,
 )
-from masktrack.errors import (
-    EmptyBank,
-    EmptyBox,
-    NonMonotonicFrame,
-    ShapeMismatch,
-)
-from masktrack.geometry import BBox, BinaryMask, rle_encode
+from masktrack.errors import DegenerateInput, OutOfOrderFrame, ShapeMismatch
+from masktrack.geometry import BBox, BinaryMask, rle_decode, rle_encode
 
 
 class TestSpatialAttention:
@@ -54,8 +52,43 @@ class TestSpatialAttention:
         assert (attn == 0.5).all()
 
     def test_empty_box(self):
-        with pytest.raises(EmptyBox):
+        with pytest.raises(DegenerateInput, match="zero-area box"):
             spatial_attention(BinaryMask(4, 4, (16,)), BBox(0, 0, 0, 4), 2, 2)
+
+
+def attention_by_decode(mask, box, grid_h, grid_w):
+    """The attention grid read cell by cell from the decoded frame: the
+    reference for the run-end lookup in spatial_attention."""
+    frame = rle_decode(mask)
+    attn = np.full((grid_h, grid_w), 0.5)
+    for i in range(grid_h):
+        row = math.floor(box.y + (i + 0.5) * box.h / grid_h)
+        for j in range(grid_w):
+            col = math.floor(box.x + (j + 0.5) * box.w / grid_w)
+            if 0 <= row < mask.height and 0 <= col < mask.width and frame[row, col]:
+                attn[i, j] = 1.0
+    return attn
+
+
+@st.composite
+def attention_cases(draw):
+    """A mask, a box that may reach past any image edge, and a grid size."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    grid = draw(arrays(np.bool_, (h, w), elements=st.booleans()))
+    coord = st.floats(-6.0, 22.0, allow_nan=False)
+    size = st.floats(0.25, 24.0, allow_nan=False)
+    box = BBox(draw(coord), draw(coord), draw(size), draw(size))
+    return rle_encode(grid), box, draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+
+class TestSpatialAttentionProperty:
+    @given(attention_cases())
+    def test_matches_decoded_frame(self, case):
+        mask, box, grid_h, grid_w = case
+        np.testing.assert_array_equal(
+            spatial_attention(mask, box, grid_h, grid_w),
+            attention_by_decode(mask, box, grid_h, grid_w),
+        )
 
 
 class TestInstanceAwarePool:
@@ -63,21 +96,22 @@ class TestInstanceAwarePool:
         fmap = np.full((3, 3, 4), 2.5)
         attn = np.full((3, 3), 0.5)
         attn[0, 0] = 1.0
-        pooled = instance_aware_pool(fmap, attn, normalize=False)
-        assert pooled == pytest.approx([2.5] * 4)
+        pooled = instance_aware_pool(fmap, attn)
+        assert pooled == pytest.approx([0.5] * 4)  # the unit vector along (2.5, ...)
 
     def test_weighted_mean_hand_case(self):
-        fmap = np.array([[[1.0], [3.0]]])  # 1x2 grid, one channel
+        fmap = np.array([[[1.0, 1.0], [3.0, 1.0]]])  # 1x2 grid, two channels
         attn = np.array([[1.0, 0.5]])
-        pooled = instance_aware_pool(fmap, attn, normalize=False)
-        assert pooled[0] == pytest.approx(5 / 3)
+        pooled = instance_aware_pool(fmap, attn)
+        # weighted means 5/3 and 1: the direction keeps their ratio
+        assert pooled[0] / pooled[1] == pytest.approx(5 / 3)
 
     def test_uniform_attention_equals_mean_pool(self):
         rng = np.random.default_rng(4)
         fmap = rng.normal(size=(5, 4, 7))
         attn = np.ones((5, 4))
-        pooled = instance_aware_pool(fmap, attn, normalize=False)
-        np.testing.assert_array_equal(pooled, fmap.mean(axis=(0, 1)))
+        pooled = instance_aware_pool(fmap, attn)
+        np.testing.assert_array_equal(pooled, l2_normalize(fmap.mean(axis=(0, 1))))
 
     def test_output_is_unit_norm(self):
         rng = np.random.default_rng(6)
@@ -148,7 +182,7 @@ class TestFeatureBank:
 
     def test_non_monotonic_frame_rejected(self):
         bank = build_bank([[1, 0]])
-        with pytest.raises(NonMonotonicFrame):
+        with pytest.raises(OutOfOrderFrame, match="frame 1 not after bank frame 1"):
             bank_update(bank, np.array([0.0, 1.0]), 1)
 
     def test_similarity_picks_identical_entry(self):
@@ -167,7 +201,7 @@ class TestFeatureBank:
         assert bank_similarity(bank, q) == pytest.approx(1 / np.sqrt(2))
 
     def test_empty_bank_raises(self):
-        with pytest.raises(EmptyBank):
+        with pytest.raises(DegenerateInput, match="empty feature bank"):
             bank_similarity(FeatureBank(), np.array([1.0]))
 
     def test_matches_brute_force_max(self):

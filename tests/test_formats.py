@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from helpers import IMG_H, IMG_W, make_det, make_meta, make_tracklet, unit
 
-from masktrack.errors import (
-    MissingFeatures,
-    ParseError,
-    ShapeMismatch,
-)
+from masktrack.embedding import instance_aware_pool, spatial_attention
+from masktrack.errors import ParseError, ShapeMismatch
 from masktrack.formats import (
     ResultRecord,
     SequenceMeta,
@@ -93,7 +90,7 @@ class TestLoadDetections:
         rec = json.loads(det_line())
         del rec["embedding"]
         path.write_text(header_line() + "\n" + json.dumps(rec) + "\n")
-        with pytest.raises(MissingFeatures):
+        with pytest.raises(ParseError, match=r"dets\.jsonl:2: .*neither an embedding nor a"):
             load_detections(str(path))
 
     def test_bad_json_reports_line(self, tmp_path):
@@ -202,7 +199,36 @@ class TestLoadDetections:
         _, by_frame = load_detections(str(path))
         det = by_frame[1][0]
         assert det.feature_map.shape == (2, 2, 3)
-        assert det.embedding is None
+        # pooled as it is read, under the mask's attention on the 2x2 grid
+        attn = spatial_attention(det.mask, det.box, 2, 2)
+        np.testing.assert_array_equal(det.embedding, instance_aware_pool(det.feature_map, attn))
+
+    @pytest.mark.parametrize(
+        "feature_map",
+        [
+            {"gh": 0, "gw": 1, "c": 2, "values": []},
+            {"gh": -1, "gw": -1, "c": 2, "values": [0.5, 0.5]},
+            {"gh": 1, "gw": 1, "c": 0, "values": []},
+        ],
+        ids=["zero_rows", "negative_grid", "zero_channels"],
+    )
+    def test_feature_map_grid_must_be_positive(self, tmp_path, feature_map):
+        path = tmp_path / "dets.jsonl"
+        rec = json.loads(det_line())
+        del rec["embedding"]
+        rec["feature_map"] = feature_map
+        path.write_text(header_line() + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=r"dets\.jsonl:2: feature_map gh, gw and c must be"):
+            load_detections(str(path))
+
+    def test_feature_map_under_zero_area_box_rejected(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        rec = json.loads(det_line(bbox=(10, 10, 0, 20)))
+        del rec["embedding"]
+        rec["feature_map"] = {"gh": 1, "gw": 1, "c": 2, "values": [1.0, 0.0]}
+        path.write_text(header_line() + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=r"dets\.jsonl:2: .*zero-area box"):
+            load_detections(str(path))
 
     def test_feature_map_size_mismatch(self, tmp_path):
         path = tmp_path / "dets.jsonl"
@@ -321,7 +347,7 @@ class TestResults:
     def test_read_rejects_bad_token(self, tmp_path):
         path = tmp_path / "r.txt"
         path.write_text("1 2001 2 2 2 o\n")  # truncated continuation
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ParseError, match=r"r\.txt:1: token truncated"):
             read_results(str(path))
 
     def test_read_rejects_short_line(self, tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from masktrack.errors import CountsSumMismatch, MalformedToken, ShapeMismatch
+from masktrack.errors import ParseError, ShapeMismatch
 from masktrack.geometry import (
     BBox,
     BinaryMask,
@@ -99,15 +99,15 @@ class TestDecode:
         assert grid.sum() == 1
 
     def test_counts_sum_mismatch_rejected(self):
-        with pytest.raises(CountsSumMismatch):
+        with pytest.raises(ShapeMismatch, match="counts sum 3"):
             BinaryMask(2, 2, (3,))
 
     def test_negative_run_rejected(self):
-        with pytest.raises(CountsSumMismatch):
+        with pytest.raises(ShapeMismatch, match="negative run length"):
             BinaryMask(2, 2, (-1, 5))
 
     def test_internal_zero_run_rejected(self):
-        with pytest.raises(CountsSumMismatch):
+        with pytest.raises(ShapeMismatch, match="zero-length run"):
             BinaryMask(2, 2, (2, 0, 2))
 
 
@@ -158,16 +158,16 @@ class TestStringCodec:
 
     def test_truncated_token(self):
         token = rle_to_string(BinaryMask(8, 4, (31, 1)))
-        with pytest.raises(MalformedToken):
+        with pytest.raises(ParseError, match="truncated"):
             rle_from_string(token[:1], 8, 4)
 
     def test_invalid_character(self):
-        with pytest.raises(MalformedToken):
+        with pytest.raises(ParseError, match="invalid character"):
             rle_from_string("\x1f", 2, 2)
 
     def test_wrong_dims_after_decode(self):
         token = rle_to_string(BinaryMask(2, 2, (0, 4)))
-        with pytest.raises(CountsSumMismatch):
+        with pytest.raises(ShapeMismatch, match="counts sum"):
             rle_from_string(token, 3, 3)
 
     def test_round_trip_random(self):

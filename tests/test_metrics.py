@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import make_meta, make_tracklet, unit
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from masktrack.config import PipelineConfig
 from masktrack.errors import OverlappingMasksInInput, ShapeMismatch
@@ -8,6 +13,7 @@ from masktrack.formats import ResultRecord, records_from_tracks
 from masktrack.geometry import rle_encode, rle_to_string
 from masktrack.metrics import ablation_compare, evaluate, format_report
 from masktrack.synth import scenario_clean, scenario_detector_gaps
+from masktrack.tracker import CAR, PEDESTRIAN
 
 
 def record(frame, track_id, grid, class_id=2):
@@ -127,6 +133,62 @@ class TestEvaluate:
                 )
             report = evaluate(hyp, gt)
             assert report.total.smotsa <= report.total.motsa + 1e-12
+
+
+OBJECTS = 4
+
+
+def labelled_records(frame, labels, ids, classes):
+    """One record per label present in a frame's label grid (0 is background),
+    so the frame's masks are disjoint; label k gets ``ids[k]`` and ``classes[k]``."""
+    return [
+        record(frame, ids[k], labels == k, classes[k])
+        for k in range(1, OBJECTS + 1)
+        if (labels == k).any()
+    ]
+
+
+@st.composite
+def scored_sequences(draw):
+    """Ground truth and a hypothesis over up to five frames of a small image.
+
+    Each ground-truth frame is a grid of labels, one per object with a fixed
+    id and class. The hypothesis frame copies it with about one pixel in four
+    relabelled, and gives the labels ids from a small pool drawn afresh each
+    frame, so matches, misses, false positives and id switches all occur.
+    """
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 8)))
+    label = st.integers(0, OBJECTS)
+    classes = [None] + [draw(st.sampled_from([CAR, PEDESTRIAN])) for _ in range(OBJECTS)]
+    gt_ids = [None] + [1000 * c + k for k, c in enumerate(classes[1:], start=1)]
+    gt, hyp = [], []
+    for frame in range(1, draw(st.integers(1, 5)) + 1):
+        labels = draw(arrays(np.int8, shape, elements=label))
+        noise = draw(arrays(np.int8, shape, elements=label))
+        flip = draw(arrays(np.bool_, shape, elements=st.sampled_from([False, False, False, True])))
+        hyp_ids = [None] + draw(st.permutations([501, 502, 503, 504, 505]))[:OBJECTS]
+        gt += labelled_records(frame, labels, gt_ids, classes)
+        hyp += labelled_records(frame, np.where(flip, noise, labels), hyp_ids, classes)
+    return gt, hyp
+
+
+class TestEvaluateProperties:
+    @given(scored_sequences())
+    def test_ground_truth_against_itself_is_perfect(self, sequences):
+        gt, _ = sequences
+        total = evaluate(gt, gt).total
+        assert (total.tp, total.fp, total.fn, total.ids) == (len(gt), 0, 0, 0)
+        assert total.motsa == total.smotsa == 1.0
+
+    @given(scored_sequences(), st.data())
+    def test_relabelled_hypothesis_ids_score_the_same(self, sequences, data):
+        gt, hyp = sequences
+        ids = sorted({r.track_id for r in hyp})
+        fresh = st.lists(st.integers(1, 10**6), min_size=len(ids), max_size=len(ids), unique=True)
+        new_ids = data.draw(fresh)
+        relabel = dict(zip(ids, new_ids))
+        relabelled = [replace(r, track_id=relabel[r.track_id]) for r in hyp]
+        assert evaluate(relabelled, gt) == evaluate(hyp, gt)
 
 
 class TestFormatReport:
