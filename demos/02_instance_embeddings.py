@@ -47,7 +47,7 @@ print("cosine(signature, plain pool):   ", round(cosine_similarity(signature, pl
 
 # Tracks keep a bank of embeddings: the first five frames and the most
 # recent five, never averaged. Similarity against the bank is the maximum
-# over entries, so an old appearance can still claim its track.
+# over its rows, so an old appearance can still claim its track.
 bank = FeatureBank(size=5)
 early_look = np.array([1.0, 0.0, 0.0, 0.0])
 late_look = np.array([0.0, 0.0, 1.0, 0.0])
@@ -55,6 +55,6 @@ for frame in range(1, 13):
     look = early_look if frame <= 5 else late_look
     bank = bank_update(bank, look + rng.normal(0, 0.05, 4), frame)
 
-print("bank entry frames:", [f for f, _ in bank.entries])
+print("bank frames:", bank.frames)
 print("similarity to the early appearance:", round(bank_similarity(bank, early_look), 3))
 print("similarity to the late appearance: ", round(bank_similarity(bank, late_look), 3))

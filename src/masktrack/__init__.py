@@ -49,7 +49,6 @@ from .postfilter import (
 )
 from .regression import huber_fit, least_squares_fit
 from .reid import (
-    MotionVector,
     ReidConfig,
     candidate_pairs,
     merge_pass,

@@ -4,14 +4,18 @@ A detection arrives with a spatial feature map aligned to its bounding box.
 The instance mask is resampled onto the feature grid and turned into a
 foreground/background weighting (1.0 inside the object, 0.5 outside), the
 map is pooled under those weights, and the result is L2-normalized. Tracks
-keep the embeddings of their earliest and most recent frames in a bank and
-compare against it by pairwise maximum cosine similarity.
+keep the embeddings of their earliest and most recent frames in a bank, one
+stacked row per frame.
+
+One cosine kernel, :func:`_max_cosine`, computes every similarity in the
+package: vector against vector, bank against detection, bank against bank,
+and the motion-direction check of re-identification.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,87 +89,97 @@ def instance_aware_pool(fmap: np.ndarray, attn: np.ndarray) -> np.ndarray:
     return l2_normalize((fmap * weights).sum(axis=(0, 1)) / attn.sum())
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1].
+def _as_row(vec) -> np.ndarray:
+    """``vec`` as a (1, d) float array; an embedding that is not 1-D is refused."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.ndim != 1:
+        raise ShapeMismatch(f"an embedding must be 1-D, got shape {vec.shape}")
+    return vec[None, :]
 
-    A zero vector on either side gives 0.0.
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    return (rows * rows).sum(axis=-1)
+
+
+def _max_cosine(a: np.ndarray, sq_a: np.ndarray, b: np.ndarray, sq_b: np.ndarray) -> float:
+    """Largest cosine between a row of ``a`` and a row of ``b``, clamped to [-1, 1].
+
+    ``sq_a`` and ``sq_b`` are the rows' squared norms; a zero row scores 0.0.
+    A dot product is an elementwise product summed over the last axis, not a
+    matmul, so a pair's value does not depend on the other rows stacked with it.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
-    sq_a = float(a @ a)
-    sq_b = float(b @ b)
-    if sq_a == 0.0 or sq_b == 0.0:
-        return 0.0
-    sim = float(a @ b) / math.sqrt(sq_a * sq_b)
-    return min(1.0, max(-1.0, sim))
+    if a.shape[1] != b.shape[1]:
+        raise ShapeMismatch(f"embedding widths differ: {a.shape[1]} vs {b.shape[1]}")
+    dots = (a[:, None, :] * b[None, :, :]).sum(axis=-1)
+    norms = np.sqrt(np.multiply.outer(sq_a, sq_b))
+    norms[norms == 0.0] = np.inf  # 0 / inf = 0
+    # clamping is monotone, so clamping the max equals the max of the clamps
+    return min(1.0, max(-1.0, float((dots / norms).max())))
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of the angle between two vectors, clamped to [-1, 1]; 0.0 for a zero vector."""
+    a, b = _as_row(a), _as_row(b)
+    return _max_cosine(a, _sq_norms(a), b, _sq_norms(b))
 
 
 @dataclass(frozen=True)
 class FeatureBank:
     """Embeddings from a track's first and most recent frames, each frame once.
 
-    ``entries`` holds distinct (frame, vector) pairs in frame order: every
-    frame while there are at most ``2 * size``, then the first ``size`` and
-    the last ``size``.
+    ``frames`` holds distinct frames in increasing order and ``rows`` their
+    embeddings stacked, one row each: every frame while there are at most
+    ``2 * size``, then the first ``size`` and the last ``size``.
     """
 
     size: int = 5
-    entries: tuple[tuple[int, np.ndarray], ...] = field(default_factory=tuple)
+    frames: tuple[int, ...] = ()
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.frames)
 
-    @property
-    def last_frame(self) -> int | None:
-        return self.entries[-1][0] if self.entries else None
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """Squared norm of each row; cached, since the bank is frozen."""
+        return _sq_norms(self.rows)
 
 
 def bank_update(bank: FeatureBank, emb: np.ndarray, frame: int) -> FeatureBank:
-    """Add an embedding observed at ``frame``; returns a new bank.
+    """Add a 1-D embedding observed at ``frame``; returns a new bank.
 
-    Frames must be strictly increasing across updates.
+    Frames must be strictly increasing and widths equal across updates.
     """
-    last = bank.last_frame
-    if last is not None and frame <= last:
-        raise OutOfOrderFrame(f"frame {frame} not after bank frame {last}")
-    return merge_banks(bank, FeatureBank(bank.size, ((frame, emb),)))
-
-
-def _max_sim_against(entries, query: np.ndarray) -> float:
-    # same arithmetic as cosine_similarity, with the query norm hoisted
-    q = np.asarray(query, dtype=float)
-    sq_q = float(q @ q)
-    best = -1.0
-    for _, emb in entries:
-        sq_e = float(emb @ emb)
-        if sq_q == 0.0 or sq_e == 0.0:
-            sim = 0.0
-        else:
-            sim = min(1.0, max(-1.0, float(emb @ q) / math.sqrt(sq_e * sq_q)))
-        if sim > best:
-            best = sim
-    return best
+    row = _as_row(emb)
+    if bank.frames:
+        if frame <= bank.frames[-1]:
+            raise OutOfOrderFrame(f"frame {frame} not after bank frame {bank.frames[-1]}")
+        if row.size != bank.rows.shape[1]:
+            raise ShapeMismatch(f"embedding width {row.size} != bank width {bank.rows.shape[1]}")
+    return merge_banks(bank, FeatureBank(bank.size, (frame,), row))
 
 
 def bank_similarity(bank: FeatureBank, query: np.ndarray) -> float:
-    """Maximum cosine similarity between the query and any bank entry."""
+    """Maximum cosine similarity between the query and any bank row."""
     if len(bank) == 0:
         raise DegenerateInput("similarity against an empty feature bank")
-    return _max_sim_against(bank.entries, query)
+    q = _as_row(query)
+    return _max_cosine(bank.rows, bank.sq_norms, q, _sq_norms(q))
 
 
 def bank_cross_similarity(a: FeatureBank, b: FeatureBank) -> float:
-    """Maximum pairwise cosine similarity between two banks' entries."""
+    """Maximum pairwise cosine similarity between two banks' rows."""
     if len(a) == 0 or len(b) == 0:
         raise DegenerateInput("cross similarity with an empty feature bank")
-    return max(_max_sim_against(a.entries, eb) for _, eb in b.entries)
+    return _max_cosine(a.rows, a.sq_norms, b.rows, b.sq_norms)
 
 
 def merge_banks(earlier: FeatureBank, later: FeatureBank) -> FeatureBank:
     """Bank for a track stitched from an earlier and a later fragment."""
-    size, entries = earlier.size, earlier.entries + later.entries
-    if len(entries) > 2 * size:
-        entries = entries[:size] + entries[-size:]
-    return FeatureBank(size, entries)
+    size, frames = earlier.size, earlier.frames + later.frames
+    parts = [bank.rows for bank in (earlier, later) if bank.frames]
+    rows = np.concatenate(parts) if parts else earlier.rows
+    if len(frames) > 2 * size:
+        frames = frames[:size] + frames[-size:]
+        rows = np.concatenate((rows[:size], rows[-size:]))
+    return FeatureBank(size, frames, rows)

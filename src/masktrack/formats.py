@@ -212,7 +212,8 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
 def write_detections(
     meta: SequenceMeta, by_frame: dict[int, list[Detection]], path: str
 ):
-    """Write a detection file readable by :func:`load_detections`."""
+    """Write a detection file readable by :func:`load_detections`; a detection
+    with a feature map is written with the map, which pools to its embedding."""
     with open(path, "w", encoding="ascii") as fh:
         header = {
             "name": meta.name,
@@ -235,9 +236,7 @@ def write_detections(
                         "counts": rle_to_string(det.mask),
                     },
                 }
-                if det.embedding is not None:
-                    rec["embedding"] = [float(v) for v in det.embedding]
-                elif det.feature_map is not None:
+                if det.feature_map is not None:
                     gh, gw, ch = det.feature_map.shape
                     rec["feature_map"] = {
                         "gh": gh,
@@ -245,6 +244,8 @@ def write_detections(
                         "c": ch,
                         "values": [float(v) for v in det.feature_map.ravel()],
                     }
+                else:
+                    rec["embedding"] = [float(v) for v in det.embedding]
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 

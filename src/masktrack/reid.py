@@ -10,13 +10,12 @@ motion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .embedding import bank_cross_similarity, merge_banks
+from .embedding import bank_cross_similarity, cosine_similarity, merge_banks
 from .geometry import bbox_iou
 from .tracker import (
     CAR,
@@ -46,20 +45,8 @@ class ReidConfig:
         return seconds_to_frames(self.n2_seconds[class_id], fps)
 
 
-@dataclass(frozen=True)
-class MotionVector:
-    """Mean per-frame top-left displacement over a tracklet end."""
-
-    mx: float
-    my: float
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.mx, self.my)
-
-
-def motion_vector(tracklet: Tracklet, end: str, n3: int) -> MotionVector:
-    """Mean consecutive displacement over the first or last ``n3`` frames.
+def motion_vector(tracklet: Tracklet, end: str, n3: int) -> np.ndarray:
+    """Mean consecutive top-left displacement ``[dx, dy]`` over the first or last ``n3`` frames.
 
     ``end`` is 'head' or 'tail'. A single-observation tracklet yields the
     zero vector, which has no direction.
@@ -71,10 +58,10 @@ def motion_vector(tracklet: Tracklet, end: str, n3: int) -> MotionVector:
     else:
         raise ValueError(f"end must be 'head' or 'tail', got {end!r}")
     if len(window) < 2:
-        return MotionVector(0.0, 0.0)
+        return np.zeros(2)
     xs = np.array([o.box.x for o in window])
     ys = np.array([o.box.y for o in window])
-    return MotionVector(float(np.mean(np.diff(xs))), float(np.mean(np.diff(ys))))
+    return np.array([np.mean(np.diff(xs)), np.mean(np.diff(ys))])
 
 
 def candidate_pairs(
@@ -123,15 +110,12 @@ def moving_merge_test(u: Tracklet, v: Tracklet, cfg: ReidConfig) -> bool:
     """Do the two fragments move the same way?
 
     Compares u's tail motion with v's head motion by cosine; requires a
-    positive value above beta3. Zero-magnitude vectors have no direction and
-    reject the pair.
+    positive value above beta3. A zero vector has no direction: its cosine
+    is 0.0, which rejects the pair.
     """
     mu = motion_vector(u, "tail", cfg.n3_frames)
     mv = motion_vector(v, "head", cfg.n3_frames)
-    if mu.magnitude == 0.0 or mv.magnitude == 0.0:
-        return False
-    cos = (mu.mx * mv.mx + mu.my * mv.my) / (mu.magnitude * mv.magnitude)
-    return cos > max(0.0, cfg.beta3)
+    return cosine_similarity(mu, mv) > max(0.0, cfg.beta3)
 
 
 def _stitch(parts: list[Tracklet]) -> Tracklet:

@@ -214,8 +214,8 @@ def test_motion_vector_telescoping_and_scale_invariance():
             wx = xs[:m] if end == "head" else xs[-m:]
             wy = ys[:m] if end == "head" else ys[-m:]
             vec = motion_vector(tr, end, n3)
-            assert vec.mx == (wx[-1] - wx[0]) / (m - 1)
-            assert vec.my == (wy[-1] - wy[0]) / (m - 1)
+            assert vec[0] == (wx[-1] - wx[0]) / (m - 1)
+            assert vec[1] == (wy[-1] - wy[0]) / (m - 1)
 
     def fragment(track_id, start, vx, vy):
         return make_tracklet(
@@ -380,6 +380,37 @@ def scenario_features():
     )
 
 
+def scenario_twenty():
+    """Ten cars and ten pedestrians under a moving camera, a car and a
+    pedestrian to each of ten rows, the rows moving alternately right and
+    left with a slight vertical drift. Every object is hidden once, for
+    longer than the tracker's memory of its class and within reid's window,
+    so only the motion-direction test can join its two fragments."""
+    objects, occlusions = [], []
+    for row in range(10):
+        y = 15.0 + 46.0 * row
+        sign = 1 if row % 2 == 0 else -1
+        vy = 0.1 * ((row % 3) - 1)
+        car_speed = 2.5 + 0.5 * (row % 3)
+        ped_speed = 1.0 + 0.25 * (row % 3)
+        car_x = 20.0 if sign > 0 else 560.0
+        objects.append(ObjectSpec(CAR, 60.0, 30.0, car_x, y + 3.0, sign * car_speed, vy))
+        ped_x = 380.0 if sign > 0 else 246.0
+        objects.append(ObjectSpec(PEDESTRIAN, 14.0, 36.0, ped_x, y, sign * ped_speed, vy))
+        occlusions.append(VisibilityEvent(2 * row, 12 + 2 * row, 6 + row % 5))
+        occlusions.append(VisibilityEvent(2 * row + 1, 20 + row, 8 + 2 * (row % 5)))
+    return ScenarioSpec(
+        name="twenty",
+        frames=60,
+        camera_mode="moving",
+        objects=objects,
+        occlusions=occlusions,
+        detector=DetectorModel(score_mean=0.9, score_sigma=0.03, jitter_sigma=0.5),
+        embedding=EmbeddingModel(dim=32, noise_sigma=0.1),
+        seed=13,
+    )
+
+
 def with_feature_maps(dets_by_frame, grid=4, seed=9):
     """Each detection again, its embedding swapped for a (grid, grid, C) map
     whose every cell holds the embedding plus independent noise."""
@@ -406,6 +437,7 @@ GOLDEN_RESULT_SHA256 = {
     "crossing": "4f952d02b7b6ccb9ff9da7addf1c726ff1364e2811a91ac5f98fbeca330f4e3d",
     "reid": "3d2d136dab9713e359d940eb1674f0a68f90b229f2c89e3b683e310ef4dcc5e1",
     "features": "b15b0f64c242ad1a2208e46df251444e74323f24d8db940bcdffffb77d17ab71",
+    "twenty": "51f4ed08ef1b333b19adee50208725aa2cecddbebde599776c0a305313d1c707",
 }
 GOLDEN_CROSSING_GT_SHA256 = "00669fa1092d1d1bbed215df25e6135dc226b0354e7cf15c8a9fa3f856fef026"
 
@@ -433,6 +465,7 @@ def overlapping_pairs(masks_by_frame):
         ("crossing", scenario_crossing()),
         ("reid", scenario_reid()),
         ("features", scenario_features()),
+        ("twenty", scenario_twenty()),
     ],
 )
 def test_result_lines_match_golden_hash(name, spec):
@@ -495,6 +528,16 @@ def test_reid_scenario_splits_and_merges(monkeypatch):
         "reid scenario splits and merges",
         f"{sizes['before']} tracklets, {len(passes)} passes, {merges} merges",
     )
+
+
+def test_twenty_object_scenario_merges_under_a_moving_camera():
+    """Every hidden object of the twenty-object scenario comes back as a new
+    tracklet; with reid on, the motion-direction test joins the fragments."""
+    meta, dets, _ = generate(scenario_twenty())
+    merged, _ = run_pipeline(meta, dets, PipelineConfig())
+    split, _ = run_pipeline(meta, dets, no_reid_config())
+    assert len(merged) < len(split)
+    announce("twenty-object scenario merges", f"{len(split)} -> {len(merged)} tracklets")
 
 
 def test_metric_self_consistency():

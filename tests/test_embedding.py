@@ -174,11 +174,11 @@ def build_bank(vectors, size=5):
 class TestFeatureBank:
     def test_few_updates_fill_head_and_tail(self):
         bank = build_bank([[1, 0], [0, 1], [1, 1]])
-        assert [f for f, _ in bank.entries] == [1, 2, 3]
+        assert list(bank.frames) == [1, 2, 3]
 
     def test_twelve_updates_keep_first_and_last_five(self):
         bank = build_bank([[float(i), 1.0] for i in range(12)])
-        assert [f for f, _ in bank.entries] == [1, 2, 3, 4, 5, 8, 9, 10, 11, 12]
+        assert list(bank.frames) == [1, 2, 3, 4, 5, 8, 9, 10, 11, 12]
 
     def test_non_monotonic_frame_rejected(self):
         bank = build_bank([[1, 0]])
@@ -204,13 +204,30 @@ class TestFeatureBank:
         with pytest.raises(DegenerateInput, match="empty feature bank"):
             bank_similarity(FeatureBank(), np.array([1.0]))
 
+    def test_update_rejects_an_embedding_of_another_width(self):
+        bank = build_bank([[1, 0, 0, 0]])
+        with pytest.raises(ShapeMismatch, match="embedding width 3 != bank width 4"):
+            bank_update(bank, np.ones(3), 2)
+
+    def test_update_rejects_an_embedding_that_is_not_1d(self):
+        bank = build_bank([[1, 0, 0, 0]])
+        with pytest.raises(ShapeMismatch, match="must be 1-D"):
+            bank_update(bank, np.ones((1, 4)), 2)
+        with pytest.raises(ShapeMismatch, match="must be 1-D"):
+            bank_update(FeatureBank(), np.float64(1.0), 1)
+
+    def test_similarity_rejects_a_query_of_another_width(self):
+        bank = build_bank([[1, 0, 0, 0]])
+        with pytest.raises(ShapeMismatch, match="embedding widths differ: 4 vs 1"):
+            bank_similarity(bank, np.ones(1))
+
     def test_matches_brute_force_max(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             vecs = rng.normal(size=(int(rng.integers(1, 15)), 4))
             bank = build_bank(vecs.tolist())
             q = rng.normal(size=4)
-            ref = max(cosine_similarity(v, q) for _, v in bank.entries)
+            ref = max(cosine_similarity(v, q) for v in bank.rows)
             assert bank_similarity(bank, q) == ref
             assert bank_similarity(bank, q) <= 1.0
 
@@ -225,7 +242,7 @@ class TestFeatureBank:
         for frame in range(20, 32):
             late = bank_update(late, np.array([0.0, float(frame)]), frame)
         merged = merge_banks(early, late)
-        assert [f for f, _ in merged.entries] == [1, 2, 3, 4, 5, 27, 28, 29, 30, 31]
+        assert list(merged.frames) == [1, 2, 3, 4, 5, 27, 28, 29, 30, 31]
 
     def test_merge_banks_short_fragments(self):
         early = build_bank([[1.0, 0.0]] * 2)  # frames 1, 2
@@ -233,7 +250,7 @@ class TestFeatureBank:
         for frame in (10, 11):
             late = bank_update(late, np.array([0.0, 1.0]), frame)
         merged = merge_banks(early, late)
-        assert [f for f, _ in merged.entries] == [1, 2, 10, 11]
+        assert list(merged.frames) == [1, 2, 10, 11]
 
 
 def frame_runs(max_len):
@@ -254,8 +271,8 @@ class TestFeatureBankProperties:
     def test_entries_are_the_distinct_first_and_last_frames(self, size, frames):
         bank = updated(FeatureBank(size), frames)
         expected = sorted(set(frames[:size]) | set(frames[-size:]))
-        assert [f for f, _ in bank.entries] == expected
-        assert all(v[0] == f for f, v in bank.entries)
+        assert list(bank.frames) == expected
+        assert all(v[0] == f for f, v in zip(bank.frames, bank.rows))
         assert len(bank) == len(expected)
 
     @given(st.integers(1, 6), frame_runs(30), st.integers(0, 30))
@@ -264,9 +281,48 @@ class TestFeatureBankProperties:
         merged = merge_banks(updated(FeatureBank(size), earlier), updated(FeatureBank(size), later))
         whole = updated(FeatureBank(size), frames)
         assert merged.size == whole.size
-        assert len(merged.entries) == len(whole.entries)
-        for (fm, vm), (fw, vw) in zip(merged.entries, whole.entries):
-            assert fm == fw and np.array_equal(vm, vw)
+        assert len(merged.frames) == len(whole.frames)
+        assert merged.frames == whole.frames and np.array_equal(merged.rows, whole.rows)
+
+
+# Magnitudes below 1e-3 become exact zeros, so no squared norm underflows
+# and many rows hold zeros.
+ELEMENT = st.floats(-10.0, 10.0, allow_subnormal=False).map(lambda x: x if abs(x) >= 1e-3 else 0.0)
+
+
+@st.composite
+def row_sets(draw, width):
+    """1-10 rows of ``width`` values; any of them may be a zero row."""
+    n = draw(st.integers(1, 10))
+    rows = draw(arrays(float, (n, width), elements=ELEMENT))
+    rows[draw(arrays(bool, n))] = 0.0
+    return rows
+
+
+def fsum_cosine(a, b):
+    """The cosine with every sum taken exactly."""
+    sq = math.fsum(x * x for x in a) * math.fsum(y * y for y in b)
+    if sq == 0.0:
+        return 0.0
+    return min(1.0, max(-1.0, math.fsum(x * y for x, y in zip(a, b)) / math.sqrt(sq)))
+
+
+class TestMaxCosineProperty:
+    """Widths from 8 on reach numpy's unrolled sum, where a matmul or a sum
+    over other rows would round differently."""
+
+    @given(st.data(), st.integers(1, 40))
+    def test_bank_similarities_are_the_max_of_pairwise_cosines(self, data, width):
+        a, b = data.draw(row_sets(width)), data.draw(row_sets(width))
+        bank_a = build_bank(a)  # a size-5 bank keeps all of up to ten rows
+        pairs = [[cosine_similarity(x, y) for y in b] for x in a]
+        cross = bank_cross_similarity(bank_a, build_bank(b))
+        assert cross == max(max(row) for row in pairs)
+        for j, y in enumerate(b):
+            assert bank_similarity(bank_a, y) == max(row[j] for row in pairs)
+        assert abs(cross - max(fsum_cosine(x, y) for x in a for y in b)) <= 1e-12
+        assert all(pairs[i][j] == 0.0 for i, x in enumerate(a) for j, y in enumerate(b)
+                   if not (x.any() and y.any()))
 
 
 class TestL2Normalize:

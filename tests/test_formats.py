@@ -22,12 +22,15 @@ from masktrack.formats import (
     write_results,
 )
 from masktrack.geometry import (
+    BBox,
     BinaryMask,
     mask_intersection_area,
     rle_decode,
+    rect_mask,
     rle_encode,
     rle_to_string,
 )
+from masktrack.tracker import PEDESTRIAN, Detection
 
 
 def det_line(frame=1, class_id=2, score=0.9, bbox=(10, 10, 10, 20), counts=None, **extra):
@@ -268,6 +271,23 @@ class TestLoadDetections:
                 assert da.box == db.box
                 assert da.mask == db.mask
                 assert np.allclose(da.embedding, db.embedding)
+
+    def test_feature_map_detection_round_trips_its_map(self, tmp_path):
+        rng = np.random.default_rng(52)
+        by_frame = {}
+        for f in (1, 3):
+            box = BBox(float(rng.integers(0, 150)), float(rng.integers(0, 90)), 12.0, 22.0)
+            fmap = rng.normal(size=(3, 2, 4))
+            mask = rect_mask(IMG_H, IMG_W, box)
+            by_frame[f] = [Detection(f, PEDESTRIAN, 0.9, box, mask, feature_map=fmap)]
+        path = tmp_path / "dets.jsonl"
+        write_detections(make_meta(), by_frame, str(path))
+        _, loaded = load_detections(str(path))
+        for f in by_frame:
+            built, read = by_frame[f][0], loaded[f][0]
+            assert read.feature_map is not None
+            np.testing.assert_array_equal(read.feature_map, built.feature_map)
+            np.testing.assert_array_equal(read.embedding, built.embedding)
 
 
 class TestResults:
