@@ -101,12 +101,13 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
     return (rows * rows).sum(axis=-1)
 
 
-def _max_cosine(a: np.ndarray, sq_a: np.ndarray, b: np.ndarray, sq_b: np.ndarray) -> float:
-    """Largest cosine between a row of ``a`` and a row of ``b``, clamped to [-1, 1].
+def _max_cosine(a: np.ndarray, sq_a: np.ndarray, b: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
+    """For each row of ``b``, its largest cosine with a row of ``a``, clamped to [-1, 1].
 
     ``sq_a`` and ``sq_b`` are the rows' squared norms; a zero row scores 0.0.
-    A dot product is an elementwise product summed over the last axis, not a
-    matmul, so a pair's value does not depend on the other rows stacked with it.
+    Returns a ``(len(b),)`` array. A dot product is an elementwise product
+    summed over the last axis, not a matmul, so a pair's value does not
+    depend on the other rows stacked with it.
     """
     if a.shape[1] != b.shape[1]:
         raise ShapeMismatch(f"embedding widths differ: {a.shape[1]} vs {b.shape[1]}")
@@ -114,13 +115,13 @@ def _max_cosine(a: np.ndarray, sq_a: np.ndarray, b: np.ndarray, sq_b: np.ndarray
     norms = np.sqrt(np.multiply.outer(sq_a, sq_b))
     norms[norms == 0.0] = np.inf  # 0 / inf = 0
     # clamping is monotone, so clamping the max equals the max of the clamps
-    return min(1.0, max(-1.0, float((dots / norms).max())))
+    return np.clip((dots / norms).max(axis=0), -1.0, 1.0)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1]; 0.0 for a zero vector."""
     a, b = _as_row(a), _as_row(b)
-    return _max_cosine(a, _sq_norms(a), b, _sq_norms(b))
+    return float(_max_cosine(a, _sq_norms(a), b, _sq_norms(b))[0])
 
 
 @dataclass(frozen=True)
@@ -159,19 +160,27 @@ def bank_update(bank: FeatureBank, emb: np.ndarray, frame: int) -> FeatureBank:
     return merge_banks(bank, FeatureBank(bank.size, (frame,), row))
 
 
-def bank_similarity(bank: FeatureBank, query: np.ndarray) -> float:
-    """Maximum cosine similarity between the query and any bank row."""
+def bank_similarity(bank: FeatureBank, queries: np.ndarray) -> float | np.ndarray:
+    """Maximum cosine similarity between each query and any bank row.
+
+    A 1-D query gives a float; an ``(n, d)`` stack of queries gives an
+    ``(n,)`` array, entry ``j`` equal to the float for query ``j`` alone.
+    """
     if len(bank) == 0:
         raise DegenerateInput("similarity against an empty feature bank")
-    q = _as_row(query)
-    return _max_cosine(bank.rows, bank.sq_norms, q, _sq_norms(q))
+    q = np.asarray(queries, dtype=float)
+    if q.ndim not in (1, 2):
+        raise ShapeMismatch(f"queries must be 1-D or (n, d), got shape {q.shape}")
+    rows = q.reshape(-1, q.shape[-1])
+    sims = _max_cosine(bank.rows, bank.sq_norms, rows, _sq_norms(rows))
+    return float(sims[0]) if q.ndim == 1 else sims
 
 
 def bank_cross_similarity(a: FeatureBank, b: FeatureBank) -> float:
     """Maximum pairwise cosine similarity between two banks' rows."""
     if len(a) == 0 or len(b) == 0:
         raise DegenerateInput("cross similarity with an empty feature bank")
-    return _max_cosine(a.rows, a.sq_norms, b.rows, b.sq_norms)
+    return float(_max_cosine(a.rows, a.sq_norms, b.rows, b.sq_norms).max())
 
 
 def merge_banks(earlier: FeatureBank, later: FeatureBank) -> FeatureBank:

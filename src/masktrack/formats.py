@@ -14,7 +14,7 @@ import colorsys
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,12 +55,16 @@ class SequenceMeta:
 
 @dataclass(frozen=True)
 class ResultRecord:
+    """One line of a result file. ``source`` is the ``FILE:LINE`` it was read
+    from, so a check made after reading can name it; empty in memory."""
+
     frame: int
     track_id: int
     class_id: int
     img_h: int
     img_w: int
     rle: str
+    source: str = field(default="", compare=False)
 
     def mask(self) -> BinaryMask:
         return rle_from_string(self.rle, self.img_h, self.img_w)
@@ -335,11 +339,11 @@ def read_results(path: str) -> list[ResultRecord]:
         if key in seen:
             raise ParseError(f"{path}:{lineno}: duplicate (frame, track_id) {key}")
         seen.add(key)
-        rec = ResultRecord(frame, track_id, class_id, img_h, img_w, parts[5])
+        rec = ResultRecord(frame, track_id, class_id, img_h, img_w, parts[5], f"{path}:{lineno}")
         try:
             rec.mask()
         except (ParseError, ShapeMismatch) as exc:
-            raise type(exc)(f"{path}:{lineno}: {exc}") from None
+            raise type(exc)(f"{rec.source}: {exc}") from None
         records.append(rec)
     return records
 

@@ -13,7 +13,8 @@ also caches its foreground extent (the columns and rows it spans), and
 :func:`cannot_overlap` compares two extents: when they are disjoint, or a
 mask is empty, the masks share no pixel, so IOU and intersection area are
 zero without a cut. The test is exact; it never rules out a pair that
-touches.
+touches. :func:`may_overlap` is the same test over two lists of masks at
+once, one broadcast over their extent arrays.
 """
 
 from __future__ import annotations
@@ -221,6 +222,33 @@ def cannot_overlap(a: BinaryMask, b: BinaryMask) -> bool:
         or ea[3] < eb[2]
         or eb[3] < ea[2]
     )
+
+
+# the extent row of an empty mask: its first column and row lie past every last one
+_NO_EXTENT = (np.inf, -np.inf, np.inf, -np.inf)
+
+
+def _extent_rows(masks: list[BinaryMask]) -> np.ndarray:
+    return np.array([m.extent or _NO_EXTENT for m in masks], dtype=float).reshape(-1, 4)
+
+
+def may_overlap(a: list[BinaryMask], b: list[BinaryMask], pairs: np.ndarray) -> np.ndarray:
+    """``not cannot_overlap(a[i], b[j])`` for every pair asked about, by broadcast.
+
+    ``pairs`` is a ``(len(a), len(b))`` boolean array of the pairs asked
+    about; the result is False outside it. Raises ShapeMismatch when a pair
+    asked about has masks of different dimensions, empty ones included, as
+    :func:`cannot_overlap` does.
+    """
+    dims_a = np.array([(m.height, m.width) for m in a]).reshape(-1, 2)
+    dims_b = np.array([(m.height, m.width) for m in b]).reshape(-1, 2)
+    differ = pairs & (dims_a[:, None, :] != dims_b[None, :, :]).any(axis=-1)
+    if differ.any():
+        i, j = np.argwhere(differ)[0]
+        _check_dims(a[i], b[j])
+    ea = _extent_rows(a).T[:, :, None]  # (4, len(a), 1): one plane per bound
+    eb = _extent_rows(b).T[:, None, :]
+    return pairs & (eb[0] <= ea[1]) & (ea[0] <= eb[1]) & (eb[2] <= ea[3]) & (ea[2] <= eb[3])
 
 
 def _cut(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

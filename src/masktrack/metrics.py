@@ -58,9 +58,10 @@ def _index(records: list[ResultRecord], label: str):
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
                 if mask_intersection_area(entries[i][1], entries[j][1]) > 0:
+                    rec = entries[j][0]
                     raise OverlappingMasksInInput(
-                        f"{label}: frame {frame} masks {entries[i][0].track_id} "
-                        f"and {entries[j][0].track_id} overlap"
+                        f"{rec.source or label}: frame {frame} masks "
+                        f"{entries[i][0].track_id} and {rec.track_id} overlap"
                     )
     return by_frame
 
@@ -69,11 +70,14 @@ def evaluate(
     results: list[ResultRecord], ground_truth: list[ResultRecord]
 ) -> EvalReport:
     """Score a result record set against ground-truth records."""
-    dims = {(r.img_h, r.img_w) for r in results} | {
-        (r.img_h, r.img_w) for r in ground_truth
-    }
-    if len(dims) > 1:
-        raise ShapeMismatch(f"mixed image dims across inputs: {sorted(dims)}")
+    records = results + ground_truth
+    dims = (records[0].img_h, records[0].img_w) if records else None
+    for rec in records:
+        if (rec.img_h, rec.img_w) != dims:
+            raise ShapeMismatch(
+                f"{rec.source or 'inputs'}: image dims {rec.img_h}x{rec.img_w} "
+                f"differ from {dims[0]}x{dims[1]}"
+            )
     hyp_frames = _index(results, "results")
     gt_frames = _index(ground_truth, "ground truth")
 

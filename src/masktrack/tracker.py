@@ -2,13 +2,17 @@
 
 Each step matches the frame's detections against tracks seen in the previous
 frame with a cost of ``2 - mask_iou - feature_similarity``, solved as a
-minimum-cost assignment and gated. The gate applies after the solve: a pair
-the solve picked whose cost exceeds the gate is dropped, and its track is not
-offered another detection that frame. Tracks that missed the previous frame get
-a second chance through short-term retrieval: their box is extrapolated by
-robust regression and matched against leftover detections within a distance
-gate of twice the object width. Tracks silent for longer than the per-class
-memory window are terminated and never matched again.
+minimum-cost assignment and gated. The cost matrix is built once per step:
+class ids and mask extents are compared by broadcast, so a mask pair is cut
+only when the classes agree and the extents meet, and each track's bank is
+compared with all of its class's detections in one similarity row. The gate
+applies after the solve: a pair the solve picked whose cost exceeds the gate
+is dropped, and its track is not offered another detection that frame.
+Tracks that missed the previous frame get a second chance through short-term
+retrieval: their box is extrapolated by robust regression and matched against
+leftover detections within a distance gate of twice the object width. Tracks
+silent for longer than the per-class memory window are terminated and never
+matched again.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from .embedding import (
     instance_aware_pool,
     spatial_attention,
 )
-from .errors import OutOfOrderFrame
-from .geometry import BBox, BinaryMask, bbox_iou, mask_iou
+from .errors import OutOfOrderFrame, ShapeMismatch
+from .geometry import BBox, BinaryMask, bbox_iou, mask_iou, may_overlap
 from .regression import huber_fit
 
 CAR = 1
@@ -168,13 +172,37 @@ class Track(Tracklet):
 # costs and extrapolation
 # ---------------------------------------------------------------------------
 
-def assignment_cost(track: Track, det: Detection) -> float:
-    """2 minus mask IOU minus bank similarity; cross-class pairs infeasible."""
-    if track.class_id != det.class_id:
-        return INFEASIBLE
-    iou = mask_iou(track.observations[-1].mask, det.mask)
-    sim = bank_similarity(track.bank, det.embedding)
-    return 2.0 - iou - sim
+def _stack(embeddings: list[np.ndarray]) -> np.ndarray:
+    """Embeddings as one ``(n, d)`` array; embeddings of different shapes are refused."""
+    shapes = {np.shape(e) for e in embeddings}
+    if len(shapes) > 1:
+        raise ShapeMismatch(f"detection embeddings differ in shape: {sorted(shapes)}")
+    return np.array(embeddings, dtype=float)
+
+
+def assignment_cost(tracks: list[Track], detections: list[Detection]) -> np.ndarray:
+    """The ``(tracks, detections)`` cost matrix ``2 - mask IOU - bank similarity``.
+
+    Cross-class cells are infeasible. A track's last mask is cut against a
+    detection's only when their extents meet; every other IOU is 0.0. Each
+    track's bank meets its class's detections in one similarity call.
+    """
+    t_cls = np.array([t.class_id for t in tracks])
+    d_cls = np.array([d.class_id for d in detections])
+    same = t_cls[:, None] == d_cls[None, :]
+    last = [t.observations[-1].mask for t in tracks]
+    masks = [d.mask for d in detections]
+    iou = np.zeros(same.shape)
+    for i, j in zip(*np.nonzero(may_overlap(last, masks, same))):
+        iou[i, j] = mask_iou(last[i], masks[j])
+    sim = np.zeros(same.shape)
+    for class_id in sorted({t.class_id for t in tracks}):
+        cols = np.flatnonzero(d_cls == class_id)
+        if cols.size:
+            queries = _stack([detections[j].embedding for j in cols])
+            for i in np.flatnonzero(t_cls == class_id):
+                sim[i, cols] = bank_similarity(tracks[i].bank, queries)
+    return np.where(same, 2.0 - iou - sim, INFEASIBLE)
 
 
 def extrapolate_track(track: Tracklet, frames, cfg: TrackerConfig) -> list[BBox]:
@@ -224,22 +252,28 @@ def str_match(
     Cost combines bank similarity with the IOU of the extrapolated box; a
     pair is feasible only when the detection's top-left lies within
     ``str_distance_factor`` times the track's last observed width of the
-    extrapolated top-left. Returns (track_index, detection_index) pairs.
+    extrapolated top-left. Each lost track's bank meets its feasible
+    detections in one similarity call. Returns (track_index, detection_index)
+    pairs.
     """
     if not lost_tracks or not detections:
         return []
     costs = np.full((len(lost_tracks), len(detections)), INFEASIBLE)
+    d_cls = np.array([d.class_id for d in detections])
+    boxes = [d.box for d in detections]
     for i, track in enumerate(lost_tracks):
         ex_box = extrapolate_track(track, [frame], cfg)[0]
         reach = cfg.str_distance_factor * track.observations[-1].box.w
-        for j, det in enumerate(detections):
-            if det.class_id != track.class_id:
-                continue
-            dist = math.hypot(ex_box.x - det.box.x, ex_box.y - det.box.y)
-            if dist > reach:
-                continue
-            sim = bank_similarity(track.bank, det.embedding)
-            costs[i, j] = 2.0 - sim - bbox_iou(ex_box, det.box)
+        # math.hypot, not np.hypot: the two differ in the last bit on some pairs
+        near = [
+            j for j in np.flatnonzero(d_cls == track.class_id)
+            if math.hypot(ex_box.x - boxes[j].x, ex_box.y - boxes[j].y) <= reach
+        ]
+        if not near:
+            continue
+        sims = bank_similarity(track.bank, _stack([detections[j].embedding for j in near]))
+        for j, sim in zip(near, sims.tolist()):
+            costs[i, j] = 2.0 - sim - bbox_iou(ex_box, boxes[j])
     return _gated_solve(costs, lost_tracks, cfg)
 
 
@@ -274,9 +308,7 @@ class MaskTracker:
         taken: set[int] = set()
 
         if active and detections:
-            costs = np.array(
-                [[assignment_cost(t, d) for d in detections] for t in active]
-            )
+            costs = assignment_cost(active, detections)
             for r, c in _gated_solve(costs, active, self.cfg):
                 active[r].observe(detections[c])
                 assigned[active[r].id] = detections[c]

@@ -1,4 +1,6 @@
-"""Small builders shared by the tracking-level tests."""
+"""Small builders and oracles shared by the tracking-level tests."""
+
+from itertools import permutations
 
 import numpy as np
 
@@ -31,6 +33,25 @@ def make_det(frame, x, y, emb, class_id=PEDESTRIAN, score=0.9, w=10.0, h=20.0):
 def matching_cost(costs, pairs):
     """Total cost of a matching; the oracle the assignment tests compare with."""
     return float(sum(costs[r, c] for r, c in pairs))
+
+
+def brute_force(costs):
+    """(max feasible cardinality, min total cost) by permutation enumeration."""
+    costs = np.asarray(costs, dtype=float)
+    n, m = costs.shape
+    best = None
+    # enumerate injections of the smaller side into the larger
+    if n <= m:
+        for perm in permutations(range(m), n):
+            pairs = [(i, perm[i]) for i in range(n) if np.isfinite(costs[i, perm[i]])]
+            key = (-len(pairs), sum(costs[r, c] for r, c in pairs))
+            best = key if best is None or key < best else best
+    else:
+        for perm in permutations(range(n), m):
+            pairs = [(perm[j], j) for j in range(m) if np.isfinite(costs[perm[j], j])]
+            key = (-len(pairs), sum(costs[r, c] for r, c in pairs))
+            best = key if best is None or key < best else best
+    return -best[0], best[1]
 
 
 def make_meta(name="seq", fps=25.0, camera_mode="static"):

@@ -1,29 +1,8 @@
-from itertools import permutations
-
 import numpy as np
 import pytest
-from helpers import matching_cost
+from helpers import brute_force, matching_cost
 
 from masktrack.assignment import INFEASIBLE, hungarian_solve
-
-
-def brute_force(costs):
-    """(max feasible cardinality, min total cost) by permutation enumeration."""
-    costs = np.asarray(costs, dtype=float)
-    n, m = costs.shape
-    best = None
-    # enumerate injections of the smaller side into the larger
-    if n <= m:
-        for perm in permutations(range(m), n):
-            pairs = [(i, perm[i]) for i in range(n) if np.isfinite(costs[i, perm[i]])]
-            key = (-len(pairs), sum(costs[r, c] for r, c in pairs))
-            best = key if best is None or key < best else best
-    else:
-        for perm in permutations(range(n), m):
-            pairs = [(perm[j], j) for j in range(m) if np.isfinite(costs[perm[j], j])]
-            key = (-len(pairs), sum(costs[r, c] for r, c in pairs))
-            best = key if best is None or key < best else best
-    return -best[0], best[1]
 
 
 class TestHungarianSolve:

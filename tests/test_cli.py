@@ -311,3 +311,88 @@ class TestTrackFuzz:
         assert code in (0, 1)
         if code == 1:
             assert re.match(rf"error: {re.escape(path)}:\d+: ", err.getvalue()), err.getvalue()
+
+
+def fuzz_result_lines():
+    """A result file's lines: the header, then two disjoint objects over five
+    frames, a car and a pedestrian."""
+    lines = ["# frame track_id class_id img_h img_w rle"]
+    for frame in range(1, 6):
+        for track_id, class_id, box in [
+            (1001, 1, BBox(2.0 + frame, 3.0, 8.0, 6.0)),
+            (2001, 2, BBox(24.0, 4.0 + frame, 6.0, 12.0)),
+        ]:
+            rle = rle_to_string(rect_mask(FUZZ_H, FUZZ_W, box))
+            lines.append(f"{frame} {track_id} {class_id} {FUZZ_H} {FUZZ_W} {rle}")
+    return lines
+
+
+# field values near the records' own, and ones no reader should accept
+RESULT_FIELDS = st.sampled_from(
+    ["", "0", "1", "2", "3", "-1", "1001", "2001", str(FUZZ_H), str(FUZZ_W), "1.5", "x",
+     "1_0", "+2", "9" * 30, "0" + str(FUZZ_H), "PS0", "o@3", "\x7f"]
+) | st.integers(-2, 60).map(str)
+
+
+@st.composite
+def mutated_result_files(draw):
+    """The fuzz result lines with one line mutated: a field replaced, deleted
+    or added, the line cut short, one character replaced, another line's
+    fields copied in, or a valid mask of other image dimensions put in; the
+    file may be given as the results or as the ground truth."""
+    lines = fuzz_result_lines()
+    index = draw(st.integers(1, len(lines) - 1))
+    fields = lines[index].split(" ")
+    kind = draw(
+        st.sampled_from(["replace", "delete", "add", "truncate", "character", "copy", "dims"])
+    )
+    if kind == "dims":
+        h, w = draw(st.integers(1, 30)), draw(st.integers(1, 45))
+        fields[3:] = [str(h), str(w), rle_to_string(rect_mask(h, w, BBox(0.0, 0.0, 3.0, 3.0)))]
+    elif kind == "replace":
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(RESULT_FIELDS)
+    elif kind == "delete":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif kind == "add":
+        fields.insert(draw(st.integers(0, len(fields))), draw(RESULT_FIELDS))
+    elif kind == "copy":
+        other = draw(st.sampled_from(lines[1:])).split(" ")
+        at = draw(st.sampled_from([slice(1, 3), slice(3, 5), slice(3, 6), slice(5, 6)]))
+        fields[at] = other[at]
+    lines[index] = " ".join(fields)
+    if kind == "truncate":
+        lines[index] = lines[index][: draw(st.integers(0, len(lines[index]) - 1))]
+    elif kind == "character":
+        at = draw(st.integers(0, len(lines[index]) - 1))
+        char = draw(st.characters(codec="ascii", exclude_characters="\n\r"))
+        lines[index] = lines[index][:at] + char + lines[index][at + 1 :]
+    return "\n".join(lines) + "\n", draw(st.booleans())
+
+
+class TestEvalFuzz:
+    def test_fuzz_lines_score_perfectly(self, tmp_path):
+        path = tmp_path / "res.txt"
+        path.write_text("\n".join(fuzz_result_lines()) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["eval", str(path), str(path)]) == 0
+        assert out.getvalue().splitlines()[-1].split()[-2:] == ["1.0000", "1.0000"]
+
+    @given(mutated_result_files())
+    def test_mutated_result_line_exits_0_or_names_file_and_line(self, case):
+        """However a line of the results or the ground truth is broken,
+        ``eval`` either scores the pair or exits 1 with an ``error:`` line
+        naming the file and line; it never raises."""
+        text, as_ground_truth = case
+        with tempfile.TemporaryDirectory() as work:
+            clean, broken = os.path.join(work, "clean.txt"), os.path.join(work, "broken.txt")
+            with open(clean, "w", encoding="ascii") as fh:
+                fh.write("\n".join(fuzz_result_lines()) + "\n")
+            with open(broken, "w", encoding="ascii") as fh:
+                fh.write(text)
+            args = [clean, broken] if as_ground_truth else [broken, clean]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["eval", *args])
+        assert code in (0, 1)
+        if code == 1:
+            assert re.match(rf"error: {re.escape(broken)}:\d+: ", err.getvalue()), err.getvalue()

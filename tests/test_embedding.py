@@ -216,6 +216,16 @@ class TestFeatureBank:
         with pytest.raises(ShapeMismatch, match="must be 1-D"):
             bank_update(FeatureBank(), np.float64(1.0), 1)
 
+    def test_similarity_takes_a_vector_or_a_stack_of_queries(self):
+        bank = build_bank([[1, 0], [0, 1]])
+        assert isinstance(bank_similarity(bank, np.array([1.0, 1.0])), float)
+        sims = bank_similarity(bank, np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, 0.0]]))
+        assert sims.shape == (3,)
+        assert sims.tolist() == [pytest.approx(1 / np.sqrt(2)), 0.0, 0.0]
+        assert bank_similarity(bank, np.empty((0, 2))).shape == (0,)
+        with pytest.raises(ShapeMismatch, match="1-D or"):
+            bank_similarity(bank, np.ones((1, 1, 2)))
+
     def test_similarity_rejects_a_query_of_another_width(self):
         bank = build_bank([[1, 0, 0, 0]])
         with pytest.raises(ShapeMismatch, match="embedding widths differ: 4 vs 1"):
@@ -320,6 +330,8 @@ class TestMaxCosineProperty:
         assert cross == max(max(row) for row in pairs)
         for j, y in enumerate(b):
             assert bank_similarity(bank_a, y) == max(row[j] for row in pairs)
+        # a stack of queries gives each query's own float, bit for bit
+        assert bank_similarity(bank_a, b).tolist() == [bank_similarity(bank_a, y) for y in b]
         assert abs(cross - max(fsum_cosine(x, y) for x in a for y in b)) <= 1e-12
         assert all(pairs[i][j] == 0.0 for i, x in enumerate(a) for j, y in enumerate(b)
                    if not (x.any() and y.any()))

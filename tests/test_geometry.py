@@ -14,6 +14,7 @@ from masktrack.geometry import (
     mask_iou,
     mask_merge,
     mask_to_bbox,
+    may_overlap,
     rect_mask,
     rle_decode,
     rle_encode,
@@ -51,10 +52,10 @@ LAYOUT_OFFSETS = {"apart": 2, "adjacent": 1, "shared_line": 0}
 
 
 @st.composite
-def grid_pairs(draw, max_side=24):
+def grid_pairs(draw, max_side=24, shape=None):
     """Two grids of one shape, drawn independently or with the second
     confined to the rows or columns past the first one's foreground."""
-    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    shape = shape or (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
     g1, g2 = draw(grids(shape)), draw(grids(shape))
     layout = draw(st.sampled_from(["free", *LAYOUT_OFFSETS]))
     if layout != "free" and g1.any():
@@ -223,6 +224,36 @@ class TestMaskIou:
         assert got == mask_iou(m2, m1)
         assert mask_intersection_area(m2, m1) == inter
         assert 0.0 <= got <= 1.0
+
+
+@st.composite
+def mask_lists(draw, max_side=16):
+    """Two lists of masks of one shape, taken from grid pairs, so that pairs
+    across the lists lie apart, touch, share a line or overlap."""
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    pairs = draw(st.lists(grid_pairs(shape=shape), min_size=1, max_size=4))
+    a = [rle_encode(g1) for g1, _ in pairs]
+    b = [rle_encode(g2) for _, g2 in pairs]
+    return a[: draw(st.integers(0, len(a)))], b
+
+
+class TestMayOverlap:
+    @given(mask_lists(), st.data())
+    def test_agrees_with_cannot_overlap_on_every_pair(self, lists, data):
+        a, b = lists
+        expected = np.array([[not cannot_overlap(x, y) for y in b] for x in a], dtype=bool)
+        expected = expected.reshape(len(a), len(b))
+        assert np.array_equal(may_overlap(a, b, np.ones_like(expected)), expected)
+        pairs = data.draw(arrays(np.bool_, expected.shape))
+        assert np.array_equal(may_overlap(a, b, pairs), expected & pairs)
+
+    def test_dims_checked_only_on_the_pairs_asked_about(self):
+        a = [BinaryMask(4, 4, (16,)), BinaryMask(4, 4, (0, 16))]
+        b = [BinaryMask(4, 4, (0, 16)), BinaryMask(5, 5, (0, 25))]
+        with pytest.raises(ShapeMismatch, match="4x4 vs 5x5"):
+            may_overlap(a, b, np.ones((2, 2), dtype=bool))
+        pairs = np.array([[True, False], [True, False]])
+        assert may_overlap(a, b, pairs).tolist() == [[False, False], [True, False]]
 
 
 class TestMaskMerge:

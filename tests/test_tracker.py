@@ -1,18 +1,26 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import make_det, unit
+from hypothesis.extra.numpy import arrays
+from helpers import brute_force, make_det, unit
 
-from masktrack.assignment import INFEASIBLE
-from masktrack.errors import OutOfOrderFrame
+from masktrack.assignment import INFEASIBLE, hungarian_solve
+from masktrack.embedding import FeatureBank, bank_similarity, bank_update
+from masktrack.errors import OutOfOrderFrame, ShapeMismatch
+from masktrack.geometry import BBox, mask_iou, rect_mask
 from masktrack.tracker import (
     CAR,
     PEDESTRIAN,
+    Detection,
     MaskTracker,
+    Observation,
     Track,
     TrackerConfig,
     TrackState,
+    _gated_solve,
     assignment_cost,
     extrapolate_track,
     seconds_to_frames,
@@ -42,27 +50,27 @@ class TestAssignmentCost:
         det = make_det(1, 20, 30, unit(0))
         track = make_track(2001, [det])
         same = make_det(2, 20, 30, unit(0))
-        assert assignment_cost(track, same) == pytest.approx(0.0, abs=1e-12)
+        assert assignment_cost([track], [same])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_overlap_no_similarity_is_two(self):
         det = make_det(1, 0, 0, unit(0))
         track = make_track(2001, [det])
         far = make_det(2, 100, 60, unit(1))
-        assert assignment_cost(track, far) == pytest.approx(2.0, abs=1e-12)
+        assert assignment_cost([track], [far])[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_formula_midpoint(self):
         # half-overlapping boxes of equal size give mask IOU 1/3
         det = make_det(1, 20, 30, unit(0), w=10, h=20)
         track = make_track(2001, [det])
         shifted = make_det(2, 25, 30, unit(0), w=10, h=20)
-        cost = assignment_cost(track, shifted)
+        cost = assignment_cost([track], [shifted])[0, 0]
         assert cost == pytest.approx(2.0 - 1 / 3 - 1.0, abs=1e-12)
 
     def test_cross_class_infeasible(self):
         det = make_det(1, 20, 30, unit(0))
         track = make_track(2001, [det])
         car = make_det(2, 20, 30, unit(0), class_id=CAR)
-        assert assignment_cost(track, car) == INFEASIBLE
+        assert assignment_cost([track], [car])[0, 0] == INFEASIBLE
 
     def test_range_bounds(self):
         rng = np.random.default_rng(14)
@@ -73,8 +81,110 @@ class TestAssignmentCost:
             other = make_det(
                 2, float(rng.integers(0, 150)), float(rng.integers(0, 90)), emb
             )
-            cost = assignment_cost(track, other)
+            cost = assignment_cost([track], [other])[0, 0]
             assert 0.0 <= cost <= 3.0
+
+
+# a small image, so that drawn boxes often overlap, touch or come out empty
+SMALL_H, SMALL_W = 12, 16
+MAGNITUDES = st.floats(1e-3, 10.0, allow_subnormal=False)
+
+
+@st.composite
+def small_boxes(draw):
+    x, y = draw(st.integers(0, SMALL_W - 1)), draw(st.integers(0, SMALL_H - 1))
+    return BBox(x, y, draw(st.integers(0, 8)), draw(st.integers(0, 8)))
+
+
+@st.composite
+def signed_rows(draw, n, width, sign):
+    """``n`` rows of ``width`` values of one sign (``sign`` 0: either); any
+    row may be a zero row."""
+    values = MAGNITUDES if sign else MAGNITUDES | MAGNITUDES.map(lambda v: -v)
+    rows = draw(arrays(float, (n, width), elements=values | st.just(0.0)))
+    rows = rows * (sign or 1)
+    rows[draw(arrays(bool, n))] = 0.0
+    return rows
+
+
+@st.composite
+def association_cases(draw):
+    """Tracks with banks of 1-10 rows and detections of either class, on
+    masks that may be empty. With ``opposed`` signs every bank row is
+    non-negative and every detection embedding non-positive, so no cosine
+    is above 0."""
+    width = draw(st.integers(1, 12))
+    opposed = draw(st.booleans())
+    tracks = []
+    for i in range(draw(st.integers(1, 4))):
+        rows = draw(signed_rows(draw(st.integers(1, 10)), width, 1 if opposed else 0))
+        bank = FeatureBank(5)  # keeps every row of up to ten
+        for frame, row in enumerate(rows, start=1):
+            bank = bank_update(bank, row, frame)
+        box = draw(small_boxes())
+        last = Observation(len(rows), box, rect_mask(SMALL_H, SMALL_W, box), 0.9)
+        tracks.append(Track(2001 + i, draw(st.sampled_from([CAR, PEDESTRIAN])), [last], bank))
+    n = draw(st.integers(1, 5))
+    embs = draw(signed_rows(n, width, -1 if opposed else 0))
+    dets = []
+    for emb in embs:
+        box = draw(small_boxes())
+        mask = rect_mask(SMALL_H, SMALL_W, box)
+        dets.append(Detection(20, draw(st.sampled_from([CAR, PEDESTRIAN])), 0.9, box, mask, emb))
+    return tracks, dets
+
+
+class TestAssignmentCostMatrix:
+    @given(association_cases())
+    def test_each_cell_is_the_pair_formula_bit_for_bit(self, case):
+        tracks, dets = case
+        costs = assignment_cost(tracks, dets)
+        assert costs.shape == (len(tracks), len(dets))
+        for i, t in enumerate(tracks):
+            for j, d in enumerate(dets):
+                if t.class_id != d.class_id:
+                    assert costs[i, j] == INFEASIBLE
+                    continue
+                iou = mask_iou(t.observations[-1].mask, d.mask)
+                assert costs[i, j] == 2.0 - iou - bank_similarity(t.bank, d.embedding)
+
+    def test_mask_dims_checked_only_within_a_class(self):
+        tracker = MaskTracker(track_cfg())
+        tracker.step(1, [make_det(1, 20, 30, unit(0))])
+        box = BBox(150, 180, 10, 20)
+        # a car of other dimensions is never compared with the pedestrian
+        car = Detection(2, CAR, 0.9, box, rect_mask(240, 200, box), unit(0))
+        assert sorted(tracker.step(2, [car, make_det(2, 20, 30, unit(0))])) == [1001, 2001]
+        # a pedestrian is, although the extents lie apart and no mask is cut
+        taller = Detection(3, PEDESTRIAN, 0.9, box, rect_mask(240, 200, box), unit(0))
+        with pytest.raises(ShapeMismatch, match="mask dims differ"):
+            tracker.step(3, [taller])
+
+    def test_embedding_widths_checked_within_a_class(self):
+        tracker = MaskTracker(track_cfg())
+        tracker.step(1, [make_det(1, 20, 30, unit(0))])
+        # a car of another width is never compared with the pedestrian
+        out = tracker.step(2, [make_det(2, 20, 30, unit(0)), make_det(2, 90, 30, unit(0, 4), CAR)])
+        assert sorted(out) == [1001, 2001]
+        with pytest.raises(ShapeMismatch):
+            tracker.step(3, [make_det(3, 20, 30, unit(0)), make_det(3, 60, 30, unit(0, 4))])
+
+
+class TestGatedSolve:
+    @given(st.data(), st.integers(1, 5), st.integers(1, 5))
+    def test_keeps_the_optimal_pairs_under_their_class_gate(self, data, n, m):
+        values = st.sampled_from([INFEASIBLE, 0.0, 0.5, 1.0, 1.7]) | st.floats(0.0, 3.0)
+        costs = data.draw(arrays(float, (n, m), elements=values))
+        classes = data.draw(st.lists(st.sampled_from([CAR, PEDESTRIAN]), min_size=n, max_size=n))
+        gates = {CAR: data.draw(st.floats(0.0, 3.0)), PEDESTRIAN: data.draw(st.floats(0.0, 3.0))}
+        tracks = [SimpleNamespace(class_id=c) for c in classes]
+        solved = hungarian_solve(costs)
+        card, total = brute_force(costs)
+        assert all(costs[r, c] < INFEASIBLE for r, c in solved)
+        assert len(solved) == card
+        assert sum(costs[r, c] for r, c in solved) == pytest.approx(total, abs=1e-9)
+        kept = _gated_solve(costs, tracks, TrackerConfig(gate_cost=gates))
+        assert kept == [(r, c) for r, c in solved if costs[r, c] <= gates[classes[r]]]
 
 
 class TestExtrapolateTrack:
@@ -276,7 +386,8 @@ class TestStep:
         det1, det2 = make_det(2, 20, 30, unit(0)), make_det(2, 60, 30, unit(1))
         table = {(2001, 20.0): 0.0, (2001, 60.0): 1.0, (2002, 20.0): 1.6, (2002, 60.0): 2.0}
         monkeypatch.setattr(
-            "masktrack.tracker.assignment_cost", lambda t, d: table[(t.id, d.box.x)]
+            "masktrack.tracker.assignment_cost",
+            lambda ts, ds: np.array([[table[(t.id, d.box.x)] for d in ds] for t in ts]),
         )
         out = tracker.step(2, [det1, det2])
         assert out == {2001: det1, 2003: det2}
