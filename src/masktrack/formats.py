@@ -1,7 +1,13 @@
 """Sequence I/O: detection files, result files, overlay images.
 
 Detections arrive as JSON lines, one object per line, after a single header
-line carrying the sequence facts (name, fps, image size, camera mode).
+line carrying the sequence facts (name, fps, image size, camera mode). A
+float array in a detection (``embedding``, ``feature_map.values``) is either
+a JSON list of numbers or a string packing the same values: standard base64
+of their little-endian float64 bytes, a map in C order ``(gh, gw, c)``.
+:func:`write_detections` writes the packed form, which round-trips every
+value bit for bit as the list form does.
+
 Results use the plain text layout common to mask-level tracking benchmarks:
 ``frame track_id class_id img_h img_w rle`` per line, frames ascending, with
 same-frame masks guaranteed pairwise disjoint on write (overlaps lose to the
@@ -10,6 +16,7 @@ lower track id).
 
 from __future__ import annotations
 
+import base64
 import colorsys
 import json
 import math
@@ -99,6 +106,8 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        except ValueError as exc:  # an integer literal past Python's digit limit
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
         if meta is None:
             meta = _parse_meta(obj, path, lineno)
             continue
@@ -150,7 +159,7 @@ def _parse_meta(obj, path, lineno) -> SequenceMeta:
         )
     except KeyError as exc:
         raise ParseError(f"{path}:{lineno}: header missing field {exc}") from None
-    except (TypeError, ValueError, ParseError) as exc:
+    except (TypeError, ValueError, OverflowError, ParseError) as exc:
         raise ParseError(f"{path}:{lineno}: bad header ({exc})") from None
 
 
@@ -164,7 +173,7 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
         mask_obj = obj["mask"]
         mh, mw = _whole(mask_obj["h"]), _whole(mask_obj["w"])
         token = str(mask_obj["counts"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: bad detection record ({exc})") from None
     if class_id not in CLASS_NAMES:
         raise ParseError(f"{where}: unknown class_id {class_id}")
@@ -183,11 +192,11 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
     feature_map = None
     if "embedding" in obj and obj["embedding"] is not None:
         try:
-            embedding = np.asarray(obj["embedding"], dtype=float)
-        except (TypeError, ValueError) as exc:
+            embedding = _floats(obj["embedding"])
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where}: bad embedding ({exc})") from None
-        if embedding.ndim != 1 or embedding.size == 0:
-            raise ParseError(f"{where}: embedding must be a flat list of numbers")
+        if embedding.size == 0:
+            raise ParseError(f"{where}: embedding is empty")
         if not np.isfinite(embedding).all():
             raise ParseError(f"{where}: non-finite embedding value")
     elif "feature_map" in obj and obj["feature_map"] is not None:
@@ -195,8 +204,8 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
         try:
             gh, gw = _whole(fm["gh"]), _whole(fm["gw"])
             ch = _whole(fm.get("c", DEFAULT_FEATURE_CHANNELS))
-            values = np.asarray(fm["values"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            values = _floats(fm["values"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where}: bad feature_map ({exc})") from None
         if min(gh, gw, ch) < 1:
             raise ParseError(f"{where}: feature_map gh, gw and c must be >= 1, got {gh}x{gw}x{ch}")
@@ -213,11 +222,32 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
         raise ParseError(f"{where}: {exc}") from None
 
 
+def _floats(value) -> np.ndarray:
+    """A float-array field as a flat float64 array. The field is a JSON list
+    of numbers (not strings, not booleans) or the packed form: a string of
+    standard base64 over little-endian float64 bytes."""
+    if isinstance(value, str):
+        raw = base64.b64decode(value, validate=True)  # binascii.Error is a ValueError
+        if len(raw) % 8:
+            raise ValueError(f"{len(raw)} packed bytes are not whole float64 values")
+        return np.frombuffer(raw, dtype="<f8").astype(float)
+    if not isinstance(value, list) or not {type(v) for v in value} <= {int, float}:
+        raise ValueError("expected a list of numbers or a packed string")
+    return np.array(value, dtype=float)
+
+
+def _packed(values: np.ndarray) -> str:
+    """The packed form of a float array: base64 of its values as little-endian
+    float64, in C order."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def write_detections(
     meta: SequenceMeta, by_frame: dict[int, list[Detection]], path: str
 ):
     """Write a detection file readable by :func:`load_detections`; a detection
-    with a feature map is written with the map, which pools to its embedding."""
+    with a feature map is written with the map, which pools to its embedding.
+    Both are written in the packed form."""
     with open(path, "w", encoding="ascii") as fh:
         header = {
             "name": meta.name,
@@ -246,10 +276,10 @@ def write_detections(
                         "gh": gh,
                         "gw": gw,
                         "c": ch,
-                        "values": [float(v) for v in det.feature_map.ravel()],
+                        "values": _packed(det.feature_map),
                     }
                 else:
-                    rec["embedding"] = [float(v) for v in det.embedding]
+                    rec["embedding"] = _packed(det.embedding)
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -321,7 +351,11 @@ def write_results(
 
 
 def read_results(path: str) -> list[ResultRecord]:
-    """Parse a result file; validates decodability and (frame, id) uniqueness."""
+    """Parse a result file; validates decodability and (frame, id) uniqueness.
+
+    The five integer fields are plain decimal digits and the class id is a
+    known class; anything else raises ParseError naming the file and line.
+    """
     records: list[ResultRecord] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in text_lines(path, "ascii"):
@@ -331,10 +365,15 @@ def read_results(path: str) -> list[ResultRecord]:
         parts = line.split(" ")
         if len(parts) != 6:
             raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+        # the line is ASCII, so isdigit admits 0-9 only: no sign, no '_'
+        if not all(p.isdigit() for p in parts[:5]):
+            raise ParseError(f"{path}:{lineno}: non-integer field")
         try:
             frame, track_id, class_id, img_h, img_w = (int(p) for p in parts[:5])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-integer field") from None
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"{path}:{lineno}: integer field too long") from None
+        if class_id not in CLASS_NAMES:
+            raise ParseError(f"{path}:{lineno}: unknown class_id {class_id}")
         key = (frame, track_id)
         if key in seen:
             raise ParseError(f"{path}:{lineno}: duplicate (frame, track_id) {key}")

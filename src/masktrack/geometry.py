@@ -261,7 +261,13 @@ def _cut(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray, np.ndarr
     foreground in ``a`` and in ``b``.
     """
     ends_a, ends_b = a.run_ends, b.run_ends
-    ends = np.union1d(ends_a, ends_b)
+    # both are strictly increasing: merge them, then drop the ends they share
+    ends = np.concatenate((ends_a, ends_b))
+    ends.sort(kind="stable")  # timsort finds the two sorted runs and merges them
+    keep = np.empty(ends.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ends[1:], ends[:-1], out=keep[1:])
+    ends = ends[keep]
     lengths = np.diff(ends, prepend=0)
     # index of the run covering each segment; odd runs are foreground
     in_a = (np.searchsorted(ends_a, ends, side="left") & 1).astype(bool)

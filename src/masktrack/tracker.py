@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -42,8 +43,12 @@ CLASS_NAMES = {CAR: "car", PEDESTRIAN: "pedestrian"}
 
 
 def seconds_to_frames(seconds: float, fps: float) -> int:
-    """Convert a duration to whole frames, rounding half up, at least 1."""
-    return max(1, int(math.floor(seconds * fps + 0.5)))
+    """Convert a duration to whole frames, rounding half up, at least 1.
+
+    A product past ``sys.maxsize`` (infinite, say, for ``1e308`` seconds)
+    gives ``sys.maxsize`` frames: longer than any sequence.
+    """
+    return max(1, int(math.floor(min(seconds * fps + 0.5, sys.maxsize))))
 
 
 @dataclass

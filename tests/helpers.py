@@ -1,5 +1,6 @@
 """Small builders and oracles shared by the tracking-level tests."""
 
+import base64
 from itertools import permutations
 
 import numpy as np
@@ -52,6 +53,12 @@ def brute_force(costs):
             key = (-len(pairs), sum(costs[r, c] for r, c in pairs))
             best = key if best is None or key < best else best
     return -best[0], best[1]
+
+
+def packed(values) -> str:
+    """The packed form of a float array, as the detection-file format defines
+    it: standard base64 of the values as little-endian float64, in C order."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def make_meta(name="seq", fps=25.0, camera_mode="static"):

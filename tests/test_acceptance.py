@@ -23,7 +23,7 @@ from helpers import matching_cost
 from masktrack import pipeline, reid
 from masktrack.assignment import INFEASIBLE, hungarian_solve
 from masktrack.config import PipelineConfig, load_config, parse_config_text
-from masktrack.formats import records_from_tracks
+from masktrack.formats import load_detections, records_from_tracks, write_detections
 from masktrack.geometry import (
     mask_intersection_area,
     mask_iou,
@@ -477,6 +477,18 @@ def test_result_lines_match_golden_hash(name, spec):
     tracks, _ = run_pipeline(meta, dets, PipelineConfig())
     assert lines_sha256(records_from_tracks(tracks, meta)) == GOLDEN_RESULT_SHA256[name]
     announce(f"{name} result lines match the golden hash")
+
+
+def test_features_golden_hash_through_a_detection_file(tmp_path):
+    """The features scenario written to a detection file (packed feature
+    maps) and read back tracks to the same golden lines as in memory."""
+    meta, dets, _ = generate(scenario_features())
+    path = str(tmp_path / "features.jsonl")
+    write_detections(meta, with_feature_maps(dets), path)
+    meta, dets = load_detections(path)
+    tracks, _ = run_pipeline(meta, dets, PipelineConfig())
+    assert lines_sha256(records_from_tracks(tracks, meta)) == GOLDEN_RESULT_SHA256["features"]
+    announce("features result lines through a detection file match the golden hash")
 
 
 def test_crossing_overlaps_before_resolution_and_ground_truth_golden():

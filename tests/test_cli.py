@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import io
 import json
@@ -7,11 +8,14 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from helpers import packed
 
 from masktrack import cli
+from masktrack.config import PipelineConfig, dump_config
 from masktrack.geometry import BBox, rect_mask, rle_to_string
 from masktrack.synth import scenario_long_occlusions
 
@@ -239,6 +243,51 @@ def key_paths(value, prefix=()):
     return paths
 
 
+def array_field(rec):
+    """(owner, key) of a fuzz record's float array: its embedding or its map's values."""
+    return (rec, "embedding") if "embedding" in rec else (rec["feature_map"], "values")
+
+
+def pack_records(records):
+    """Each record's float array swapped for its packed form."""
+    for rec in records:
+        owner, key = array_field(rec)
+        owner[key] = packed(owner[key])
+    return records
+
+
+@st.composite
+def broken_packed_strings(draw, values):
+    """The packed form of ``values``, kept whole or broken: a character
+    outside the base64 alphabet, padding dropped or added, bytes cut or
+    added so the count is not whole float64 values, values added or
+    dropped, or one value made NaN or infinite."""
+    kind = draw(
+        st.sampled_from(["whole", "alphabet", "padding", "bytes", "count", "non_finite"])
+    )
+    text = packed(values)
+    if kind == "alphabet":
+        at = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from(["!", "-", "_", ".", " ", "\n", "\u00e9", "="]))
+        return text[:at] + char + text[at + 1 :]
+    if kind == "padding":
+        return draw(st.sampled_from([text.rstrip("="), text + "=", text + "==", "=" + text]))
+    if kind == "bytes":
+        raw = np.asarray(values, dtype="<f8").tobytes()
+        cut = draw(st.integers(1, 7))
+        raw = draw(st.sampled_from([raw[:-cut], raw + bytes(cut)]))
+        return base64.b64encode(raw).decode("ascii")
+    if kind == "count":
+        return packed(draw(st.lists(st.sampled_from([0.5, 1.0]), max_size=6)))
+    if kind == "non_finite":
+        values = list(values)
+        values[draw(st.integers(0, len(values) - 1))] = draw(
+            st.sampled_from([float("nan"), float("inf"), -float("inf")])
+        )
+        return packed(values)
+    return text
+
+
 # numbers near the records' own, which often leave a record valid but odd
 NEAR_NUMBERS = st.integers(-2, 60) | st.floats(-60.0, 60.0)
 JSON_VALUES = NEAR_NUMBERS | st.recursive(
@@ -257,14 +306,22 @@ JSON_VALUES = NEAR_NUMBERS | st.recursive(
 def mutated_detection_files(draw):
     """The fuzz records as detection-file lines, one of them mutated: a value
     replaced or deleted at any depth, the line cut short, one character
-    replaced, or a feature-map record given a new box size (0 to 9 per side)
+    replaced, a feature-map record given a new box size (0 to 9 per side)
     and a new grid (``gh``, ``gw`` and ``c`` from -1 to 3) with as many
-    values as the grid declares."""
+    values as the grid declares, or every array packed and one of the
+    packed strings broken."""
     records = fuzz_records()
     index = draw(st.integers(0, len(records) - 1))
     rec = records[index]
-    kind = draw(st.sampled_from(["replace", "delete", "truncate", "character", "grid"]))
-    if kind == "grid":
+    kind = draw(
+        st.sampled_from(["replace", "delete", "truncate", "character", "grid", "packed"])
+    )
+    if kind == "packed":
+        owner, key = array_field(rec)
+        broken = draw(broken_packed_strings(owner[key]))
+        pack_records(records)
+        owner[key] = broken
+    elif kind == "grid":
         index = 2 * draw(st.integers(0, len(records) // 2 - 1)) + 1
         gh, gw, c = (draw(st.integers(-1, 3)) for _ in range(3))
         records[index]["bbox"][2:] = [draw(st.integers(0, 9)), draw(st.integers(0, 9))]
@@ -296,6 +353,16 @@ class TestTrackFuzz:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(["track", str(path), "--out", str(tmp_path / "out")]) == 0
         assert "fuzz: 2 tracks, 10 masks" in out.getvalue()
+
+    def test_packed_records_track_as_the_listed_ones(self, tmp_path):
+        outputs = []
+        for name, records in [("lists", fuzz_records()), ("packed", pack_records(fuzz_records()))]:
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(fuzz_text(records))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["track", str(path), "--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name / "fuzz.txt").read_text())
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 11
 
     @given(mutated_detection_files())
     def test_mutated_detection_line_exits_0_or_names_file_and_line(self, text):
@@ -329,7 +396,7 @@ def fuzz_result_lines():
 
 # field values near the records' own, and ones no reader should accept
 RESULT_FIELDS = st.sampled_from(
-    ["", "0", "1", "2", "3", "-1", "1001", "2001", str(FUZZ_H), str(FUZZ_W), "1.5", "x",
+    ["", "0", "1", "2", "3", "7", "-1", "1001", "2001", str(FUZZ_H), str(FUZZ_W), "1.5", "x",
      "1_0", "+2", "9" * 30, "0" + str(FUZZ_H), "PS0", "o@3", "\x7f"]
 ) | st.integers(-2, 60).map(str)
 
@@ -396,3 +463,84 @@ class TestEvalFuzz:
         assert code in (0, 1)
         if code == 1:
             assert re.match(rf"error: {re.escape(broken)}:\d+: ", err.getvalue()), err.getvalue()
+
+
+# values no config key should take quietly, and some each key takes
+CONFIG_VALUES = st.sampled_from(
+    ["", "nan", "NaN", "inf", "-inf", "true", "false", "yes", "no", "0", "1", "-1", "-0.5",
+     "0.5", "3", "1e308", "-1e308", "1e-320", "9" * 30, "9" * 5000, "1_0", "0x10", " 2 ",
+     "auto", "static", "moving", "sideways"]
+) | st.floats().map(repr) | st.integers(-(10**6), 10**20).map(str)
+
+
+@st.composite
+def mutated_config_files(draw):
+    """Every config key at its default, one line mutated: an unknown key
+    added, the ``=`` dropped, the value replaced, a byte past ASCII put in,
+    or one character replaced."""
+    lines = [line.encode("ascii") for line in dump_config(PipelineConfig()).splitlines()]
+    index = draw(st.integers(0, len(lines) - 1))
+    key, value = lines[index].split(b"=", 1)
+    kind = draw(st.sampled_from(["unknown", "no_equals", "value", "non_ascii", "character"]))
+    if kind == "unknown":
+        name = draw(st.sampled_from(["tracker.nope", "reid.beta4", "TRACKER.FPS", "tracker..fps"]))
+        lines.insert(index, name.encode("ascii") + b"=1")
+    elif kind == "no_equals":
+        lines[index] = draw(st.sampled_from([key, key + value, key + b" " + value]))
+    elif kind == "value":
+        lines[index] = key + b"=" + draw(CONFIG_VALUES).encode("ascii")
+    elif kind == "non_ascii":
+        at = draw(st.integers(0, len(lines[index])))
+        byte = bytes([draw(st.integers(0x80, 0xFF))])
+        lines[index] = lines[index][:at] + byte + lines[index][at:]
+    else:
+        at = draw(st.integers(0, len(lines[index]) - 1))
+        char = draw(st.characters(codec="ascii")).encode("ascii")
+        lines[index] = lines[index][:at] + char + lines[index][at + 1 :]
+    return b"\n".join(lines) + b"\n"
+
+
+class TestConfigFuzz:
+    def test_default_config_tracks_cleanly(self, tmp_path):
+        path, cfg = tmp_path / "dets.jsonl", tmp_path / "default.cfg"
+        path.write_text(fuzz_text(fuzz_records()))
+        cfg.write_text(dump_config(PipelineConfig()))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            args = ["track", str(path), "--config", str(cfg), "--out", str(tmp_path / "out")]
+            assert cli.main(args) == 0
+        assert "fuzz: 2 tracks, 10 masks" in out.getvalue()
+
+    @given(mutated_config_files())
+    def test_mutated_config_line_exits_0_or_names_file(self, content):
+        """However a config line is broken, ``track`` either runs or exits 1
+        with an ``error:`` line naming the config file, and its line when one
+        line is at fault; it never raises."""
+        track_with_config(content)
+
+    def test_every_key_takes_each_edge_value_or_names_file_and_line(self):
+        """Each key set to each of the values most likely to slip past a
+        range check, one key per file."""
+        keys = [line.split("=")[0] for line in dump_config(PipelineConfig()).splitlines()]
+        for key in keys:
+            for value in ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-1", "0",
+                          "9" * 30, "9" * 5000, "true"]:
+                track_with_config(f"{key}={value}\n".encode("ascii"))
+
+
+def track_with_config(content: bytes):
+    """Run ``track`` on the fuzz records under a config file holding
+    ``content``: it exits 0, or exits 1 with an ``error:`` line naming the
+    config file, and the line when one line is at fault."""
+    with tempfile.TemporaryDirectory() as work:
+        path, cfg = os.path.join(work, "dets.jsonl"), os.path.join(work, "run.cfg")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(fuzz_text(fuzz_records()))
+        with open(cfg, "wb") as fh:
+            fh.write(content)
+        err = io.StringIO()
+        args = ["track", path, "--config", cfg, "--out", os.path.join(work, "out")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(args)
+    assert code in (0, 1), content
+    if code == 1:
+        assert re.match(rf"error: {re.escape(cfg)}:(\d+:)? ", err.getvalue()), err.getvalue()

@@ -1,11 +1,14 @@
+import base64
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from helpers import IMG_H, IMG_W, make_det, make_meta, make_tracklet, unit
+from helpers import IMG_H, IMG_W, make_det, make_meta, make_tracklet, packed, unit
 
 from masktrack.embedding import instance_aware_pool, spatial_attention
 from masktrack.errors import ParseError, ShapeMismatch
@@ -153,7 +156,15 @@ class TestLoadDetections:
             ("embedding", [1.0, float("nan")]),
             ("embedding", [float("inf"), 0.0]),
             ("embedding", ["a", 0.0]),
+            ("embedding", ["0.5", 0.0]),
+            ("embedding", [True, 0.0]),
+            ("embedding", [[1.0, 0.0]]),
+            ("embedding", 1.0),
+            ("embedding", [10**400, 0.0]),
             ("feature_map", {"gh": 1, "gw": 1, "c": 2, "values": [0.5, float("nan")]}),
+            ("feature_map", {"gh": 1, "gw": 1, "c": 2, "values": ["0.25", 0.5]}),
+            ("feature_map", {"gh": 1, "gw": 1, "c": 2, "values": [False, 0.5]}),
+            ("feature_map", {"gh": 1, "gw": 1, "c": 2, "values": [[0.25, 0.5]]}),
         ],
         ids=[
             "fractional_frame",
@@ -165,7 +176,15 @@ class TestLoadDetections:
             "nan_embedding",
             "inf_embedding",
             "text_embedding",
+            "numeric_text_embedding",
+            "bool_embedding",
+            "nested_embedding",
+            "scalar_embedding",
+            "huge_integer_embedding",
             "nan_feature_map",
+            "numeric_text_feature_map",
+            "bool_feature_map",
+            "nested_feature_map",
         ],
     )
     def test_bad_value_rejected_with_line(self, tmp_path, field, value):
@@ -251,6 +270,13 @@ class TestLoadDetections:
         _, by_frame = load_detections(str(path))
         assert by_frame[1][0].feature_map.shape == (1, 1, 1024)
 
+    def test_overlong_integer_reports_line(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        line = det_line().replace('"frame": 1', '"frame": 1' + "0" * 5000)
+        path.write_text(header_line() + "\n" + line + "\n")
+        with pytest.raises(ParseError, match=r"dets\.jsonl:2: invalid JSON"):
+            load_detections(str(path))
+
     def test_write_then_load_round_trip(self, tmp_path):
         meta = make_meta()
         rng = np.random.default_rng(50)
@@ -288,6 +314,133 @@ class TestLoadDetections:
             assert read.feature_map is not None
             np.testing.assert_array_equal(read.feature_map, built.feature_map)
             np.testing.assert_array_equal(read.embedding, built.embedding)
+
+
+def unpack(text: str) -> list[float]:
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").tolist()
+
+
+# values every float64 array must carry through a file bit for bit
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 1e308, -1e308, 1 / 3])
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+
+
+@st.composite
+def feature_sequences(draw):
+    """A detection with a (gh, gw, c) map, from 1x1x1 to 7x7x64, and one
+    with a c-channel embedding, both of edge-heavy finite values."""
+    gh, gw, c = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 64))
+    fmap = draw(arrays(np.float64, (gh, gw, c), elements=FINITE_FLOATS))
+    emb = draw(arrays(np.float64, (c,), elements=FINITE_FLOATS))
+    box = BBox(10.0, 12.0, 14.0, 22.0)
+    mask = rect_mask(IMG_H, IMG_W, box)
+    with np.errstate(all="ignore"):  # pooling 1e308 may overflow; the bits still compare
+        return {
+            1: [Detection(1, PEDESTRIAN, 0.9, box, mask, feature_map=fmap)],
+            2: [Detection(2, PEDESTRIAN, 0.8, box, mask, embedding=emb)],
+        }
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPackedArrays:
+    def test_writer_packs_little_endian_float64_in_c_order(self, tmp_path):
+        fmap = np.arange(12, dtype=float).reshape(2, 2, 3) - 5.5
+        box = BBox(10.0, 12.0, 14.0, 22.0)
+        det = Detection(1, PEDESTRIAN, 0.9, box, rect_mask(IMG_H, IMG_W, box), feature_map=fmap)
+        path = tmp_path / "dets.jsonl"
+        write_detections(make_meta(), {1: [det]}, str(path))
+        rec = json.loads(path.read_text().splitlines()[1])
+        assert rec["feature_map"] == {"gh": 2, "gw": 2, "c": 3, "values": packed(fmap.ravel())}
+        assert packed([1.0]) == "AAAAAAAA8D8="  # 0x3FF0000000000000, least significant byte first
+
+    @settings(max_examples=60)
+    @given(feature_sequences())
+    def test_write_then_load_is_bit_identical(self, by_frame):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "dets.jsonl")
+            write_detections(make_meta(), by_frame, path)
+            with np.errstate(all="ignore"):
+                _, loaded = load_detections(path)
+        for frame, dets in by_frame.items():
+            built, read = dets[0], loaded[frame][0]
+            assert same_bits(read.embedding, built.embedding)
+            if built.feature_map is not None:
+                assert same_bits(read.feature_map, built.feature_map)
+
+    def test_list_and_packed_forms_load_bit_equal(self, tmp_path):
+        rng = np.random.default_rng(53)
+        by_frame = {}
+        for f in (1, 2, 4):
+            box = BBox(float(rng.integers(0, 150)), float(rng.integers(0, 90)), 12.0, 22.0)
+            mask = rect_mask(IMG_H, IMG_W, box)
+            fmap = rng.normal(size=(3, 2, 5)) * 10.0 ** rng.integers(-150, 150, size=(3, 2, 5))
+            by_frame[f] = [
+                Detection(f, PEDESTRIAN, 0.9, box, mask, feature_map=fmap),
+                Detection(f, PEDESTRIAN, 0.7, box, mask, embedding=rng.normal(size=5)),
+            ]
+        as_packed = tmp_path / "packed.jsonl"
+        write_detections(make_meta(), by_frame, str(as_packed))
+        header, *lines = as_packed.read_text().splitlines()
+        listed = []
+        for line in lines:
+            rec = json.loads(line)
+            if "embedding" in rec:
+                rec["embedding"] = unpack(rec["embedding"])
+            else:
+                rec["feature_map"]["values"] = unpack(rec["feature_map"]["values"])
+            listed.append(json.dumps(rec))
+        as_lists = tmp_path / "lists.jsonl"
+        as_lists.write_text("\n".join([header, *listed]) + "\n")
+        _, from_packed = load_detections(str(as_packed))
+        _, from_lists = load_detections(str(as_lists))
+        for f in by_frame:
+            for a, b in zip(from_packed[f], from_lists[f]):
+                assert same_bits(a.embedding, b.embedding)
+                assert (a.feature_map is None) == (b.feature_map is None)
+                if a.feature_map is not None:
+                    assert same_bits(a.feature_map, b.feature_map)
+
+    @pytest.mark.parametrize(
+        "field, text, named",
+        [
+            ("embedding", packed([1.0, 0.0])[:-1] + "!", "bad embedding"),
+            ("embedding", packed([1.0, 0.0]).rstrip("="), "bad embedding"),
+            ("embedding", packed([1.0, 0.0]) + "=", "bad embedding"),
+            ("embedding", " " + packed([1.0, 0.0]), "bad embedding"),
+            ("embedding", base64.b64encode(b"\0" * 12).decode(), "12 packed bytes"),
+            ("embedding", "", "embedding is empty"),
+            ("embedding", packed([1.0, float("nan")]), "non-finite embedding"),
+            ("values", packed([0.5, float("inf")]), "non-finite feature_map"),
+            ("values", packed([0.5, 0.5, 0.5]), "3 values, expected 2"),
+            ("values", packed([0.5])[:-1] + "\u00e9", "bad feature_map"),
+        ],
+        ids=[
+            "bad_alphabet",
+            "missing_padding",
+            "extra_padding",
+            "leading_space",
+            "partial_value",
+            "empty",
+            "nan_bytes",
+            "inf_bytes",
+            "count_not_grid",
+            "non_ascii",
+        ],
+    )
+    def test_bad_packed_string_rejected_with_line(self, tmp_path, field, text, named):
+        rec = json.loads(det_line())
+        if field == "values":
+            del rec["embedding"]
+            rec["feature_map"] = {"gh": 1, "gw": 1, "c": 2, "values": text}
+        else:
+            rec["embedding"] = text
+        path = tmp_path / "dets.jsonl"
+        path.write_text(header_line() + "\n" + det_line() + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=rf"dets\.jsonl:3: .*{named}"):
+            load_detections(str(path))
 
 
 class TestResults:
@@ -368,6 +521,26 @@ class TestResults:
         path = tmp_path / "r.txt"
         path.write_text("1 2001 2 2 2 o\n")  # truncated continuation
         with pytest.raises(ParseError, match=r"r\.txt:1: token truncated"):
+            read_results(str(path))
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("1_0 2001 2 2 2 04", "non-integer field"),
+            ("+2 2001 2 2 2 04", "non-integer field"),
+            ("-1 2001 2 2 2 04", "non-integer field"),
+            ("1 2001 2 2 -2 04", "non-integer field"),
+            ("1 2001 7 2 2 04", "unknown class_id 7"),
+            ("1 2001 0 2 2 04", "unknown class_id 0"),
+            ("1 " + "9" * 5000 + " 2 2 2 04", "integer field too long"),
+        ],
+        ids=["underscore", "plus_sign", "minus_sign", "negative_width", "class_7", "class_0",
+             "overlong"],
+    )
+    def test_read_refuses_non_digit_integer_or_unknown_class(self, tmp_path, line, named):
+        path = tmp_path / "r.txt"
+        path.write_text("1 2001 2 2 2 04\n" + line + "\n")
+        with pytest.raises(ParseError, match=rf"r\.txt:2: {named}"):
             read_results(str(path))
 
     def test_read_rejects_short_line(self, tmp_path):

@@ -8,6 +8,7 @@ from masktrack.errors import ParseError, ShapeMismatch
 from masktrack.geometry import (
     BBox,
     BinaryMask,
+    _cut,
     bbox_iou,
     cannot_overlap,
     mask_intersection_area,
@@ -224,6 +225,19 @@ class TestMaskIou:
         assert got == mask_iou(m2, m1)
         assert mask_intersection_area(m2, m1) == inter
         assert 0.0 <= got <= 1.0
+
+
+class TestCut:
+    @given(grid_pairs(max_side=31))
+    def test_segments_end_where_either_mask_has_a_run_end(self, pair):
+        """The merged run ends are the sorted union of both masks' run ends,
+        as ``np.union1d`` gives it, and each segment carries both masks' values."""
+        a, b = (rle_encode(g) for g in pair)
+        lengths, in_a, in_b = _cut(a, b)
+        np.testing.assert_array_equal(np.cumsum(lengths), np.union1d(a.run_ends, b.run_ends))
+        for grid, flags in zip(pair, (in_a, in_b)):
+            pixels = np.repeat(flags, lengths)
+            np.testing.assert_array_equal(pixels, grid.ravel(order="F"))
 
 
 @st.composite
