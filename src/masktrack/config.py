@@ -40,9 +40,17 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
+def _plain(raw: str) -> str:
+    """``raw``, or ValueError for what ``int()`` and ``float()`` accept but a
+    config number is not: a ``_`` digit separator or a leading ``+``."""
+    if "_" in raw or raw.startswith("+"):
+        raise ValueError(raw)
+    return raw
+
+
 def _parse_float(key: str, raw: str) -> float:
     try:
-        value = float(raw)
+        value = float(_plain(raw))
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
     if not math.isfinite(value):
@@ -52,7 +60,7 @@ def _parse_float(key: str, raw: str) -> float:
 
 def _parse_int(key: str, raw: str) -> int:
     try:
-        return int(raw)
+        return int(_plain(raw))
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
 
@@ -154,10 +162,12 @@ def _set(cfg: PipelineConfig, path: tuple, value):
 def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
     """Parse key=value lines into a validated configuration.
 
-    A bad line raises ConfigError naming ``source`` and the line.
+    Lines end at ``\\n`` only, as in :func:`formats.text_lines`, so a form
+    feed or ``\\x85`` does not start a line. A bad line raises ConfigError
+    naming ``source`` and the line.
     """
     cfg = PipelineConfig()
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
+    for lineno, rawline in enumerate(text.split("\n"), start=1):
         line = rawline.strip()
         if not line or line.startswith("#"):
             continue

@@ -15,17 +15,40 @@ mask is empty, the masks share no pixel, so IOU and intersection area are
 zero without a cut. The test is exact; it never rules out a pair that
 touches. :func:`may_overlap` is the same test over two lists of masks at
 once, one broadcast over their extent arrays.
+
+Building a mask coerces its fields with ``operator.index`` (a float or a
+str is refused) and checks the run list with ``min``, ``in`` and ``sum``;
+only a run list that fails is walked, to name the bad index. The compressed
+token codec (:func:`rle_from_string`, :func:`rle_to_string`) has no loop
+per character: a token is checked with one regex search, its one-character
+values are read through a translation table into a signed-byte array, only
+longer values are decoded in Python, and the delta chains are undone with
+``itertools.accumulate``. Encoding looks the characters of each small delta
+up in a table. Non-canonical tokens, with needless continuation characters,
+decode as the shortest form would.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import ParseError, ShapeMismatch
+
+
+def _integer(value, what: str) -> int:
+    """``operator.index(value)``: an int or numpy integer, never a float or str."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ShapeMismatch(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -43,15 +66,22 @@ class BinaryMask:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "height", _integer(self.height, "mask height"))
+        object.__setattr__(self, "width", _integer(self.width, "mask width"))
         if self.height <= 0 or self.width <= 0:
             raise ShapeMismatch(f"mask dims must be positive, got {self.height}x{self.width}")
-        counts = tuple(int(c) for c in self.counts)
+        try:
+            counts = tuple(map(operator.index, self.counts))
+        except TypeError:  # name the first run that is not an integer
+            counts = tuple(_integer(c, f"run length at index {i}") for i, c in enumerate(self.counts))
         object.__setattr__(self, "counts", counts)
-        for i, c in enumerate(counts):
-            if c < 0:
-                raise ShapeMismatch(f"negative run length {c} at index {i}")
-            if c == 0 and i > 0:
-                raise ShapeMismatch(f"zero-length run at index {i} (non-canonical)")
+        if min(counts, default=0) < 0 or 0 in counts[1:]:
+            # name the first bad run
+            for i, c in enumerate(counts):
+                if c < 0:
+                    raise ShapeMismatch(f"negative run length {c} at index {i}")
+                if c == 0 and i > 0:
+                    raise ShapeMismatch(f"zero-length run at index {i} (non-canonical)")
         total = sum(counts)
         if total != self.height * self.width:
             raise ShapeMismatch(f"counts sum {total} != {self.height}*{self.width}")
@@ -150,48 +180,81 @@ def rle_encode(grid: np.ndarray) -> BinaryMask:
 # character, low bits first, bit 6 as the continuation flag, all offset by 48
 # so tokens stay printable ASCII. Negative deltas rely on sign extension.
 
-def rle_to_string(mask: BinaryMask) -> str:
-    """Serialize run lengths to the compact printable token."""
-    counts = mask.counts
+_BAD_CHAR = re.compile(r"[^0-o]")
+# a value of two or more characters: continuation characters, then a last one
+_LONG_VALUE = re.compile(rb"[P-o]+[0-O]")
+# the value of each character that ends a value, '0'..'O', as a signed byte
+_SHORT_VALUES = bytes.maketrans(
+    bytes(range(48, 80)), bytes((c - 32 if c & 0x10 else c) & 0xFF for c in range(32))
+)
+
+
+def _encode_value(x: int) -> str:
     out = []
-    for i, c in enumerate(counts):
-        x = c - counts[i - 2] if i > 2 else c
-        more = True
-        while more:
-            chunk = x & 0x1F
-            x >>= 5
-            more = (x != -1) if (chunk & 0x10) else (x != 0)
-            if more:
-                chunk |= 0x20
-            out.append(chr(chunk + 48))
+    more = True
+    while more:
+        chunk = x & 0x1F
+        x >>= 5
+        more = (x != -1) if (chunk & 0x10) else (x != 0)
+        if more:
+            chunk |= 0x20
+        out.append(chr(chunk + 48))
     return "".join(out)
 
 
+def _decode_value(chars: bytes) -> int:
+    x = 0
+    for shift, c in zip(range(0, 5 * len(chars), 5), chars):
+        x |= ((c - 48) & 0x1F) << shift
+    if (chars[-1] - 48) & 0x10:
+        x -= 1 << (5 * len(chars))
+    return x
+
+
+class _Codes(dict):
+    """The characters of every value below 2**9 in magnitude, which is nearly
+    every delta; a larger value is encoded when it is looked up, not kept."""
+
+    def __missing__(self, x: int) -> str:
+        return _encode_value(x)
+
+
+_CODES = _Codes((x, _encode_value(x)) for x in range(1 - (1 << 9), 1 << 9))
+
+
+def rle_to_string(mask: BinaryMask) -> str:
+    """Serialize run lengths to the compact printable token."""
+    counts = mask.counts
+    deltas = map(operator.sub, counts[3:], counts[1:])
+    return "".join(map(_CODES.__getitem__, chain(counts[:3], deltas)))
+
+
 def rle_from_string(token: str, height: int, width: int) -> BinaryMask:
-    """Parse a compact token back into a mask of the given dimensions."""
-    counts: list[int] = []
-    pos = 0
-    n = len(token)
-    while pos < n:
-        x = 0
-        shift = 0
-        more = True
-        while more:
-            if pos >= n:
-                raise ParseError(f"token truncated at character {pos}")
-            chunk = ord(token[pos]) - 48
-            if chunk < 0 or chunk > 63:
-                raise ParseError(f"invalid character {token[pos]!r} at {pos}")
-            x |= (chunk & 0x1F) << shift
-            more = bool(chunk & 0x20)
-            pos += 1
-            shift += 5
-            if not more and (chunk & 0x10):
-                x |= -1 << shift
-        if len(counts) > 2:
-            x += counts[-2]
-        counts.append(x)
-    return BinaryMask(height, width, tuple(counts))
+    """Parse a compact token back into a mask of the given dimensions.
+
+    A non-canonical value (``"P0"`` for 0) decodes like any other.
+    """
+    bad = _BAD_CHAR.search(token)
+    if bad:
+        raise ParseError(f"invalid character {bad.group()!r} at {bad.start()}")
+    if token[-1:] >= "P":
+        raise ParseError(f"token truncated at character {len(token)}")
+    raw = token.encode("ascii")
+    values = array("b", raw.translate(_SHORT_VALUES))
+    spans = [m.span() for m in _LONG_VALUE.finditer(raw)]
+    if spans:
+        short, values, prev = values, [], 0
+        for start, end in spans:
+            values += short[prev:start]
+            values.append(_decode_value(raw[start:end]))
+            prev = end
+        values += short[prev:]
+    # undo the delta coding: the odd counts and the even ones from the third
+    # are running sums of their own chain
+    counts = list(values)
+    counts[1::2] = accumulate(values[1::2])
+    counts[2::2] = accumulate(values[2::2])
+    return BinaryMask(height, width, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +349,7 @@ def _from_segments(height: int, width: int, fg: np.ndarray, lengths: np.ndarray)
     fg = np.concatenate(([False], fg[keep]))
     lengths = np.concatenate(([0], lengths[keep]))
     starts = np.concatenate(([0], np.flatnonzero(fg[1:] != fg[:-1]) + 1))
-    return BinaryMask(height, width, tuple(np.add.reduceat(lengths, starts).tolist()))
+    return BinaryMask(height, width, np.add.reduceat(lengths, starts).tolist())
 
 
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
@@ -374,4 +437,4 @@ def rect_mask(height: int, width: int, box: BBox) -> BinaryMask:
     tail = (width - x1) * height + height - y1
     if tail:
         counts.append(tail)
-    return BinaryMask(height, width, tuple(counts))
+    return BinaryMask(height, width, counts)

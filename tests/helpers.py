@@ -1,4 +1,4 @@
-"""Small builders and oracles shared by the tracking-level tests."""
+"""Small builders and oracles shared by the tests."""
 
 import base64
 from itertools import permutations
@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 
 from masktrack.embedding import FeatureBank, bank_update
+from masktrack.errors import ParseError
 from masktrack.formats import SequenceMeta
 from masktrack.geometry import BBox, rect_mask
 from masktrack.tracker import PEDESTRIAN, Detection, Observation, Tracklet
@@ -74,3 +75,48 @@ def make_tracklet(track_id, positions, emb, class_id=PEDESTRIAN, score=0.9, w=10
         obs.append(Observation(frame, box, rect_mask(IMG_H, IMG_W, box), score))
         bank = bank_update(bank, np.asarray(emb, dtype=float), frame)
     return Tracklet(track_id, class_id, obs, bank)
+
+
+def token_counts(token: str) -> list[int]:
+    """The run lengths a mask token holds, read one character at a time: the
+    oracle for ``geometry.rle_from_string``, raising its ParseErrors."""
+    counts: list[int] = []
+    pos = 0
+    n = len(token)
+    while pos < n:
+        x = 0
+        shift = 0
+        more = True
+        while more:
+            if pos >= n:
+                raise ParseError(f"token truncated at character {pos}")
+            chunk = ord(token[pos]) - 48
+            if chunk < 0 or chunk > 63:
+                raise ParseError(f"invalid character {token[pos]!r} at {pos}")
+            x |= (chunk & 0x1F) << shift
+            more = bool(chunk & 0x20)
+            pos += 1
+            shift += 5
+            if not more and (chunk & 0x10):
+                x |= -1 << shift
+        if len(counts) > 2:
+            x += counts[-2]
+        counts.append(x)
+    return counts
+
+
+def counts_token(counts) -> str:
+    """The token of a run list, written one value and character at a time:
+    the oracle for ``geometry.rle_to_string``."""
+    out = []
+    for i, c in enumerate(counts):
+        x = c - counts[i - 2] if i > 2 else c
+        more = True
+        while more:
+            chunk = x & 0x1F
+            x >>= 5
+            more = (x != -1) if (chunk & 0x10) else (x != 0)
+            if more:
+                chunk |= 0x20
+            out.append(chr(chunk + 48))
+    return "".join(out)

@@ -526,11 +526,25 @@ class TestConfigFuzz:
                           "9" * 30, "9" * 5000, "true"]:
                 track_with_config(f"{key}={value}\n".encode("ascii"))
 
+    def test_digit_separator_or_plus_sign_named_with_line(self):
+        """``int()`` and ``float()`` take ``1_0`` and ``+1``; no key does."""
+        keys = [line.split("=")[0] for line in dump_config(PipelineConfig()).splitlines()]
+        for key in keys:
+            for value in ["1_0", "+1", "0_5", "+0.5"]:
+                code, err = track_with_config(f"# run\n{key}={value}\n".encode("ascii"))
+                assert code == 1 and "run.cfg:2: " + key in err, (key, value, err)
 
-def track_with_config(content: bytes):
+    @pytest.mark.parametrize("sep", [b"\x0c", b"\x85"])
+    def test_line_break_other_than_newline_named_at_its_line(self, sep):
+        code, err = track_with_config(b"# run\nreid.beta3=0.7" + sep + b"reid.beta3=1.5\n")
+        assert code == 1 and "run.cfg:2: " in err, err
+
+
+def track_with_config(content: bytes) -> tuple[int, str]:
     """Run ``track`` on the fuzz records under a config file holding
     ``content``: it exits 0, or exits 1 with an ``error:`` line naming the
-    config file, and the line when one line is at fault."""
+    config file, and the line when one line is at fault. Returns the exit
+    code and what went to stderr."""
     with tempfile.TemporaryDirectory() as work:
         path, cfg = os.path.join(work, "dets.jsonl"), os.path.join(work, "run.cfg")
         with open(path, "w", encoding="ascii") as fh:
@@ -544,3 +558,4 @@ def track_with_config(content: bytes):
     assert code in (0, 1), content
     if code == 1:
         assert re.match(rf"error: {re.escape(cfg)}:(\d+:)? ", err.getvalue()), err.getvalue()
+    return code, err.getvalue()

@@ -110,6 +110,36 @@ class TestValidation:
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"{key}={raw}\n")
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("tracker.bank_size", "1_0"),
+            ("tracker.bank_size", "+2"),
+            ("reid.beta1", "0_5"),
+            ("reid.beta1", "+0.5"),
+            ("reid.beta1", "+0_5e-1"),
+        ],
+    )
+    def test_digit_separator_and_plus_sign_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=rf"run\.cfg:2: {key}: expected an? "):
+            parse_config_text(f"# run\n{key}={raw}\n", source="run.cfg")
+
+    def test_exponent_sign_and_minus_still_parse(self):
+        cfg = parse_config_text("filter.min_box_area=1e+2\nreid.beta1=5e-1\n")
+        assert cfg.filters.min_box_area == 100.0 and cfg.reid.beta1 == 0.5
+        # a minus sign parses, and the range check refuses the value
+        with pytest.raises(ConfigError, match="must be >= 1, got -3"):
+            parse_config_text("tracker.bank_size=-3\n")
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+    def test_lines_end_at_newline_only(self, sep):
+        # the separator does not end the line, so both settings are one value
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: reid\.beta3: expected a number"):
+            parse_config_text(f"# run\nreid.beta3=0.7{sep}reid.beta3=1.5\n", source="run.cfg")
+
+    def test_crlf_lines_still_parse(self):
+        assert parse_config_text("reid.beta1=0.25\r\nreid.beta2=0.5\r\n").reid.beta2 == 0.5
+
 
 class TestRoundTrip:
     def test_dump_parse_identity_on_defaults(self):

@@ -83,6 +83,16 @@ class TestLoadDetections:
         with pytest.raises(ShapeMismatch, match=":2"):
             load_detections(str(path))
 
+    @pytest.mark.parametrize(
+        "token, named",
+        [("0o", "token truncated at character 2"), ("0\u00e94", "invalid character 'é' at 1")],
+    )
+    def test_bad_token_named_with_line(self, tmp_path, token, named):
+        path = tmp_path / "dets.jsonl"
+        path.write_text(header_line() + "\n" + det_line(counts=token) + "\n")
+        with pytest.raises(ParseError, match=rf"dets\.jsonl:2: {named}"):
+            load_detections(str(path))
+
     def test_wrong_mask_dims(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         rec = json.loads(det_line())
@@ -521,6 +531,12 @@ class TestResults:
         path = tmp_path / "r.txt"
         path.write_text("1 2001 2 2 2 o\n")  # truncated continuation
         with pytest.raises(ParseError, match=r"r\.txt:1: token truncated"):
+            read_results(str(path))
+
+    def test_read_names_the_bad_character_and_line(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("1 2001 2 2 2 04\n2 2001 2 2 2 0{4\n")
+        with pytest.raises(ParseError, match=r"r\.txt:2: invalid character '\{' at 1"):
             read_results(str(path))
 
     @pytest.mark.parametrize(

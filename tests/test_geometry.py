@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from helpers import counts_token, token_counts
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from masktrack.errors import ParseError, ShapeMismatch
+from masktrack.errors import MaskTrackError, ParseError, ShapeMismatch
 from masktrack.geometry import (
     BBox,
     BinaryMask,
@@ -85,6 +86,27 @@ def clipped_rects(draw, max_side=30):
     return h, w, BBox(x, y, bw, bh)
 
 
+# any text over '(' .. 'x', which holds every token character and some on
+# each side, plus a non-ASCII one; or only token characters, so more decode
+TOKEN_TEXT = st.text(st.characters(min_codepoint=40, max_codepoint=120) | st.just("é")) | st.text(
+    st.characters(min_codepoint=48, max_codepoint=111)
+)
+# runs small and large, so deltas cross 2**9 both ways, and past 2**64;
+# an empty tail leaves a lone background run
+_RUN = st.integers(1, 40) | st.integers(1, 5000) | st.integers(2**64, 2**66)
+CANONICAL_COUNTS = st.builds(lambda first, rest: [first, *rest], st.integers(0, 5000), st.lists(_RUN)).filter(
+    lambda c: sum(c) > 0
+)
+
+
+def outcome(build):
+    """``build()``, or the class and message of the MaskTrackError it raises."""
+    try:
+        return build()
+    except MaskTrackError as exc:
+        return type(exc), str(exc)
+
+
 class TestDecode:
     def test_all_background(self):
         grid = rle_decode(BinaryMask(2, 2, (4,)))
@@ -111,6 +133,34 @@ class TestDecode:
     def test_internal_zero_run_rejected(self):
         with pytest.raises(ShapeMismatch, match="zero-length run"):
             BinaryMask(2, 2, (2, 0, 2))
+
+    def test_first_bad_run_is_named(self):
+        with pytest.raises(ShapeMismatch, match="zero-length run at index 2"):
+            BinaryMask(2, 2, (1, 3, 0, -1))
+        with pytest.raises(ShapeMismatch, match="negative run length -1 at index 1"):
+            BinaryMask(2, 2, (1, -1, 0, 4))
+
+    @pytest.mark.parametrize(
+        "counts, index",
+        [((1.7, 3.2), 0), (("1", "3"), 0), ((1, 2.0, 1), 1), ((1, None, 3), 1)],
+    )
+    def test_non_integral_run_rejected(self, counts, index):
+        with pytest.raises(ShapeMismatch, match=f"run length at index {index} must be an integer"):
+            BinaryMask(1, 4, counts)
+
+    @pytest.mark.parametrize(
+        "dims, field",
+        [((2.0, 2), "height"), ((2, 2.0), "width"), (("2", 2), "height")],
+    )
+    def test_non_integral_dims_rejected(self, dims, field):
+        with pytest.raises(ShapeMismatch, match=f"mask {field} must be an integer"):
+            BinaryMask(*dims, (4,))
+
+    def test_numpy_integers_become_ints(self):
+        mask = BinaryMask(np.int64(2), np.int32(2), np.array([1, 3]))
+        assert mask == BinaryMask(2, 2, (1, 3))
+        assert type(mask.height) is int and type(mask.width) is int
+        assert all(type(c) is int for c in mask.counts)
 
 
 class TestEncode:
@@ -167,6 +217,10 @@ class TestStringCodec:
         with pytest.raises(ParseError, match="invalid character"):
             rle_from_string("\x1f", 2, 2)
 
+    def test_non_ascii_character_named(self):
+        with pytest.raises(ParseError, match="invalid character 'é' at 1"):
+            rle_from_string("0é4", 2, 2)
+
     def test_wrong_dims_after_decode(self):
         token = rle_to_string(BinaryMask(2, 2, (0, 4)))
         with pytest.raises(ShapeMismatch, match="counts sum"):
@@ -178,6 +232,41 @@ class TestStringCodec:
             mask = rle_encode(random_mask(rng))
             token = rle_to_string(mask)
             assert rle_from_string(token, mask.height, mask.width) == mask
+
+    def test_non_canonical_value_accepted(self):
+        # "P0" spells 0 with a needless continuation character
+        assert rle_from_string("P04", 2, 2).counts == (0, 4)
+        assert rle_from_string("PP04", 2, 2).counts == (0, 4)
+        assert rle_from_string("oP01", 8, 4).counts == (31, 1)  # "o01" written long
+
+    @given(TOKEN_TEXT, st.integers(1, 4))
+    @example("P04", 2)
+    @example("o01", 4)
+    @example("0\x7f", 1)
+    def test_decoder_matches_the_per_character_oracle(self, token, height):
+        """Any text decodes to the oracle's counts, or fails with its error
+        class and message."""
+        try:
+            counts = token_counts(token)
+        except ParseError as exc:
+            expected = (ParseError, str(exc))
+            height, width = 1, 1
+        else:
+            total = sum(counts)
+            if total <= 0 or total % height:
+                height = 1
+            width = max(total // height, 1)
+            expected = outcome(lambda: BinaryMask(height, width, counts).counts)
+        assert outcome(lambda: rle_from_string(token, height, width).counts) == expected
+
+    @given(CANONICAL_COUNTS)
+    @example([6])
+    @example([0, 2**64 + 5])
+    def test_encoder_matches_the_per_character_oracle(self, counts):
+        mask = BinaryMask(1, sum(counts), counts)
+        token = rle_to_string(mask)
+        assert token == counts_token(counts)
+        assert rle_from_string(token, 1, sum(counts)) == mask
 
 
 class TestMaskIou:
