@@ -3,7 +3,7 @@
 
 Every instance mask in this package is a column-major run-length encoding:
 a list of run lengths that alternates background/foreground, background
-first. All geometry (IOU, bounding boxes, set operations) works directly on
+first. All geometry (IOU, extents, set operations) works directly on
 the runs, so nothing here ever materializes a full image unless you ask.
 """
 
@@ -11,14 +11,13 @@ import numpy as np
 
 from masktrack import (
     BBox,
-    bbox_iou,
     mask_iou,
-    mask_to_bbox,
     rle_decode,
     rle_encode,
     rle_from_string,
     rle_to_string,
 )
+from masktrack.geometry import bbox_iou
 
 # A small blob in an 8x10 image.
 grid = np.zeros((8, 10), dtype=np.uint8)
@@ -44,9 +43,9 @@ assert rle_from_string(token, mask.height, mask.width) == mask
 shifted = rle_encode(np.roll(grid, 1, axis=1))
 print("IOU with a 1px-shifted copy:", round(mask_iou(mask, shifted), 4))
 
-# Tight bounding box, also from the runs.
-box = mask_to_bbox(mask)
-print("tight box (x, y, w, h):", (box.x, box.y, box.w, box.h))
+# The foreground extent, also from the runs: the first and last column and
+# row the mask covers (None for an empty mask).
+print("extent (col_min, col_max, row_min, row_max):", mask.extent)
 
 # Plain rectangle IOU for comparison.
 print(

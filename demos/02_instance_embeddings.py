@@ -10,14 +10,15 @@ the object rather than whatever the box happens to include.
 
 import numpy as np
 
-from masktrack import (
-    BBox,
+from masktrack import BBox, rle_encode
+from masktrack.embedding import (
+    FeatureBank,
+    bank_similarity,
+    bank_update,
     cosine_similarity,
     instance_aware_pool,
-    rle_encode,
     spatial_attention,
 )
-from masktrack.embedding import FeatureBank, bank_similarity, bank_update
 
 rng = np.random.default_rng(0)
 
@@ -55,6 +56,8 @@ for frame in range(1, 13):
     look = early_look if frame <= 5 else late_look
     bank = bank_update(bank, look + rng.normal(0, 0.05, 4), frame)
 
+# Queries go in as one (n, d) stack and come back as one similarity each.
+early_sim, late_sim = bank_similarity(bank, np.stack([early_look, late_look]))
 print("bank frames:", bank.frames)
-print("similarity to the early appearance:", round(bank_similarity(bank, early_look), 3))
-print("similarity to the late appearance: ", round(bank_similarity(bank, late_look), 3))
+print("similarity to the early appearance:", round(float(early_sim), 3))
+print("similarity to the late appearance: ", round(float(late_sim), 3))

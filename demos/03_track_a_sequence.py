@@ -17,13 +17,13 @@ from masktrack import (
     PipelineConfig,
     evaluate,
     format_report,
+    generate_files,
     load_detections,
     read_results,
     run_pipeline,
     scenario_clean,
     write_results,
 )
-from masktrack.synth import generate_files
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp)

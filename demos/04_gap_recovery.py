@@ -11,7 +11,15 @@ identity switch when the object resurfaces.
 
 from dataclasses import replace
 
-from masktrack import PipelineConfig, ablation_compare, format_report, scenario_detector_gaps
+from masktrack import (
+    PipelineConfig,
+    evaluate,
+    format_report,
+    generate,
+    run_pipeline,
+    scenario_detector_gaps,
+)
+from masktrack.formats import records_from_tracks
 
 base = PipelineConfig()
 no_retrieval = PipelineConfig(
@@ -24,7 +32,10 @@ spec = scenario_detector_gaps()
 print(f"{len(spec.dropouts)} detector gaps of lengths",
       [ev.length for ev in spec.dropouts], "frames\n")
 
-for label, report in ablation_compare(spec, [("retrieval on", base), ("retrieval off", no_retrieval)]):
+meta, dets_by_frame, gt_records = generate(spec)
+for label, cfg in [("retrieval on", base), ("retrieval off", no_retrieval)]:
+    tracks, _ = run_pipeline(meta, dets_by_frame, cfg)
+    report = evaluate(records_from_tracks(tracks, meta), gt_records)
     print(f"--- {label}")
     print(format_report(report))
     print()

@@ -20,11 +20,11 @@ from masktrack import (
     PipelineConfig,
     evaluate,
     format_report,
+    generate,
     run_pipeline,
     scenario_long_occlusions,
 )
 from masktrack.formats import records_from_tracks
-from masktrack.synth import generate
 
 base = PipelineConfig()
 no_merge = PipelineConfig(

@@ -9,7 +9,7 @@ barely moves the recovered motion.
 
 import numpy as np
 
-from masktrack import huber_fit, least_squares_fit
+from masktrack.regression import huber_fit
 
 rng = np.random.default_rng(7)
 
@@ -21,7 +21,8 @@ v = true_slope * t + true_intercept
 v[[16, 18]] *= 100.0
 
 huber_slope, huber_icpt = huber_fit(t, v, delta=1.0)
-ls_slope, ls_icpt = least_squares_fit(t, v)
+# ordinary least squares: the line minimizing the summed squared residuals
+ls_slope, ls_icpt = np.linalg.lstsq(np.stack([t, np.ones_like(t)], axis=1), v, rcond=None)[0]
 
 print(f"true line:          v = {true_slope:.3f} t + {true_intercept:.2f}")
 print(f"robust fit:         v = {huber_slope:.3f} t + {huber_icpt:.2f}")

@@ -6,18 +6,14 @@ retrieved by robust box extrapolation (tracker), long occlusions are healed
 offline by appearance plus motion consistency (reid), and near-duplicate
 tracks are pruned (postfilter). Synthetic scenarios with exact ground truth
 (synth) and mask-level accuracy metrics (metrics) close the loop.
+
+This package re-exports the user-level API listed in ``__all__``: running
+the pipeline, its config, the file formats, evaluation, the mask codec and
+the synthetic scenarios. Stage internals are imported from their own module,
+e.g. ``from masktrack.reid import candidate_pairs``.
 """
 
-from .assignment import INFEASIBLE, hungarian_solve
 from .config import PipelineConfig, dump_config, load_config, parse_config_text
-from .embedding import (
-    FeatureBank,
-    bank_similarity,
-    bank_update,
-    cosine_similarity,
-    instance_aware_pool,
-    spatial_attention,
-)
 from .formats import (
     ResultRecord,
     SequenceMeta,
@@ -30,32 +26,14 @@ from .formats import (
 from .geometry import (
     BBox,
     BinaryMask,
-    bbox_iou,
     mask_iou,
-    mask_to_bbox,
     rle_decode,
     rle_encode,
     rle_from_string,
     rle_to_string,
 )
-from .metrics import EvalReport, ablation_compare, evaluate, format_report
+from .metrics import EvalReport, evaluate, format_report
 from .pipeline import run_pipeline
-from .postfilter import (
-    FilterConfig,
-    dedup_tracks,
-    filter_detections,
-    prune_tracks,
-    trajectory_iou,
-)
-from .regression import huber_fit, least_squares_fit
-from .reid import (
-    ReidConfig,
-    candidate_pairs,
-    merge_pass,
-    motion_vector,
-    moving_merge_test,
-    static_merge_test,
-)
 from .synth import (
     ScenarioSpec,
     generate,
@@ -64,17 +42,41 @@ from .synth import (
     scenario_detector_gaps,
     scenario_long_occlusions,
 )
-from .tracker import (
-    CAR,
-    PEDESTRIAN,
-    Detection,
-    MaskTracker,
-    Track,
-    TrackerConfig,
-    Tracklet,
-    TrackState,
-    assignment_cost,
-    extrapolate_track,
-)
+from .tracker import CAR, PEDESTRIAN, Detection, Tracklet
+
+__all__ = [
+    "run_pipeline",
+    "PipelineConfig",
+    "load_config",
+    "parse_config_text",
+    "dump_config",
+    "load_detections",
+    "write_detections",
+    "read_results",
+    "write_results",
+    "render_overlays",
+    "evaluate",
+    "format_report",
+    "EvalReport",
+    "SequenceMeta",
+    "ResultRecord",
+    "Detection",
+    "Tracklet",
+    "CAR",
+    "PEDESTRIAN",
+    "BBox",
+    "BinaryMask",
+    "mask_iou",
+    "rle_encode",
+    "rle_decode",
+    "rle_to_string",
+    "rle_from_string",
+    "ScenarioSpec",
+    "generate",
+    "generate_files",
+    "scenario_clean",
+    "scenario_detector_gaps",
+    "scenario_long_occlusions",
+]
 
 __version__ = "0.1.0"

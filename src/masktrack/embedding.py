@@ -160,20 +160,18 @@ def bank_update(bank: FeatureBank, emb: np.ndarray, frame: int) -> FeatureBank:
     return merge_banks(bank, FeatureBank(bank.size, (frame,), row))
 
 
-def bank_similarity(bank: FeatureBank, queries: np.ndarray) -> float | np.ndarray:
+def bank_similarity(bank: FeatureBank, queries: np.ndarray) -> np.ndarray:
     """Maximum cosine similarity between each query and any bank row.
 
-    A 1-D query gives a float; an ``(n, d)`` stack of queries gives an
-    ``(n,)`` array, entry ``j`` equal to the float for query ``j`` alone.
+    ``queries`` is an ``(n, d)`` stack; the result is an ``(n,)`` array, entry
+    ``j`` equal to the one a stack of query ``j`` alone gives.
     """
     if len(bank) == 0:
         raise DegenerateInput("similarity against an empty feature bank")
     q = np.asarray(queries, dtype=float)
-    if q.ndim not in (1, 2):
-        raise ShapeMismatch(f"queries must be 1-D or (n, d), got shape {q.shape}")
-    rows = q.reshape(-1, q.shape[-1])
-    sims = _max_cosine(bank.rows, bank.sq_norms, rows, _sq_norms(rows))
-    return float(sims[0]) if q.ndim == 1 else sims
+    if q.ndim != 2:
+        raise ShapeMismatch(f"queries must be an (n, d) stack, got shape {q.shape}")
+    return _max_cosine(bank.rows, bank.sq_norms, q, _sq_norms(q))
 
 
 def bank_cross_similarity(a: FeatureBank, b: FeatureBank) -> float:

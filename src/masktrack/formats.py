@@ -21,6 +21,7 @@ import colorsys
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,9 @@ class SequenceMeta:
     camera_mode: str
 
     def __post_init__(self):
+        # the name is the stem of the files written for the sequence
+        if self.name in ("", ".", "..") or any(c in self.name for c in ("/", os.sep, "\0")):
+            raise ParseError(f"name: expected a plain file name, got {self.name!r}")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ParseError(f"sequence fps must be positive and finite, got {self.fps}")
         if self.img_h <= 0 or self.img_w <= 0:
@@ -140,40 +144,61 @@ def text_lines(path: str, encoding: str):
             yield lineno, line
 
 
-def _whole(value) -> int:
-    """``int(value)``, refusing a bool (true is not frame 1) and a float with
-    a fraction (2.7 is not frame 2)."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
+# The scalar checks of every JSON input, detection files and scenario specs
+# alike. Each returns the value and raises ParseError naming ``what``.
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def json_whole(value, what: str) -> int:
+    """A JSON integer, or a float with no fraction, as an int; never a bool,
+    a string or a fraction (2.7 is not frame 2)."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ParseError(f"{what}: expected a whole number, got {value!r}")
+
+
+def json_number(value, what: str) -> int | float:
+    """A JSON int or float within the float range, as given; never a bool or
+    a string."""
+    if type(value) in (int, float) and abs(value) <= _FLOAT_MAX:
+        return value
+    raise ParseError(f"{what}: expected a finite number, got {value!r}")
+
+
+def json_str(value, what: str) -> str:
+    """A JSON string."""
+    if type(value) is str:
+        return value
+    raise ParseError(f"{what}: expected a string, got {value!r}")
 
 
 def _parse_meta(obj, path, lineno) -> SequenceMeta:
     try:
         return SequenceMeta(
-            name=str(obj["name"]),
-            fps=float(obj["fps"]),
-            img_h=_whole(obj["img_h"]),
-            img_w=_whole(obj["img_w"]),
-            camera_mode=str(obj["camera_mode"]),
+            name=json_str(obj["name"], "name"),
+            fps=float(json_number(obj["fps"], "fps")),
+            img_h=json_whole(obj["img_h"], "img_h"),
+            img_w=json_whole(obj["img_w"], "img_w"),
+            camera_mode=json_str(obj["camera_mode"], "camera_mode"),
         )
     except KeyError as exc:
         raise ParseError(f"{path}:{lineno}: header missing field {exc}") from None
-    except (TypeError, ValueError, OverflowError, ParseError) as exc:
+    except (TypeError, ParseError) as exc:
         raise ParseError(f"{path}:{lineno}: bad header ({exc})") from None
 
 
 def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
     where = f"{path}:{lineno}"
     try:
-        frame = _whole(obj["frame"])
-        class_id = _whole(obj["class_id"])
-        score = float(obj["score"])
-        bx, by, bw, bh = (float(v) for v in obj["bbox"])
+        frame = json_whole(obj["frame"], "frame")
+        class_id = json_whole(obj["class_id"], "class_id")
+        score = float(json_number(obj["score"], "score"))
+        bx, by, bw, bh = (float(json_number(v, "bbox")) for v in obj["bbox"])
         mask_obj = obj["mask"]
-        mh, mw = _whole(mask_obj["h"]), _whole(mask_obj["w"])
-        token = str(mask_obj["counts"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        mh, mw = json_whole(mask_obj["h"], "mask.h"), json_whole(mask_obj["w"], "mask.w")
+        token = json_str(mask_obj["counts"], "mask.counts")
+    except (KeyError, TypeError, ValueError, ParseError) as exc:
         raise ParseError(f"{where}: bad detection record ({exc})") from None
     if class_id not in CLASS_NAMES:
         raise ParseError(f"{where}: unknown class_id {class_id}")
@@ -202,10 +227,10 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
     elif "feature_map" in obj and obj["feature_map"] is not None:
         fm = obj["feature_map"]
         try:
-            gh, gw = _whole(fm["gh"]), _whole(fm["gw"])
-            ch = _whole(fm.get("c", DEFAULT_FEATURE_CHANNELS))
+            gh, gw = json_whole(fm["gh"], "gh"), json_whole(fm["gw"], "gw")
+            ch = json_whole(fm.get("c", DEFAULT_FEATURE_CHANNELS), "c")
             values = _floats(fm["values"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ParseError) as exc:
             raise ParseError(f"{where}: bad feature_map ({exc})") from None
         if min(gh, gw, ch) < 1:
             raise ParseError(f"{where}: feature_map gh, gw and c must be >= 1, got {gh}x{gw}x{ch}")

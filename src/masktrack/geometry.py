@@ -2,11 +2,12 @@
 
 Masks are immutable. The run list always starts with a background run
 (possibly of length zero), alternates background/foreground, and sums to
-``height * width``. Every two-mask operation (IOU, intersection area, the
-set operations) goes through one run cut, :func:`_cut`, which works on the
+``height * width``. Every two-mask operation (intersection area, the set
+operations) goes through one run cut, :func:`_cut`, which works on the
 cumulative run ends each mask caches, so its cost scales with the number of
-runs rather than the number of pixels. Every computed run list is brought
-to canonical form by one function, :func:`_from_segments`.
+runs rather than the number of pixels. IOU is the intersection area over
+the two cached areas less it. Every computed run list is brought to
+canonical form by one function, :func:`_from_segments`.
 
 Most mask pairs a tracker or an evaluator meets lie far apart. Each mask
 also caches its foreground extent (the columns and rows it spans), and
@@ -86,9 +87,9 @@ class BinaryMask:
         if total != self.height * self.width:
             raise ShapeMismatch(f"counts sum {total} != {self.height}*{self.width}")
 
-    @property
+    @cached_property
     def area(self) -> int:
-        """Number of foreground pixels."""
+        """Number of foreground pixels; cached like :attr:`run_ends`."""
         return sum(self.counts[1::2])
 
     @cached_property
@@ -355,15 +356,13 @@ def _from_segments(height: int, width: int, fg: np.ndarray, lengths: np.ndarray)
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     """Intersection over union of two masks, computed on the runs.
 
-    Returns 0.0 when the union is empty.
+    The union is the two cached areas less the intersection. Returns 0.0
+    when the masks share no pixel, so also when the union is empty.
     """
-    if cannot_overlap(a, b):
+    inter = mask_intersection_area(a, b)
+    if inter == 0:
         return 0.0
-    lengths, in_a, in_b = _cut(a, b)
-    union = int(lengths[in_a | in_b].sum())
-    if union == 0:
-        return 0.0
-    return int(lengths[in_a & in_b].sum()) / union
+    return inter / (a.area + b.area - inter)
 
 
 def mask_intersection_area(a: BinaryMask, b: BinaryMask) -> int:
@@ -388,19 +387,6 @@ def mask_merge(a: BinaryMask, b: BinaryMask, op: str) -> BinaryMask:
         raise ValueError(f"unknown op {op!r}")
     lengths, in_a, in_b = _cut(a, b)
     return _from_segments(a.height, a.width, _MERGE_OPS[op](in_a, in_b), lengths)
-
-
-def mask_to_bbox(mask: BinaryMask) -> BBox:
-    """Tight box around the foreground; empty masks give a zero-size box."""
-    if mask.extent is None:
-        return BBox(0.0, 0.0, 0.0, 0.0)
-    col_min, col_max, row_min, row_max = mask.extent
-    return BBox(
-        float(col_min),
-        float(row_min),
-        float(col_max - col_min + 1),
-        float(row_max - row_min + 1),
-    )
 
 
 def bbox_iou(a: BBox, b: BBox) -> float:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import PipelineConfig
 from .errors import OverlappingMasksInInput, ShapeMismatch
-from .formats import ResultRecord, records_from_tracks
+from .formats import ResultRecord
 from .geometry import mask_intersection_area, mask_iou
 from .tracker import CLASS_NAMES
 
@@ -143,19 +142,3 @@ def format_report(report: EvalReport) -> str:
         lines.append(row(label, report.per_class[class_id]))
     lines.append(row("total", report.total))
     return "\n".join(lines)
-
-
-def ablation_compare(
-    spec, configs: list[tuple[str, PipelineConfig]]
-) -> list[tuple[str, EvalReport]]:
-    """Run the pipeline under several configs on one generated scenario."""
-    from .pipeline import run_pipeline
-    from .synth import generate
-
-    meta, dets_by_frame, gt_records = generate(spec)
-    rows = []
-    for label, cfg in configs:
-        tracks, _ = run_pipeline(meta, dets_by_frame, cfg)
-        records = records_from_tracks(tracks, meta)
-        rows.append((label, evaluate(records, gt_records)))
-    return rows

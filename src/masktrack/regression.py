@@ -4,7 +4,8 @@ The loss is quadratic for residuals up to ``delta`` and linear beyond,
 minimized by iteratively reweighted least squares: outliers get weight
 ``delta / |r|``, inliers weight 1. When every residual at the ordinary
 least-squares solution is within ``delta`` the fit equals plain least
-squares exactly.
+squares exactly. Iteration stops once no parameter moves by ``TOL`` or
+more, or after ``MAX_ITER`` rounds.
 """
 
 from __future__ import annotations
@@ -13,30 +14,17 @@ import numpy as np
 
 from .errors import DegenerateInput
 
-
-def least_squares_fit(times, values) -> tuple[float, float]:
-    """Ordinary least-squares line fit; returns (slope, intercept)."""
-    t, v = _validate(times, values)
-    design = np.stack([t, np.ones_like(t)], axis=1)
-    params, *_ = np.linalg.lstsq(design, v, rcond=None)
-    return float(params[0]), float(params[1])
+TOL = 1e-9
+MAX_ITER = 50
 
 
-def huber_fit(
-    times,
-    values,
-    delta: float = 4.0,
-    tol: float = 1e-9,
-    max_iter: int = 50,
-) -> tuple[float, float]:
+def huber_fit(times, values, delta: float = 4.0) -> tuple[float, float]:
     """Fit v = slope * t + intercept under the Huber loss.
 
     Args:
         times: Sample positions; at least two distinct values required.
         values: Observations, same length as ``times``.
         delta: Residual scale where the loss switches quadratic -> linear.
-        tol: Stop when the largest parameter change falls below this.
-        max_iter: Iteration cap.
 
     Returns:
         (slope, intercept).
@@ -44,7 +32,7 @@ def huber_fit(
     t, v = _validate(times, values)
     design = np.stack([t, np.ones_like(t)], axis=1)
     params, *_ = np.linalg.lstsq(design, v, rcond=None)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         residuals = v - design @ params
         abs_r = np.abs(residuals)
         weights = np.where(abs_r <= delta, 1.0, delta / np.maximum(abs_r, 1e-300))
@@ -54,7 +42,7 @@ def huber_fit(
         )
         change = float(np.max(np.abs(new_params - params)))
         params = new_params
-        if change < tol:
+        if change < TOL:
             break
     return float(params[0]), float(params[1])
 

@@ -12,7 +12,6 @@ the object stays in the ground truth.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
@@ -24,6 +23,9 @@ from .errors import ParseError, SpecOutOfBounds
 from .formats import (
     ResultRecord,
     SequenceMeta,
+    json_number,
+    json_str,
+    json_whole,
     resolve_records,
     write_detections,
     write_records,
@@ -136,12 +138,7 @@ def _build(kind, obj, where: str):
     return kind(**values)
 
 
-_EXPECTED = {
-    str: "a string",
-    float: "a finite number",
-    int: "a whole number",
-    int | None: "a whole number or null",
-}
+_CHECKS = {str: json_str, float: json_number, int: json_whole, int | None: json_whole}
 
 
 def _value(hint, value, where: str):
@@ -154,14 +151,7 @@ def _value(hint, value, where: str):
         return _build(hint, value, where)
     if value is None and hint == int | None:
         return None
-    if hint is str and isinstance(value, str):
-        return value
-    if hint is float and type(value) in (int, float) and math.isfinite(value):
-        return value
-    whole = type(value) is int or (type(value) is float and value.is_integer())
-    if hint in (int, int | None) and whole:
-        return int(value)
-    raise ParseError(f"{where}: expected {_EXPECTED[hint]}, got {value!r}")
+    return _CHECKS[hint](value, where)
 
 
 def _hidden_frames(events: list[VisibilityEvent], obj_index: int) -> set[int]:

@@ -56,6 +56,16 @@ def brute_force(costs):
     return -best[0], best[1]
 
 
+def least_squares_fit(times, values) -> tuple[float, float]:
+    """Ordinary least-squares line fit, (slope, intercept): the oracle the
+    robust fit is compared with, computed as the robust fit's first step."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    design = np.stack([t, np.ones_like(t)], axis=1)
+    params, *_ = np.linalg.lstsq(design, v, rcond=None)
+    return float(params[0]), float(params[1])
+
+
 def packed(values) -> str:
     """The packed form of a float array, as the detection-file format defines
     it: standard base64 of the values as little-endian float64, in C order."""

@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from helpers import matching_cost
+from helpers import least_squares_fit, matching_cost
 
 from masktrack import pipeline, reid
 from masktrack.assignment import INFEASIBLE, hungarian_solve
@@ -33,7 +33,7 @@ from masktrack.geometry import (
 )
 from masktrack.metrics import evaluate
 from masktrack.pipeline import run_pipeline
-from masktrack.regression import huber_fit, least_squares_fit
+from masktrack.regression import huber_fit
 from masktrack.reid import ReidConfig, motion_vector, moving_merge_test
 from masktrack.synth import (
     DetectorModel,

@@ -42,6 +42,14 @@ def scenario_dir(tmp_path_factory):
     return base
 
 
+# names that would put a written file outside --out, or hide it
+UNSAFE_NAMES = ["../escaped", "{tmp}/abs_escaped", "", ".", "..", "a\0b"]
+
+
+def files_under(root):
+    return {path for path in root.rglob("*") if path.is_file()}
+
+
 class TestSynthCommand:
     def test_emits_both_files(self, scenario_dir):
         out = scenario_dir / "data"
@@ -95,6 +103,19 @@ class TestSynthCommand:
         assert f"error: {path}: " in proc.stderr
         for part in named:
             assert part in proc.stderr
+
+    @pytest.mark.parametrize("name", UNSAFE_NAMES)
+    def test_scenario_name_must_be_a_plain_file_name(self, tmp_path, capsys, name):
+        spec = scenario_long_occlusions("static")
+        spec.name = name.format(tmp=tmp_path)
+        path = tmp_path / "in" / "scenario.json"
+        path.parent.mkdir()
+        path.write_text(spec.to_json())
+        out = tmp_path / "work" / "out"
+        assert cli.main(["synth", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: name: expected a plain file name")
+        assert files_under(tmp_path) == {path}
 
 
 class TestTrackCommand:
@@ -167,6 +188,21 @@ class TestTrackCommand:
         path.write_text(fuzz_text(records))
         assert cli.main(["track", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:2: feature_map gh, gw and c")
+
+    @pytest.mark.parametrize("name", UNSAFE_NAMES)
+    def test_header_name_must_be_a_plain_file_name(self, tmp_path, capsys, name):
+        lines = fuzz_text(fuzz_records()).split("\n")
+        header = json.loads(lines[0])
+        header["name"] = name.format(tmp=tmp_path)
+        lines[0] = json.dumps(header)
+        path = tmp_path / "in" / "dets.jsonl"
+        path.parent.mkdir()
+        path.write_text("\n".join(lines))
+        out = tmp_path / "work" / "out"
+        assert cli.main(["track", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: bad header (name: expected a plain file name")
+        assert files_under(tmp_path) == {path}
 
 
 class TestEvalCommand:

@@ -188,21 +188,21 @@ class TestFeatureBank:
     def test_similarity_picks_identical_entry(self):
         q = np.array([0.0, 1.0])
         bank = build_bank([[1, 0], [0, 1]])
-        assert bank_similarity(bank, q) == pytest.approx(1.0)
+        assert bank_similarity(bank, [q])[0] == pytest.approx(1.0)
 
     def test_singleton_bank(self):
         q = np.array([2.0, 0.0])
         bank = build_bank([[1, 0]])
-        assert bank_similarity(bank, q) == pytest.approx(1.0)
+        assert bank_similarity(bank, [q])[0] == pytest.approx(1.0)
 
     def test_equal_pairwise_sims(self):
         q = np.array([1.0, 1.0]) / np.sqrt(2)
         bank = build_bank([[1, 0], [0, 1]])
-        assert bank_similarity(bank, q) == pytest.approx(1 / np.sqrt(2))
+        assert bank_similarity(bank, [q])[0] == pytest.approx(1 / np.sqrt(2))
 
     def test_empty_bank_raises(self):
         with pytest.raises(DegenerateInput, match="empty feature bank"):
-            bank_similarity(FeatureBank(), np.array([1.0]))
+            bank_similarity(FeatureBank(), np.array([[1.0]]))
 
     def test_update_rejects_an_embedding_of_another_width(self):
         bank = build_bank([[1, 0, 0, 0]])
@@ -216,20 +216,20 @@ class TestFeatureBank:
         with pytest.raises(ShapeMismatch, match="must be 1-D"):
             bank_update(FeatureBank(), np.float64(1.0), 1)
 
-    def test_similarity_takes_a_vector_or_a_stack_of_queries(self):
+    def test_similarity_takes_a_stack_of_queries(self):
         bank = build_bank([[1, 0], [0, 1]])
-        assert isinstance(bank_similarity(bank, np.array([1.0, 1.0])), float)
         sims = bank_similarity(bank, np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, 0.0]]))
         assert sims.shape == (3,)
         assert sims.tolist() == [pytest.approx(1 / np.sqrt(2)), 0.0, 0.0]
         assert bank_similarity(bank, np.empty((0, 2))).shape == (0,)
-        with pytest.raises(ShapeMismatch, match="1-D or"):
-            bank_similarity(bank, np.ones((1, 1, 2)))
+        for queries in (np.array([1.0, 1.0]), np.ones((1, 1, 2))):
+            with pytest.raises(ShapeMismatch, match=r"an \(n, d\) stack"):
+                bank_similarity(bank, queries)
 
     def test_similarity_rejects_a_query_of_another_width(self):
         bank = build_bank([[1, 0, 0, 0]])
         with pytest.raises(ShapeMismatch, match="embedding widths differ: 4 vs 1"):
-            bank_similarity(bank, np.ones(1))
+            bank_similarity(bank, np.ones((1, 1)))
 
     def test_matches_brute_force_max(self):
         rng = np.random.default_rng(10)
@@ -238,8 +238,8 @@ class TestFeatureBank:
             bank = build_bank(vecs.tolist())
             q = rng.normal(size=4)
             ref = max(cosine_similarity(v, q) for v in bank.rows)
-            assert bank_similarity(bank, q) == ref
-            assert bank_similarity(bank, q) <= 1.0
+            assert bank_similarity(bank, [q])[0] == ref
+            assert bank_similarity(bank, [q])[0] <= 1.0
 
     def test_cross_similarity(self):
         a = build_bank([[1, 0]])
@@ -329,9 +329,9 @@ class TestMaxCosineProperty:
         cross = bank_cross_similarity(bank_a, build_bank(b))
         assert cross == max(max(row) for row in pairs)
         for j, y in enumerate(b):
-            assert bank_similarity(bank_a, y) == max(row[j] for row in pairs)
-        # a stack of queries gives each query's own float, bit for bit
-        assert bank_similarity(bank_a, b).tolist() == [bank_similarity(bank_a, y) for y in b]
+            assert bank_similarity(bank_a, [y])[0] == max(row[j] for row in pairs)
+        # a stack of queries gives each query's own value, bit for bit
+        assert bank_similarity(bank_a, b).tolist() == [bank_similarity(bank_a, [y])[0] for y in b]
         assert abs(cross - max(fsum_cosine(x, y) for x in a for y in b)) <= 1e-12
         assert all(pairs[i][j] == 0.0 for i, x in enumerate(a) for j, y in enumerate(b)
                    if not (x.any() and y.any()))

@@ -36,8 +36,11 @@ from masktrack.geometry import (
 from masktrack.tracker import PEDESTRIAN, Detection
 
 
+EMPTY_TOKEN = rle_to_string(BinaryMask(IMG_H, IMG_W, (IMG_H * IMG_W,)))
+
+
 def det_line(frame=1, class_id=2, score=0.9, bbox=(10, 10, 10, 20), counts=None, **extra):
-    mask = {"h": IMG_H, "w": IMG_W, "counts": counts or rle_to_string(BinaryMask(IMG_H, IMG_W, (IMG_H * IMG_W,)))}
+    mask = {"h": IMG_H, "w": IMG_W, "counts": counts or EMPTY_TOKEN}
     rec = {
         "frame": frame,
         "class_id": class_id,
@@ -123,8 +126,30 @@ class TestLoadDetections:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("img_h", IMG_H + 0.5), ("fps", float("nan")), ("fps", float("inf"))],
-        ids=["fractional_img_h", "nan_fps", "inf_fps"],
+        [
+            ("img_h", IMG_H + 0.5),
+            ("fps", float("nan")),
+            ("fps", float("inf")),
+            ("fps", True),
+            ("fps", "25"),
+            ("fps", 10**400),
+            ("img_h", f" {IMG_H} "),
+            ("img_w", "2_00"),
+            ("name", 7),
+            ("camera_mode", ["static"]),
+        ],
+        ids=[
+            "fractional_img_h",
+            "nan_fps",
+            "inf_fps",
+            "bool_fps",
+            "text_fps",
+            "huge_integer_fps",
+            "text_img_h",
+            "underscore_img_w",
+            "number_name",
+            "list_camera_mode",
+        ],
     )
     def test_bad_header_value_rejected(self, tmp_path, field, value):
         path = tmp_path / "dets.jsonl"
@@ -175,6 +200,18 @@ class TestLoadDetections:
             ("feature_map", {"gh": 1, "gw": 1, "c": 2, "values": ["0.25", 0.5]}),
             ("feature_map", {"gh": 1, "gw": 1, "c": 2, "values": [False, 0.5]}),
             ("feature_map", {"gh": 1, "gw": 1, "c": 2, "values": [[0.25, 0.5]]}),
+            ("frame", "1_0"),
+            ("class_id", "2"),
+            ("score", "0.9"),
+            ("score", True),
+            ("score", 10**400),
+            ("bbox", [2, 2, 5, True]),
+            ("bbox", [2, 2, 5, "20"]),
+            ("mask", {"h": f" {IMG_H} ", "w": IMG_W, "counts": EMPTY_TOKEN}),
+            ("mask", {"h": IMG_H, "w": IMG_W, "counts": 4}),
+            ("mask", {"h": IMG_H, "w": IMG_W, "counts": None}),
+            ("feature_map", {"gh": "1", "gw": 1, "c": 2, "values": [0.5, 0.5]}),
+            ("feature_map", {"gh": 1, "gw": 1, "c": "2", "values": [0.5, 0.5]}),
         ],
         ids=[
             "fractional_frame",
@@ -195,6 +232,18 @@ class TestLoadDetections:
             "numeric_text_feature_map",
             "bool_feature_map",
             "nested_feature_map",
+            "text_frame",
+            "text_class",
+            "text_score",
+            "bool_score",
+            "huge_integer_score",
+            "bool_bbox",
+            "text_bbox",
+            "text_mask_height",
+            "number_token",
+            "null_token",
+            "text_feature_map_grid",
+            "text_feature_map_channels",
         ],
     )
     def test_bad_value_rejected_with_line(self, tmp_path, field, value):

@@ -15,7 +15,6 @@ from masktrack.geometry import (
     mask_intersection_area,
     mask_iou,
     mask_merge,
-    mask_to_bbox,
     may_overlap,
     rect_mask,
     rle_decode,
@@ -269,6 +268,22 @@ class TestStringCodec:
         assert rle_from_string(token, 1, sum(counts)) == mask
 
 
+@st.composite
+def run_mask_pairs(draw, max_side=12):
+    """Two masks of one shape, each built from a random run list rather than
+    a grid: cut at up to 12 pixel indices (none gives an empty or a full
+    mask), background or foreground first."""
+    h, w = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    pair = []
+    for _ in range(2):
+        cuts = sorted(draw(st.sets(st.integers(1, h * w), max_size=12)) - {h * w})
+        counts = np.diff([0, *cuts, h * w]).tolist()
+        if draw(st.booleans()):
+            counts = [0, *counts]  # foreground first
+        pair.append(BinaryMask(h, w, counts))
+    return pair
+
+
 class TestMaskIou:
     def test_identity_is_one(self):
         mask = rle_encode(np.eye(5))
@@ -314,6 +329,16 @@ class TestMaskIou:
         assert got == mask_iou(m2, m1)
         assert mask_intersection_area(m2, m1) == inter
         assert 0.0 <= got <= 1.0
+
+    @given(run_mask_pairs())
+    def test_equals_the_iou_of_the_decoded_grids(self, pair):
+        """IOU from the cached areas and the run cut is the pixel-grid IOU,
+        bit for bit, on masks made from run lists (empty ones included)."""
+        a, b = pair
+        ga, gb = rle_decode(a).astype(bool), rle_decode(b).astype(bool)
+        inter, union = int((ga & gb).sum()), int((ga | gb).sum())
+        assert mask_iou(a, b) == (inter / union if union else 0.0)
+        assert (a.area, b.area) == (int(ga.sum()), int(gb.sum()))
 
 
 class TestCut:
@@ -388,40 +413,42 @@ class TestExtent:
 
 
 class TestMaskToBbox:
+    """The tight box of a mask, read from ``BinaryMask.extent``:
+    ``(col_min, col_max, row_min, row_max)``, inclusive."""
+
     def test_full_mask(self):
-        box = mask_to_bbox(BinaryMask(4, 6, (0, 24)))
-        assert (box.x, box.y, box.w, box.h) == (0, 0, 6, 4)
+        assert BinaryMask(4, 6, (0, 24)).extent == (0, 5, 0, 3)
 
     def test_single_pixel(self):
         grid = np.zeros((4, 6), dtype=np.uint8)
         grid[2, 3] = 1
-        box = mask_to_bbox(rle_encode(grid))
-        assert (box.x, box.y, box.w, box.h) == (3, 2, 1, 1)
+        assert rle_encode(grid).extent == (3, 3, 2, 2)
 
     def test_l_shape(self):
         grid = np.zeros((5, 5), dtype=np.uint8)
         grid[1:4, 0] = 1  # vertical bar rows 1-3
         grid[3, 0:3] = 1  # horizontal bar cols 0-2
-        box = mask_to_bbox(rle_encode(grid))
-        assert (box.x, box.y, box.w, box.h) == (0, 1, 3, 3)
+        assert rle_encode(grid).extent == (0, 2, 1, 3)
 
     def test_empty_mask_flagged(self):
-        box = mask_to_bbox(BinaryMask(4, 4, (16,)))
-        assert box.empty
-        assert (box.x, box.y, box.w, box.h) == (0, 0, 0, 0)
+        assert BinaryMask(4, 4, (16,)).extent is None
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             grid = random_mask(rng, 20)
-            box = mask_to_bbox(rle_encode(grid))
+            extent = rle_encode(grid).extent
             if not grid.any():
-                assert box.empty
+                assert extent is None
                 continue
             rows = np.where(grid.any(axis=1))[0]
             cols = np.where(grid.any(axis=0))[0]
-            assert (box.x, box.y) == (cols[0], rows[0])
-            assert (box.w, box.h) == (cols[-1] - cols[0] + 1, rows[-1] - rows[0] + 1)
+            col_min, col_max, row_min, row_max = extent
+            assert (col_min, row_min) == (cols[0], rows[0])
+            assert (col_max - col_min + 1, row_max - row_min + 1) == (
+                cols[-1] - cols[0] + 1,
+                rows[-1] - rows[0] + 1,
+            )
 
 
 class TestBBox:

@@ -1,0 +1,103 @@
+"""The package's layering, read from its source: every import at module
+level, no cycle between its modules, and one pinned top-level API."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+# read from the source tree, so that a cycle which breaks importing the
+# package is still reported as a cycle
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "masktrack"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+# the user-level API; stage internals are imported from their own module
+PUBLIC = [
+    "run_pipeline",
+    "PipelineConfig",
+    "load_config",
+    "parse_config_text",
+    "dump_config",
+    "load_detections",
+    "write_detections",
+    "read_results",
+    "write_results",
+    "render_overlays",
+    "evaluate",
+    "format_report",
+    "EvalReport",
+    "SequenceMeta",
+    "ResultRecord",
+    "Detection",
+    "Tracklet",
+    "CAR",
+    "PEDESTRIAN",
+    "BBox",
+    "BinaryMask",
+    "mask_iou",
+    "rle_encode",
+    "rle_decode",
+    "rle_to_string",
+    "rle_from_string",
+    "ScenarioSpec",
+    "generate",
+    "generate_files",
+    "scenario_clean",
+    "scenario_detector_gaps",
+    "scenario_long_occlusions",
+]
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, relatively or by full name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative to the package
+                module = f"masktrack.{module}".rstrip(".")
+            # "from . import x" names a module; "from .x import y" names its member
+            names = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "masktrack" and len(parts) > 1 and parts[1] in MODULES:
+                found.add(parts[1])
+    return found
+
+
+def test_every_module_was_read():
+    assert {"__init__", "geometry", "metrics", "pipeline", "synth"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_import_inside_a_function(name):
+    for node in ast.walk(MODULES[name]):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert not nested, f"{name}.{node.name} imports at line {nested[0].lineno}"
+
+
+def test_import_graph_is_acyclic():
+    graph = {name: package_imports(tree) for name, tree in MODULES.items()}
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def test_the_evaluator_does_not_import_what_it_scores():
+    assert package_imports(MODULES["metrics"]) == {"errors", "formats", "geometry", "tracker"}
+
+
+def test_top_level_names_are_the_pinned_list():
+    import masktrack
+
+    assert masktrack.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(masktrack, name) is not None

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from helpers import least_squares_fit
 
 from masktrack.errors import DegenerateInput
-from masktrack.regression import huber_fit, least_squares_fit
+from masktrack.regression import huber_fit
 
 
 class TestHuberFit:

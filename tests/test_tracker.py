@@ -146,7 +146,7 @@ class TestAssignmentCostMatrix:
                     assert costs[i, j] == INFEASIBLE
                     continue
                 iou = mask_iou(t.observations[-1].mask, d.mask)
-                assert costs[i, j] == 2.0 - iou - bank_similarity(t.bank, d.embedding)
+                assert costs[i, j] == 2.0 - iou - bank_similarity(t.bank, [d.embedding])[0]
 
     def test_mask_dims_checked_only_within_a_class(self):
         tracker = MaskTracker(track_cfg())
