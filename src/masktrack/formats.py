@@ -200,6 +200,8 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
         token = json_str(mask_obj["counts"], "mask.counts")
     except (KeyError, TypeError, ValueError, ParseError) as exc:
         raise ParseError(f"{where}: bad detection record ({exc})") from None
+    if frame < 0:
+        raise ParseError(f"{where}: frame {frame} below 0")
     if class_id not in CLASS_NAMES:
         raise ParseError(f"{where}: unknown class_id {class_id}")
     if not (0.0 <= score <= 1.0):

@@ -69,22 +69,18 @@ def candidate_pairs(
 ) -> list[tuple[int, int, float]]:
     """Ordered index pairs (u, v, sim) eligible for merging.
 
-    u must end before v starts, the gap must fit in the per-class long-term
-    window, and the banks must look alike (max pairwise cosine sim above beta1).
+    The gap between u's last frame and v's first must hold 0 to n2 frames
+    (u ends before v starts, within u's class's long-term window), and the
+    banks must look alike (max pairwise cosine sim above beta1).
     """
     pairs = []
     for i, u in enumerate(tracklets):
+        n2 = cfg.n2_frames(u.class_id, fps)
         for j, v in enumerate(tracklets):
-            if i == j or u.class_id != v.class_id:
-                continue
-            if u.last_frame >= v.first_frame:
-                continue
-            gap = v.first_frame - u.last_frame - 1
-            if gap > cfg.n2_frames(u.class_id, fps):
-                continue
-            sim = bank_cross_similarity(u.bank, v.bank)
-            if sim > cfg.beta1:
-                pairs.append((i, j, sim))
+            if u.class_id == v.class_id and 0 <= v.first_frame - u.last_frame - 1 <= n2:
+                sim = bank_cross_similarity(u.bank, v.bank)
+                if sim > cfg.beta1:
+                    pairs.append((i, j, sim))
     return pairs
 
 
@@ -148,11 +144,10 @@ def merge_pass(
             (-sim, current[i].id, current[j].id, i, j)
             for i, j, sim in candidate_pairs(current, cfg, tracker_cfg.fps)
         )
-        tail_used: set[int] = set()
-        head_used: set[int] = set()
-        links: dict[int, int] = {}
+        links: dict[int, int] = {}  # tail index -> head index
+        heads: set[int] = set()
         for _, _, _, i, j in cands:
-            if i in tail_used or j in head_used:
+            if i in links or j in heads:
                 continue
             if cfg.camera_mode == "static":
                 ok = static_merge_test(current[i], current[j], cfg, tracker_cfg)
@@ -160,22 +155,17 @@ def merge_pass(
                 ok = moving_merge_test(current[i], current[j], cfg)
             if ok:
                 links[i] = j
-                tail_used.add(i)
-                head_used.add(j)
+                heads.add(j)
         if not links:
             return current
-        merged_away = set(links.values())
+        # each chain keeps its first part's id, so the result stays in id order
         result = []
         for idx, tr in enumerate(current):
-            if idx in merged_away:
+            if idx in heads:
                 continue
-            if idx in links:
-                chain = [tr]
-                k = idx
-                while k in links:
-                    k = links[k]
-                    chain.append(current[k])
-                result.append(_stitch(chain))
-            else:
-                result.append(tr)
-        current = sorted(result, key=lambda t: t.id)
+            chain, k = [tr], idx
+            while k in links:
+                k = links[k]
+                chain.append(current[k])
+            result.append(_stitch(chain) if len(chain) > 1 else tr)
+        current = result

@@ -31,7 +31,7 @@ from .formats import (
     write_records,
 )
 from .geometry import BBox, BinaryMask, rect_mask
-from .tracker import Detection, PEDESTRIAN
+from .tracker import PEDESTRIAN, Detection, serial_id
 
 
 @dataclass
@@ -215,7 +215,7 @@ def generate(
             if frame in occluded[idx]:
                 continue
             true_box = _object_box(obj, frame)
-            gt_id = obj.class_id * 1000 + idx + 1
+            gt_id = serial_id(obj.class_id, idx + 1)
             gt_per_frame.setdefault(frame, []).append(
                 (gt_id, obj.class_id, rect_mask(spec.img_h, spec.img_w, true_box))
             )

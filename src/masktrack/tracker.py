@@ -42,6 +42,17 @@ PEDESTRIAN = 2
 CLASS_NAMES = {CAR: "car", PEDESTRIAN: "pedestrian"}
 
 
+def serial_id(class_id: int, serial: int) -> int:
+    """The id of a class's ``serial``-th track or object, counted from 1.
+
+    Serials up to 999 give ``class_id * 1000 + serial``. Past that each class
+    goes on in thousand-blocks that no other class uses, so ids never collide
+    across classes: car serial 1 000 is 3000, pedestrian serial 1 000 is 4000.
+    """
+    block, rest = divmod(serial, 1000)
+    return (len(CLASS_NAMES) * block + class_id) * 1000 + rest
+
+
 def seconds_to_frames(seconds: float, fps: float) -> int:
     """Convert a duration to whole frames, rounding half up, at least 1.
 
@@ -106,18 +117,8 @@ class TrackState(enum.Enum):
 
 
 @dataclass
-class Observation:
-    """One matched detection of a fragment; what later stages need per frame."""
-
-    frame: int
-    box: BBox
-    mask: BinaryMask
-    score: float
-
-
-@dataclass
 class Tracklet:
-    """An object fragment: its observations in frame order and its bank.
+    """An object fragment: the detections it matched, in frame order, and its bank.
 
     The online tracker grows each one as a :class:`Track`; offline reid
     stitches fragments of one object, and the post-filters and the result
@@ -126,7 +127,7 @@ class Tracklet:
 
     id: int
     class_id: int
-    observations: list[Observation]
+    observations: list[Detection]
     bank: FeatureBank
 
     def __post_init__(self):
@@ -163,13 +164,12 @@ class Track(Tracklet):
     def spawn(cls, track_id: int, det: Detection, bank_size: int) -> Track:
         """A new track whose first observation is ``det``."""
         bank = bank_update(FeatureBank(bank_size), det.embedding, det.frame)
-        first = Observation(det.frame, det.box, det.mask, det.score)
-        return cls(track_id, det.class_id, [first], bank)
+        return cls(track_id, det.class_id, [det], bank)
 
     def observe(self, det: Detection):
         """Append a matched detection; the bank refuses a frame that is not newer."""
         self.bank = bank_update(self.bank, det.embedding, det.frame)
-        self.observations.append(Observation(det.frame, det.box, det.mask, det.score))
+        self.observations.append(det)
         self.state = TrackState.ACTIVE
 
 
@@ -246,6 +246,25 @@ def _gated_solve(
     ]
 
 
+def _link(
+    tracks: list[Track],
+    detections: list[Detection],
+    pairs: list[tuple[int, int]],
+    assigned: dict[int, Detection],
+) -> list[Detection]:
+    """Extend each paired track with its detection and record the pair in
+    ``assigned``; every unpaired track turns LOST. Returns the unpaired
+    detections."""
+    for r, c in pairs:
+        tracks[r].observe(detections[c])
+        assigned[tracks[r].id] = detections[c]
+    rows, cols = {r for r, _ in pairs}, {c for _, c in pairs}
+    for r, track in enumerate(tracks):
+        if r not in rows:
+            track.state = TrackState.LOST
+    return [d for c, d in enumerate(detections) if c not in cols]
+
+
 def str_match(
     lost_tracks: list[Track],
     detections: list[Detection],
@@ -310,28 +329,14 @@ class MaskTracker:
         lost = [t for t in self._live if t.state is TrackState.LOST]
 
         assigned: dict[int, Detection] = {}
-        taken: set[int] = set()
-
+        pairs = []
         if active and detections:
-            costs = assignment_cost(active, detections)
-            for r, c in _gated_solve(costs, active, self.cfg):
-                active[r].observe(detections[c])
-                assigned[active[r].id] = detections[c]
-                taken.add(c)
-        # tracks that failed the gate this frame count as unmatched from now on
-        for t in active:
-            if t.id not in assigned:
-                t.state = TrackState.LOST
-
-        leftovers = [d for i, d in enumerate(detections) if i not in taken]
+            pairs = _gated_solve(assignment_cost(active, detections), active, self.cfg)
+        # an active track left unpaired, by the solve or by its gate, is lost from now on
+        leftovers = _link(active, detections, pairs, assigned)
         if self.cfg.str_enabled and lost and leftovers:
-            retrieved = str_match(lost, leftovers, frame, self.cfg)
-            taken2 = set()
-            for r, c in retrieved:
-                lost[r].observe(leftovers[c])
-                assigned[lost[r].id] = leftovers[c]
-                taken2.add(c)
-            leftovers = [d for i, d in enumerate(leftovers) if i not in taken2]
+            pairs = str_match(lost, leftovers, frame, self.cfg)
+            leftovers = _link(lost, leftovers, pairs, assigned)
 
         for det in leftovers:
             track = self._spawn(det)
@@ -359,7 +364,7 @@ class MaskTracker:
     def _spawn(self, det: Detection) -> Track:
         serial = self._serials.get(det.class_id, 0) + 1
         self._serials[det.class_id] = serial
-        track = Track.spawn(det.class_id * 1000 + serial, det, self.cfg.bank_size)
+        track = Track.spawn(serial_id(det.class_id, serial), det, self.cfg.bank_size)
         self.tracks.append(track)
         self._live.append(track)
         return track

@@ -1,15 +1,17 @@
 """Small builders and oracles shared by the tests."""
 
 import base64
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
 
-from masktrack.embedding import FeatureBank, bank_update
+from masktrack.embedding import FeatureBank, bank_cross_similarity, bank_update, merge_banks
 from masktrack.errors import ParseError
 from masktrack.formats import SequenceMeta
 from masktrack.geometry import BBox, rect_mask
-from masktrack.tracker import PEDESTRIAN, Detection, Observation, Tracklet
+from masktrack.reid import moving_merge_test, static_merge_test
+from masktrack.tracker import PEDESTRIAN, Detection, Tracklet
 
 IMG_H, IMG_W = 120, 200
 
@@ -82,8 +84,9 @@ def make_tracklet(track_id, positions, emb, class_id=PEDESTRIAN, score=0.9, w=10
     bank = FeatureBank(5)
     for frame, x, y in positions:
         box = BBox(x, y, w, h)
-        obs.append(Observation(frame, box, rect_mask(IMG_H, IMG_W, box), score))
-        bank = bank_update(bank, np.asarray(emb, dtype=float), frame)
+        obs.append(Detection(frame, class_id, score, box, rect_mask(IMG_H, IMG_W, box),
+                             np.asarray(emb, dtype=float)))
+        bank = bank_update(bank, obs[-1].embedding, frame)
     return Tracklet(track_id, class_id, obs, bank)
 
 
@@ -130,3 +133,67 @@ def counts_token(counts) -> str:
                 chunk |= 0x20
             out.append(chr(chunk + 48))
     return "".join(out)
+
+
+def reference_candidate_pairs(tracklets, cfg, fps):
+    """Every ordered pair tested one condition at a time: the oracle for
+    ``reid.candidate_pairs``."""
+    pairs = []
+    for i, u in enumerate(tracklets):
+        for j, v in enumerate(tracklets):
+            if i == j or u.class_id != v.class_id:
+                continue
+            if u.last_frame >= v.first_frame:
+                continue
+            gap = v.first_frame - u.last_frame - 1
+            if gap > cfg.n2_frames(u.class_id, fps):
+                continue
+            sim = bank_cross_similarity(u.bank, v.bank)
+            if sim > cfg.beta1:
+                pairs.append((i, j, sim))
+    return pairs
+
+
+def reference_merge_pass(tracklets, cfg, tracker_cfg):
+    """Greedy merging with separate used-tail, used-head and merged-away sets
+    and a re-sort after every pass: the oracle for ``reid.merge_pass``."""
+    current = sorted(tracklets, key=lambda t: t.id)
+    while True:
+        cands = sorted(
+            (-sim, current[i].id, current[j].id, i, j)
+            for i, j, sim in reference_candidate_pairs(current, cfg, tracker_cfg.fps)
+        )
+        tail_used, head_used, links = set(), set(), {}
+        for _, _, _, i, j in cands:
+            if i in tail_used or j in head_used:
+                continue
+            if cfg.camera_mode == "static":
+                ok = static_merge_test(current[i], current[j], cfg, tracker_cfg)
+            else:
+                ok = moving_merge_test(current[i], current[j], cfg)
+            if ok:
+                links[i] = j
+                tail_used.add(i)
+                head_used.add(j)
+        if not links:
+            return current
+        merged_away = set(links.values())
+        result = []
+        for idx, tr in enumerate(current):
+            if idx in merged_away:
+                continue
+            if idx in links:
+                chain = [tr]
+                k = idx
+                while k in links:
+                    k = links[k]
+                    chain.append(current[k])
+                result.append(Tracklet(
+                    tr.id,
+                    tr.class_id,
+                    [o for p in chain for o in p.observations],
+                    reduce(merge_banks, (p.bank for p in chain)),
+                ))
+            else:
+                result.append(tr)
+        current = sorted(result, key=lambda t: t.id)

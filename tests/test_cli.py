@@ -189,6 +189,16 @@ class TestTrackCommand:
         assert cli.main(["track", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:2: feature_map gh, gw and c")
 
+    def test_negative_frame_fails_before_anything_is_written(self, tmp_path, capsys):
+        # a result line holds no sign, so such a frame could not be evaluated
+        records = fuzz_records()
+        records[2]["frame"] = -1
+        path = tmp_path / "dets.jsonl"
+        path.write_text(fuzz_text(records))
+        assert cli.main(["track", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:4: frame -1 below 0")
+        assert files_under(tmp_path) == {path}
+
     @pytest.mark.parametrize("name", UNSAFE_NAMES)
     def test_header_name_must_be_a_plain_file_name(self, tmp_path, capsys, name):
         lines = fuzz_text(fuzz_records()).split("\n")

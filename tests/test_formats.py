@@ -184,6 +184,7 @@ class TestLoadDetections:
         [
             ("frame", 2.7),
             ("frame", True),
+            ("frame", -1),
             ("class_id", 2.5),
             ("class_id", 3),
             ("score", float("nan")),
@@ -216,6 +217,7 @@ class TestLoadDetections:
         ids=[
             "fractional_frame",
             "bool_frame",
+            "negative_frame",
             "fractional_class",
             "unknown_class",
             "nan_score",
@@ -507,12 +509,12 @@ class TestResults:
         # a single full-frame 2x2 mask at frame 1, pedestrian serial 1
         from masktrack.embedding import FeatureBank, bank_update
         from masktrack.geometry import BBox
-        from masktrack.tracker import Observation, Tracklet
+        from masktrack.tracker import Detection, Tracklet
 
         meta = SequenceMeta("tiny", 25.0, 2, 2, "static")
         mask = BinaryMask(2, 2, (0, 4))
         bank = bank_update(FeatureBank(5), unit(0), 1)
-        track = Tracklet(2001, 2, [Observation(1, BBox(0, 0, 2, 2), mask, 0.9)], bank)
+        track = Tracklet(2001, 2, [Detection(1, 2, 0.9, BBox(0, 0, 2, 2), mask, unit(0))], bank)
         path = tmp_path / "res.txt"
         write_results([track], meta, str(path))
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]

@@ -1,5 +1,5 @@
 """The package's layering, read from its source: every import at module
-level, no cycle between its modules, and one pinned top-level API."""
+level and used, no cycle between its modules, and one pinned top-level API."""
 
 import ast
 import graphlib
@@ -71,6 +71,18 @@ def package_imports(tree: ast.Module) -> set[str]:
     return found
 
 
+def imported_names(tree: ast.Module):
+    """(name, line) for every name an import binds in a module, ``from
+    __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
 def test_every_module_was_read():
     assert {"__init__", "geometry", "metrics", "pipeline", "synth"} <= set(MODULES)
 
@@ -81,6 +93,16 @@ def test_no_import_inside_a_function(name):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             nested = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
             assert not nested, f"{name}.{node.name} imports at line {nested[0].lineno}"
+
+
+# __init__ imports only to re-export. An import kept unused only so that the
+# benchmark can patch it by name needs an exemption here that says so.
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"__init__"}))
+def test_every_imported_name_is_used(name):
+    tree = MODULES[name]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    dead = [f"{bound} (line {line})" for bound, line in imported_names(tree) if bound not in used]
+    assert not dead, f"{name} imports names it never uses: {', '.join(dead)}"
 
 
 def test_import_graph_is_acyclic():

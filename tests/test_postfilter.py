@@ -99,11 +99,11 @@ class TestTrajectoryIou:
         # frame 2: 8-px rows offset by 2 -> IOU 6/10 = 0.6
         from masktrack.embedding import FeatureBank, bank_update
         from masktrack.geometry import BBox, rect_mask
-        from masktrack.tracker import Observation, Tracklet
+        from masktrack.tracker import Detection, Tracklet
 
         def obs(frame, x, w):
             box = BBox(x, 0, w, 1)
-            return Observation(frame, box, rect_mask(120, 200, box), 0.9)
+            return Detection(frame, 2, 0.9, box, rect_mask(120, 200, box), unit(0))
 
         bank = bank_update(FeatureBank(5), unit(0), 1)
         a = Tracklet(2001, 2, [obs(1, 0, 9), obs(2, 0, 8)], bank)

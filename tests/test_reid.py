@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import IMG_H, IMG_W, make_tracklet, unit
+from helpers import IMG_H, IMG_W, make_tracklet, reference_merge_pass, unit
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,7 @@ from masktrack.reid import (
     moving_merge_test,
     static_merge_test,
 )
-from masktrack.tracker import PEDESTRIAN, Observation, Tracklet, TrackerConfig
+from masktrack.tracker import PEDESTRIAN, Detection, Tracklet, TrackerConfig
 
 FPS = 25.0  # pedestrian long-term window: 25 frames
 
@@ -309,9 +309,10 @@ def fragment(draw, first_frame, x0, y0):
         x, y = x + vx + draw(st.integers(-1, 1)), y + vy
         positions.append((frame, x, y))
         sizes.append((10.0, 20.0) if slow else (14.0, 16.0))
+    boxes = [BBox(x, y, w, h) for (_, x, y), (w, h) in zip(positions, sizes)]
     obs = [
-        Observation(f, BBox(x, y, w, h), rect_mask(IMG_H, IMG_W, BBox(x, y, w, h)), 0.9)
-        for (f, x, y), (w, h) in zip(positions, sizes)
+        Detection(f, PEDESTRIAN, 0.9, box, rect_mask(IMG_H, IMG_W, box), unit(0))
+        for (f, _, _), box in zip(positions, boxes)
     ]
     bank = FeatureBank(5)
     for f, _, _ in positions:
@@ -352,3 +353,41 @@ class TestStaticMergeReference:
         assume(abs(ref - beta2) > 1e-9)
         cfg, tcfg = ReidConfig(beta2=beta2), TrackerConfig(huber_window=window, huber_delta=delta)
         assert static_merge_test(u, v, cfg, tcfg) == (ref > beta2)
+
+
+# two looks and a blend of them: alike (cosine 1.0 or 0.93) or unlike (0.0 or 0.37)
+LOOKS = [unit(0), unit(1), (unit(0) + 0.4 * unit(1)) / np.hypot(1.0, 0.4)]
+
+
+@st.composite
+def split_objects(draw):
+    """2-4 objects moving at constant speed, each cut into 2-5 fragments of
+    1-6 frames by gaps inside or beyond the 25-frame pedestrian window, with
+    ids shuffled so that id order and frame order differ."""
+    cuts = []
+    for _ in range(draw(st.integers(2, 4))):
+        look = LOOKS[draw(st.integers(0, 2))]
+        x0, y0 = draw(st.integers(20, 160)), draw(st.integers(10, 90))
+        vx = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+        vy = draw(st.sampled_from([-0.5, 0.0, 0.5]))
+        frame = draw(st.integers(1, 30))
+        for _ in range(draw(st.integers(2, 5))):
+            frames = range(frame, frame + draw(st.integers(1, 6)))
+            cuts.append(([(f, x0 + vx * f, y0 + vy * f) for f in frames], look))
+            frame = frames[-1] + 1 + draw(st.integers(0, 35))
+    ids = draw(st.permutations(range(2001, 2001 + len(cuts))))
+    return [make_tracklet(i, positions, look) for i, (positions, look) in zip(ids, cuts)]
+
+
+class TestMergePassReference:
+    @settings(max_examples=150, deadline=None)
+    @given(split_objects(), st.sampled_from(["static", "moving"]))
+    def test_matches_the_set_based_reference(self, tracklets, camera_mode):
+        cfg, tcfg = ReidConfig(camera_mode=camera_mode), TrackerConfig(fps=FPS)
+        got = merge_pass(tracklets, cfg, tcfg)
+        want = reference_merge_pass(tracklets, cfg, tcfg)
+        assert [t.id for t in got] == [t.id for t in want]
+        for g, w in zip(got, want):
+            assert [o.frame for o in g.observations] == [o.frame for o in w.observations]
+            assert g.bank.frames == w.bank.frames
+            assert np.array_equal(g.bank.rows, w.bank.rows)

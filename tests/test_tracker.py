@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from helpers import brute_force, make_det, unit
+from helpers import brute_force, make_det, make_meta, unit
 
+from masktrack import cli
 from masktrack.assignment import INFEASIBLE, hungarian_solve
 from masktrack.embedding import FeatureBank, bank_similarity, bank_update
 from masktrack.errors import OutOfOrderFrame, ShapeMismatch
+from masktrack.formats import write_results
 from masktrack.geometry import BBox, mask_iou, rect_mask
 from masktrack.tracker import (
     CAR,
     PEDESTRIAN,
     Detection,
     MaskTracker,
-    Observation,
     Track,
     TrackerConfig,
     TrackState,
@@ -24,6 +25,7 @@ from masktrack.tracker import (
     assignment_cost,
     extrapolate_track,
     seconds_to_frames,
+    serial_id,
     str_match,
 )
 
@@ -122,8 +124,10 @@ def association_cases(draw):
         for frame, row in enumerate(rows, start=1):
             bank = bank_update(bank, row, frame)
         box = draw(small_boxes())
-        last = Observation(len(rows), box, rect_mask(SMALL_H, SMALL_W, box), 0.9)
-        tracks.append(Track(2001 + i, draw(st.sampled_from([CAR, PEDESTRIAN])), [last], bank))
+        class_id = draw(st.sampled_from([CAR, PEDESTRIAN]))
+        mask = rect_mask(SMALL_H, SMALL_W, box)
+        last = Detection(len(rows), class_id, 0.9, box, mask, rows[-1])
+        tracks.append(Track(2001 + i, class_id, [last], bank))
     n = draw(st.integers(1, 5))
     embs = draw(signed_rows(n, width, -1 if opposed else 0))
     dets = []
@@ -494,3 +498,30 @@ class TestTrackerInvariants:
         for tracklet in tracker.finalize():
             frames = [o.frame for o in tracklet.observations]
             assert all(a < b for a, b in zip(frames, frames[1:]))
+
+
+class TestSerialId:
+    def test_unique_over_both_classes(self):
+        ids = [serial_id(c, s) for c in (CAR, PEDESTRIAN) for s in range(1, 5001)]
+        assert len(set(ids)) == len(ids)
+
+    def test_first_999_serials_keep_their_class_block(self):
+        assert [serial_id(CAR, s) for s in (1, 999)] == [1001, 1999]
+        assert [serial_id(PEDESTRIAN, s) for s in (1, 999)] == [2001, 2999]
+        assert (serial_id(CAR, 1000), serial_id(PEDESTRIAN, 1000)) == (3000, 4000)
+
+    def test_the_1001st_car_track_keeps_off_the_first_pedestrian_id(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        tracker = MaskTracker(track_cfg())  # car window: 3 frames
+        for k in range(1000):  # six frames each, then a 20-frame gap
+            emb = rng.standard_normal(8)
+            for frame in range(26 * k + 1, 26 * k + 7):
+                tracker.step(frame, [make_det(frame, 20, 30, emb, class_id=CAR)])
+        for frame in range(26001, 26007):
+            car = make_det(frame, 20, 30, unit(0), class_id=CAR)
+            tracker.step(frame, [car, make_det(frame, 120, 30, unit(1))])
+        last_two = tracker.tracks[-2:]
+        assert [(t.class_id, t.id) for t in last_two] == [(CAR, 3001), (PEDESTRIAN, 2001)]
+        path = tmp_path / "seq.txt"
+        write_results(tracker.finalize(), make_meta(), str(path))
+        assert cli.main(["eval", str(path), str(path)]) == 0, capsys.readouterr().err
