@@ -17,6 +17,14 @@ zero without a cut. The test is exact; it never rules out a pair that
 touches. :func:`may_overlap` is the same test over two lists of masks at
 once, one broadcast over their extent arrays.
 
+Scoring a whole sequence compares many masks at once, and goes through one
+structure instead of a pair loop: an :class:`IntervalTable` holds the
+foreground intervals of a list of masks, each mask placed in the block of
+pixel positions of its slot (its frame), sorted by start. Neighbouring
+intervals show whether a slot's masks overlap (:func:`overlapping_masks`),
+and two disjoint tables merge by binary search into the exact intersection
+area of every pair that shares pixels (:func:`table_intersections`).
+
 Building a mask coerces its fields with ``operator.index`` (a float or a
 str is refused) and checks the run list with ``min``, ``in`` and ``sum``;
 only a run list that fails is walked, to name the bad index. The compressed
@@ -38,6 +46,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -371,6 +380,135 @@ def mask_intersection_area(a: BinaryMask, b: BinaryMask) -> int:
         return 0
     lengths, in_a, in_b = _cut(a, b)
     return int(lengths[in_a & in_b].sum())
+
+
+# ---------------------------------------------------------------------------
+# many-mask interval tables
+# ---------------------------------------------------------------------------
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def slot_capacity(height: int, width: int) -> int:
+    """How many ``height x width`` frames an interval table can hold.
+
+    A table places the masks of slot ``s`` at pixel positions from
+    ``s * height * width`` onward, and every position must fit in int64.
+    """
+    return _INT64_MAX // (height * width)
+
+
+class IntervalTable(NamedTuple):
+    """The foreground intervals of many masks laid out on one position axis.
+
+    Interval ``k`` covers positions ``[starts[k], stops[k])`` and belongs to
+    mask ``owner[k]``; ``area[m]`` is the foreground pixel count of mask
+    ``m``, one entry per mask the table was built from. The intervals are
+    sorted by start; those of one mask never overlap.
+    """
+
+    starts: np.ndarray
+    stops: np.ndarray
+    owner: np.ndarray
+    area: np.ndarray
+
+
+def interval_table(masks: list[BinaryMask], slots: list[int]) -> IntervalTable:
+    """Build the interval table of ``masks``, mask ``k`` placed in ``slots[k]``.
+
+    Masks in one slot share positions, so their intervals can overlap; masks
+    in different slots never meet. All masks must have the same dimensions.
+    The run lists are read in one pass: they are laid end to end, each padded
+    to even length with an empty foreground run, and one cumulative sum turns
+    them into run ends. Adding to each mask's first run the distance from
+    where the previous mask ended to its slot places every mask at once.
+    Raises ShapeMismatch for mixed dimensions, or for a slot past
+    :func:`slot_capacity`.
+    """
+    if not masks:
+        empty = np.zeros(0, dtype=np.int64)
+        return IntervalTable(empty, empty, empty, empty)
+    for m in masks:
+        _check_dims(masks[0], m)
+    h, w = masks[0].height, masks[0].width
+    slots = np.asarray(slots, dtype=np.int64)
+    capacity = slot_capacity(h, w)
+    if slots.min() < 0 or slots.max() >= capacity:
+        raise ShapeMismatch(
+            f"slots {slots.min()}..{slots.max()} outside the {capacity} frames of "
+            f"{h}x{w} pixels that int64 positions hold"
+        )
+    runs = np.fromiter(map(len, (m.counts for m in masks)), dtype=np.int64, count=len(masks))
+    runs += runs & 1
+    pad = ((), (0,))
+    flat = np.fromiter(
+        chain.from_iterable(chain(m.counts, pad[len(m.counts) & 1]) for m in masks),
+        dtype=np.int64,
+        count=int(runs.sum()),
+    )
+    first = np.cumsum(runs) - runs
+    # each padded mask sums to h * w, so mask k would start where mask k-1 ends
+    flat[first] += (np.diff(slots, prepend=-1) - 1) * (h * w)
+    np.cumsum(flat, out=flat)
+    # foreground run 2i+1 covers [end of run 2i, end of run 2i+1)
+    starts, stops = flat[0::2], flat[1::2]
+    lengths = stops - starts
+    area = np.add.reduceat(lengths, first // 2)
+    pairs = np.flatnonzero(lengths)  # drop the padding runs
+    del lengths
+    pairs = pairs[np.argsort(starts[pairs], kind="stable")]
+    starts, stops = starts[pairs], stops[pairs]
+    del flat
+    owner = np.searchsorted(first // 2, pairs, side="right") - 1
+    return IntervalTable(starts, stops, owner, area)
+
+
+def overlapping_masks(table: IntervalTable) -> np.ndarray:
+    """Owners of the intervals that start before the previous one stops.
+
+    Empty exactly when the table's masks are pairwise disjoint: the
+    intervals are sorted by start, so any overlap shows between neighbours.
+    Both neighbours of such a pair lie in one slot.
+    """
+    return table.owner[1:][table.starts[1:] < table.stops[:-1]]
+
+
+def table_intersections(
+    a: IntervalTable, b: IntervalTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, area)`` for every mask ``i`` of ``a`` and ``j`` of ``b`` that share pixels.
+
+    ``area`` is the exact pixel count ``mask_intersection_area`` gives; rows
+    are sorted by ``(i, j)``. Both tables must be disjoint (no
+    :func:`overlapping_masks`): then their stops are sorted too, and the
+    intervals of ``b`` meeting one interval of ``a`` are a contiguous range
+    found by two binary searches.
+    """
+    # the pair arrays are the largest an evaluation allocates, so each
+    # temporary is updated in place or dropped as soon as it is used
+    lo = np.searchsorted(b.stops, a.starts, side="right")
+    hits = np.searchsorted(b.starts, a.stops, side="left")
+    hits -= lo
+    ai = np.repeat(np.arange(a.starts.size), hits)
+    # the k-th hit of interval ai is interval lo[ai] + k of b
+    lo -= np.cumsum(hits) - hits
+    bi = np.repeat(lo, hits)
+    del lo, hits
+    bi += np.arange(bi.size)
+    area = np.minimum(a.stops[ai], b.stops[bi])
+    area -= np.maximum(a.starts[ai], b.starts[bi])
+    n = b.area.size
+    key = a.owner[ai]
+    del ai
+    key *= n
+    key += b.owner[bi]
+    del bi
+    order = np.argsort(key, kind="stable")
+    key, area = key[order], area[order]
+    del order
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key = key[first]
+    return key // n, key % n, np.add.reduceat(area, first)
 
 
 _MERGE_OPS = {

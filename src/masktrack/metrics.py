@@ -8,6 +8,17 @@ hypothesis id differs from the one it was most recently assigned.
 
     MOTSA  = (TP - FP - IDS) / |GT|
     sMOTSA = (sum of TP IOUs - FP - IDS) / |GT|
+
+There is no loop over mask pairs. Each record is decoded once, and each
+side's masks go into one interval table (``geometry.interval_table``), the
+frames in sorted order each in its own block of pixel positions. The table
+checks that a side's same-frame masks are disjoint, and a merge of the two
+tables gives the intersection area of every gt/hyp pair that shares pixels.
+IOU is ``mask_iou``'s formula on those integers, and frames, classes and
+gt records are walked in the order a pairwise evaluator walks them, so
+every count and the summed IOUs come out the same, bit for bit. A pair
+loop runs only to name the first overlapping pair of an input that has one.
+``mask_iou`` stays imported for the benchmark, which patches it by name.
 """
 
 from __future__ import annotations
@@ -16,7 +27,15 @@ from dataclasses import dataclass, field
 
 from .errors import OverlappingMasksInInput, ShapeMismatch
 from .formats import ResultRecord
-from .geometry import mask_intersection_area, mask_iou
+from .geometry import (
+    IntervalTable,
+    interval_table,
+    mask_intersection_area,
+    mask_iou,
+    overlapping_masks,
+    slot_capacity,
+    table_intersections,
+)
 from .tracker import CLASS_NAMES
 
 
@@ -48,54 +67,91 @@ class EvalReport:
     total: ClassStats = field(default_factory=ClassStats)
 
 
-def _index(records: list[ResultRecord], label: str):
-    """Group records by frame, decode masks, and check pairwise disjointness."""
-    by_frame: dict[int, list[tuple[ResultRecord, object]]] = {}
-    for rec in records:
-        by_frame.setdefault(rec.frame, []).append((rec, rec.mask()))
-    for frame, entries in by_frame.items():
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if mask_intersection_area(entries[i][1], entries[j][1]) > 0:
-                    rec = entries[j][0]
+def _table(records: list[ResultRecord], slot: dict[int, int], label: str) -> IntervalTable:
+    """Decode each record once into the side's interval table.
+
+    Raises OverlappingMasksInInput naming the first frame, in record order,
+    whose masks overlap, and in it the first pair ``(i, j)``, ``i < j`` in
+    record order: the table finds the frames, a pair loop names the pair.
+    """
+    masks = [rec.mask() for rec in records]
+    table = interval_table(masks, [slot[rec.frame] for rec in records])
+    clashes = {records[k].frame for k in overlapping_masks(table).tolist()}
+    if clashes:
+        frame = next(rec.frame for rec in records if rec.frame in clashes)
+        entries = [(rec, m) for rec, m in zip(records, masks) if rec.frame == frame]
+        for i, (first, mask) in enumerate(entries):
+            for rec, other in entries[i + 1 :]:
+                if mask_intersection_area(mask, other) > 0:
                     raise OverlappingMasksInInput(
                         f"{rec.source or label}: frame {frame} masks "
-                        f"{entries[i][0].track_id} and {rec.track_id} overlap"
+                        f"{first.track_id} and {rec.track_id} overlap"
                     )
-    return by_frame
+    return table
+
+
+def _by_frame_and_class(records: list[ResultRecord]) -> dict[int, dict[int, list[int]]]:
+    """Record indices grouped by frame, then by class, each list in record order."""
+    groups: dict[int, dict[int, list[int]]] = {}
+    for k, rec in enumerate(records):
+        groups.setdefault(rec.frame, {}).setdefault(rec.class_id, []).append(k)
+    return groups
 
 
 def evaluate(
     results: list[ResultRecord], ground_truth: list[ResultRecord]
 ) -> EvalReport:
     """Score a result record set against ground-truth records."""
+    report = EvalReport()
     records = results + ground_truth
-    dims = (records[0].img_h, records[0].img_w) if records else None
+    if not records:
+        return report
+    h, w = records[0].img_h, records[0].img_w
     for rec in records:
-        if (rec.img_h, rec.img_w) != dims:
+        if (rec.img_h, rec.img_w) != (h, w):
             raise ShapeMismatch(
                 f"{rec.source or 'inputs'}: image dims {rec.img_h}x{rec.img_w} "
-                f"differ from {dims[0]}x{dims[1]}"
+                f"differ from {h}x{w}"
             )
-    hyp_frames = _index(results, "results")
-    gt_frames = _index(ground_truth, "ground truth")
+    frames = sorted({rec.frame for rec in records})
+    capacity = slot_capacity(h, w)
+    if len(frames) > capacity:
+        rec = next(rec for rec in records if rec.frame == frames[capacity])
+        raise ShapeMismatch(
+            f"{rec.source or 'inputs'}: {len(frames)} frames of {h}x{w} pixels "
+            f"exceed the {capacity} that int64 pixel positions hold"
+        )
+    slot = {frame: s for s, frame in enumerate(frames)}
+    hyp_table = _table(results, slot, "results")
+    gt_table = _table(ground_truth, slot, "ground truth")
+    hyp_area, gt_area = hyp_table.area.tolist(), gt_table.area.tolist()
 
-    report = EvalReport()
+    # every (gt, hyp) pair that shares pixels, sorted by gt then hyp index
+    partners: dict[int, list[tuple[int, int]]] = {}
+    for gi, hi, inter in zip(*(col.tolist() for col in table_intersections(gt_table, hyp_table))):
+        partners.setdefault(gi, []).append((hi, inter))
+
+    hyp_frames = _by_frame_and_class(results)
+    gt_frames = _by_frame_and_class(ground_truth)
     last_assignment: dict[int, int] = {}  # gt track id -> last matched hyp id
-    for frame in sorted(set(hyp_frames) | set(gt_frames)):
-        hyps = hyp_frames.get(frame, [])
-        gts = gt_frames.get(frame, [])
-        classes = {r.class_id for r, _ in hyps} | {r.class_id for r, _ in gts}
-        for class_id in sorted(classes):
-            h = [(r, m) for r, m in hyps if r.class_id == class_id]
-            g = [(r, m) for r, m in gts if r.class_id == class_id]
+    for frame in frames:
+        hyps = hyp_frames.get(frame, {})
+        gts = gt_frames.get(frame, {})
+        for class_id in sorted(hyps.keys() | gts.keys()):
+            h_idx = hyps.get(class_id, [])
+            g_idx = gts.get(class_id, [])
             stats = report.per_class.setdefault(class_id, ClassStats())
-            stats.gt_count += len(g)
+            stats.gt_count += len(g_idx)
             matched_h: set[int] = set()
             matched_g: set[int] = set()
-            for gi, (gt_rec, gt_mask) in enumerate(g):
-                for hi, (hyp_rec, hyp_mask) in enumerate(h):
-                    iou = mask_iou(gt_mask, hyp_mask)
+            for gi in g_idx:
+                gt_rec = ground_truth[gi]
+                for hi, inter in partners.get(gi, ()):
+                    hyp_rec = results[hi]
+                    if hyp_rec.class_id != class_id:
+                        continue
+                    # mask_iou's formula on the same ints, so the same float
+                    iou = inter / (gt_area[gi] + hyp_area[hi] - inter)
                     if iou <= 0.5:
                         continue
                     # disjointness makes >0.5 partners unique; verify it
@@ -112,8 +168,8 @@ def evaluate(
                     if prev is not None and prev != hyp_rec.track_id:
                         stats.ids += 1
                     last_assignment[gt_rec.track_id] = hyp_rec.track_id
-            stats.fp += len(h) - len(matched_h)
-            stats.fn += len(g) - len(matched_g)
+            stats.fp += len(h_idx) - len(matched_h)
+            stats.fn += len(g_idx) - len(matched_g)
 
     total = report.total
     for stats in report.per_class.values():

@@ -7,9 +7,10 @@ from itertools import permutations
 import numpy as np
 
 from masktrack.embedding import FeatureBank, bank_cross_similarity, bank_update, merge_banks
-from masktrack.errors import ParseError
+from masktrack.errors import OverlappingMasksInInput, ParseError, ShapeMismatch
 from masktrack.formats import SequenceMeta
-from masktrack.geometry import BBox, rect_mask
+from masktrack.geometry import BBox, mask_intersection_area, mask_iou, rect_mask
+from masktrack.metrics import ClassStats, EvalReport
 from masktrack.reid import moving_merge_test, static_merge_test
 from masktrack.tracker import PEDESTRIAN, Detection, Tracklet
 
@@ -197,3 +198,80 @@ def reference_merge_pass(tracklets, cfg, tracker_cfg):
             else:
                 result.append(tr)
         current = sorted(result, key=lambda t: t.id)
+
+
+def _reference_index(records, label):
+    """Group records by frame, decode masks, and check pairwise disjointness."""
+    by_frame = {}
+    for rec in records:
+        by_frame.setdefault(rec.frame, []).append((rec, rec.mask()))
+    for frame, entries in by_frame.items():
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                if mask_intersection_area(entries[i][1], entries[j][1]) > 0:
+                    rec = entries[j][0]
+                    raise OverlappingMasksInInput(
+                        f"{rec.source or label}: frame {frame} masks "
+                        f"{entries[i][0].track_id} and {rec.track_id} overlap"
+                    )
+    return by_frame
+
+
+def reference_evaluate(results, ground_truth):
+    """Every same-frame mask pair checked and scored one at a time with
+    ``mask_intersection_area`` and ``mask_iou``: the oracle for
+    ``metrics.evaluate``, raising its errors for overlaps and mixed dims."""
+    records = results + ground_truth
+    dims = (records[0].img_h, records[0].img_w) if records else None
+    for rec in records:
+        if (rec.img_h, rec.img_w) != dims:
+            raise ShapeMismatch(
+                f"{rec.source or 'inputs'}: image dims {rec.img_h}x{rec.img_w} "
+                f"differ from {dims[0]}x{dims[1]}"
+            )
+    hyp_frames = _reference_index(results, "results")
+    gt_frames = _reference_index(ground_truth, "ground truth")
+
+    report = EvalReport()
+    last_assignment = {}  # gt track id -> last matched hyp id
+    for frame in sorted(set(hyp_frames) | set(gt_frames)):
+        hyps = hyp_frames.get(frame, [])
+        gts = gt_frames.get(frame, [])
+        classes = {r.class_id for r, _ in hyps} | {r.class_id for r, _ in gts}
+        for class_id in sorted(classes):
+            h = [(r, m) for r, m in hyps if r.class_id == class_id]
+            g = [(r, m) for r, m in gts if r.class_id == class_id]
+            stats = report.per_class.setdefault(class_id, ClassStats())
+            stats.gt_count += len(g)
+            matched_h, matched_g = set(), set()
+            for gi, (gt_rec, gt_mask) in enumerate(g):
+                for hi, (hyp_rec, hyp_mask) in enumerate(h):
+                    iou = mask_iou(gt_mask, hyp_mask)
+                    if iou <= 0.5:
+                        continue
+                    # disjointness makes >0.5 partners unique; verify it
+                    if gi in matched_g or hi in matched_h:
+                        raise AssertionError(
+                            f"frame {frame}: non-unique IOU>0.5 match for "
+                            f"gt {gt_rec.track_id} / hyp {hyp_rec.track_id}"
+                        )
+                    matched_g.add(gi)
+                    matched_h.add(hi)
+                    stats.tp += 1
+                    stats.soft_tp += iou
+                    prev = last_assignment.get(gt_rec.track_id)
+                    if prev is not None and prev != hyp_rec.track_id:
+                        stats.ids += 1
+                    last_assignment[gt_rec.track_id] = hyp_rec.track_id
+            stats.fp += len(h) - len(matched_h)
+            stats.fn += len(g) - len(matched_g)
+
+    total = report.total
+    for stats in report.per_class.values():
+        total.gt_count += stats.gt_count
+        total.tp += stats.tp
+        total.soft_tp += stats.soft_tp
+        total.fp += stats.fp
+        total.fn += stats.fn
+        total.ids += stats.ids
+    return report

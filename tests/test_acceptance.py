@@ -23,7 +23,7 @@ from helpers import least_squares_fit, matching_cost
 from masktrack import pipeline, reid
 from masktrack.assignment import INFEASIBLE, hungarian_solve
 from masktrack.config import PipelineConfig, load_config, parse_config_text
-from masktrack.formats import load_detections, records_from_tracks, write_detections
+from masktrack.formats import load_detections, read_results, records_from_tracks, write_detections
 from masktrack.geometry import (
     mask_intersection_area,
     mask_iou,
@@ -31,7 +31,7 @@ from masktrack.geometry import (
     rle_from_string,
     rle_to_string,
 )
-from masktrack.metrics import evaluate
+from masktrack.metrics import evaluate, format_report
 from masktrack.pipeline import run_pipeline
 from masktrack.regression import huber_fit
 from masktrack.reid import ReidConfig, motion_vector, moving_merge_test
@@ -50,6 +50,12 @@ from masktrack.synth import (
 from masktrack.tracker import CAR, PEDESTRIAN
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+# the benchmark's seeded workload builders
+PERFBENCH = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402
 
 
 def announce(name, detail=""):
@@ -455,19 +461,19 @@ def overlapping_pairs(masks_by_frame):
     )
 
 
-@pytest.mark.parametrize(
-    "name, spec",
-    [
-        ("clean", scenario_clean()),
-        ("gaps", scenario_detector_gaps()),
-        ("occlusions_static", scenario_long_occlusions("static")),
-        ("occlusions_moving", scenario_long_occlusions("moving")),
-        ("crossing", scenario_crossing()),
-        ("reid", scenario_reid()),
-        ("features", scenario_features()),
-        ("twenty", scenario_twenty()),
-    ],
-)
+GOLDEN_SCENARIOS = [
+    ("clean", scenario_clean()),
+    ("gaps", scenario_detector_gaps()),
+    ("occlusions_static", scenario_long_occlusions("static")),
+    ("occlusions_moving", scenario_long_occlusions("moving")),
+    ("crossing", scenario_crossing()),
+    ("reid", scenario_reid()),
+    ("features", scenario_features()),
+    ("twenty", scenario_twenty()),
+]
+
+
+@pytest.mark.parametrize("name, spec", GOLDEN_SCENARIOS)
 def test_result_lines_match_golden_hash(name, spec):
     """The default-config result lines hash to fixed values, so a change that
     alters any written mask, id or frame fails here, not only run to run."""
@@ -477,6 +483,54 @@ def test_result_lines_match_golden_hash(name, spec):
     tracks, _ = run_pipeline(meta, dets, PipelineConfig())
     assert lines_sha256(records_from_tracks(tracks, meta)) == GOLDEN_RESULT_SHA256[name]
     announce(f"{name} result lines match the golden hash")
+
+
+# sha256 of format_report's table, a newline and repr(total.soft_tp), so a
+# change in the last bit of the summed IOUs shows too
+GOLDEN_REPORT_SHA256 = {
+    "clean": "f3315d254633ba2c619913e0b31f7aa8d6165e945c0c36099c7e4290de67cb43",
+    "gaps": "f9a5a32fb4154a184b0194cf2ab7b2505eef65dbb3bb324e7b2a25f597b0b798",
+    "occlusions_static": "2488813e8fdb7a96457b5acd45c9e6ba4dbcf1298e5f82b86534c2c16746011c",
+    "occlusions_moving": "2488813e8fdb7a96457b5acd45c9e6ba4dbcf1298e5f82b86534c2c16746011c",
+    "crossing": "3b03325445a24d65a76ed911ae8db1fca2329a29081f621e9f90b13e3912b0c4",
+    "reid": "35e8dd3fcf7d484a0784d5a75cd6466d04100d6739c8feb0e951937c25bf79c4",
+    "features": "bd37212ffebef75eb78e3972a2d374d30e38712cf7c9da163010ecf0aa13258f",
+    "twenty": "b61475f0ee8dc6e35677e33a52e83566a25c1ab0c3fd33821a2f0605574b57a1",
+    # the benchmark workloads at seed 7, through their detection and ground-truth files
+    "crowd_seed7": "2e3402d3ad66295ed2982754adff0e4700719eb99a92f53dea50353a87634270",
+    "fragments_seed7": "807ccb10b904b474a5c117c14de98706b34a0d08e9d3aec5e790f78e3795db4e",
+    "features_seed7": "8fc72fcef5b9dedfe4397a8708417d64664a3856afe9d60a120df3e7eeb32726",
+}
+
+
+def report_sha256(report):
+    text = format_report(report) + "\n" + repr(report.total.soft_tp)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("name, spec", GOLDEN_SCENARIOS)
+def test_eval_report_matches_golden_hash(name, spec):
+    """The default-config results scored against the scenario's ground truth
+    give a fixed report, down to the last bit of the summed IOUs."""
+    meta, dets, gt = generate(spec)
+    if name == "features":
+        dets = with_feature_maps(dets)
+    tracks, _ = run_pipeline(meta, dets, PipelineConfig())
+    assert report_sha256(evaluate(records_from_tracks(tracks, meta), gt)) == GOLDEN_REPORT_SHA256[name]
+    announce(f"{name} eval report matches the golden hash")
+
+
+@pytest.mark.parametrize("workload", ["crowd", "fragments", "features"])
+def test_workload_eval_report_matches_golden_hash(tmp_path, workload):
+    """The same for the benchmark workloads at seed 7, read from the files
+    ``masktrack synth`` would write for them."""
+    dets_path, gt_path = str(tmp_path / "dets.jsonl"), str(tmp_path / "gt.txt")
+    workloads.write_inputs(workload, 7, dets_path, gt_path)
+    meta, dets = load_detections(dets_path)
+    tracks, _ = run_pipeline(meta, dets, PipelineConfig())
+    report = evaluate(records_from_tracks(tracks, meta), read_results(gt_path))
+    assert report_sha256(report) == GOLDEN_REPORT_SHA256[f"{workload}_seed7"]
+    announce(f"{workload} seed-7 eval report matches the golden hash")
 
 
 def test_features_golden_hash_through_a_detection_file(tmp_path):

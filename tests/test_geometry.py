@@ -12,15 +12,19 @@ from masktrack.geometry import (
     _cut,
     bbox_iou,
     cannot_overlap,
+    interval_table,
     mask_intersection_area,
     mask_iou,
     mask_merge,
     may_overlap,
+    overlapping_masks,
     rect_mask,
     rle_decode,
     rle_encode,
     rle_from_string,
     rle_to_string,
+    slot_capacity,
+    table_intersections,
 )
 
 
@@ -382,6 +386,95 @@ class TestMayOverlap:
             may_overlap(a, b, np.ones((2, 2), dtype=bool))
         pairs = np.array([[True, False], [True, False]])
         assert may_overlap(a, b, pairs).tolist() == [[False, False], [True, False]]
+
+
+@st.composite
+def slotted_masks(draw, disjoint=True, max_side=6):
+    """Two lists of masks of one shape, each mask given a slot from a few
+    drawn at random and the lists shuffled, so slots come out of order.
+
+    Slot by slot a side is a label grid, so its masks are disjoint, or with
+    ``disjoint`` false one random grid per mask, so they often overlap. Any
+    mask may be all background or all foreground, and masks of one slot
+    often touch across a column wrap.
+    """
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    slots = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+    sides = []
+    for _ in range(2):
+        side = []
+        for slot in slots:
+            labels = draw(arrays(np.int8, shape, elements=st.integers(0, 3)))
+            for k in range(1, 4):
+                grid = labels == k if disjoint else draw(grids(shape))
+                if grid.any() or draw(st.booleans()):
+                    side.append((rle_encode(grid), slot))
+        side = draw(st.permutations(side))
+        sides.append(([m for m, _ in side], [s for _, s in side]))
+    return sides
+
+
+def pairwise_intersections(a, slots_a, b, slots_b):
+    return [
+        (i, j, mask_intersection_area(x, y))
+        for i, (x, s) in enumerate(zip(a, slots_a))
+        for j, (y, t) in enumerate(zip(b, slots_b))
+        if s == t and mask_intersection_area(x, y)
+    ]
+
+
+class TestIntervalTable:
+    @given(slotted_masks())
+    def test_intersections_equal_the_pairwise_areas(self, sides):
+        (a, slots_a), (b, slots_b) = sides
+        ta, tb = interval_table(a, slots_a), interval_table(b, slots_b)
+        assert overlapping_masks(ta).size == overlapping_masks(tb).size == 0
+        got = list(zip(*(col.tolist() for col in table_intersections(ta, tb))))
+        assert got == pairwise_intersections(a, slots_a, b, slots_b)
+        assert ta.area.tolist() == [m.area for m in a]
+
+    @given(slotted_masks(disjoint=False))
+    def test_overlaps_found_in_every_slot_that_has_one(self, sides):
+        (masks, slots), _ = sides
+        pairs = pairwise_intersections(masks, slots, masks, slots)
+        clashing = {slots[i] for i, j, _ in pairs if i < j}
+        owners = overlapping_masks(interval_table(masks, slots)).tolist()
+        assert {slots[k] for k in owners} == clashing
+
+    def test_intervals_are_sorted_and_placed_by_slot(self):
+        full, empty = BinaryMask(2, 3, (0, 6)), BinaryMask(2, 3, (6,))
+        wrap = BinaryMask(2, 3, (1, 2, 3))  # (1, 0) and (0, 1): across the column wrap
+        table = interval_table([wrap, empty, full, full], [4, 0, 2, 3])
+        assert table.starts.tolist() == [12, 18, 25]
+        assert table.stops.tolist() == [18, 24, 27]
+        assert table.owner.tolist() == [2, 3, 0]
+        assert table.area.tolist() == [2, 0, 6, 6]
+        assert overlapping_masks(table).size == 0  # frames 2 and 3 touch, never overlap
+        assert overlapping_masks(interval_table([wrap, full], [1, 1])).tolist() == [0]
+
+    def test_empty_tables(self):
+        empty = interval_table([], [])
+        one = interval_table([BinaryMask(2, 2, (1, 3))], [0])
+        for a, b in ((empty, empty), (empty, one), (one, empty)):
+            assert [col.size for col in table_intersections(a, b)] == [0, 0, 0]
+        assert overlapping_masks(empty).size == 0
+
+    def test_slot_past_int64_positions_refused(self):
+        side = 2**31  # one frame holds 2**62 positions
+        assert slot_capacity(side, side) == 1
+        mask = BinaryMask(side, side, (3, 5, side * side - 8))
+        assert interval_table([mask], [0]).stops.tolist() == [8]
+        with pytest.raises(ShapeMismatch, match="int64"):
+            interval_table([mask, mask], [0, 1])
+        big = BinaryMask(2**40, 2**40, (2**80,))
+        with pytest.raises(ShapeMismatch, match="int64"):
+            interval_table([big], [0])
+        with pytest.raises(ShapeMismatch, match="int64"):
+            interval_table([BinaryMask(1, 1, (1,))], [-1])
+
+    def test_mixed_dims_refused(self):
+        with pytest.raises(ShapeMismatch):
+            interval_table([BinaryMask(2, 2, (4,)), BinaryMask(1, 4, (4,))], [0, 1])
 
 
 class TestMaskMerge:

@@ -97,10 +97,18 @@ def test_no_import_inside_a_function(name):
 
 # __init__ imports only to re-export. An import kept unused only so that the
 # benchmark can patch it by name needs an exemption here that says so.
+BENCHMARK_ONLY = {
+    # perfbench's piece clock and tracer patch metrics.mask_iou by name; the
+    # evaluator takes IOU from the interval table's intersection areas
+    ("metrics", "mask_iou"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(set(MODULES) - {"__init__"}))
 def test_every_imported_name_is_used(name):
     tree = MODULES[name]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {bound for module, bound in BENCHMARK_ONLY if module == name}
     dead = [f"{bound} (line {line})" for bound, line in imported_names(tree) if bound not in used]
     assert not dead, f"{name} imports names it never uses: {', '.join(dead)}"
 
