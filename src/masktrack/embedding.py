@@ -8,14 +8,17 @@ keep the embeddings of their earliest and most recent frames in a bank, one
 stacked row per frame.
 
 One cosine kernel, :func:`_max_cosine`, computes every similarity in the
-package: vector against vector, bank against detection, bank against bank,
-and the motion-direction check of re-identification.
+package: vector against vector, banks against detections, bank against
+bank, and the motion-direction check of re-identification. It reduces per
+block of rows, so the rows of many banks can be stacked and meet their
+detections in one call (:func:`bank_similarities`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -101,11 +104,16 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
     return (rows * rows).sum(axis=-1)
 
 
-def _max_cosine(a: np.ndarray, sq_a: np.ndarray, b: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
-    """For each row of ``b``, its largest cosine with a row of ``a``, clamped to [-1, 1].
+def _max_cosine(
+    a: np.ndarray, sq_a: np.ndarray, b: np.ndarray, sq_b: np.ndarray, blocks=(0,)
+) -> np.ndarray:
+    """For each block of rows of ``a``, each row of ``b``'s largest cosine with
+    a row of the block, clamped to [-1, 1].
 
-    ``sq_a`` and ``sq_b`` are the rows' squared norms; a zero row scores 0.0.
-    Returns a ``(len(b),)`` array. A dot product is an elementwise product
+    ``blocks`` holds the index of each block's first row, increasing from 0,
+    and no block is empty; by default all of ``a`` is one block. ``sq_a`` and
+    ``sq_b`` are the rows' squared norms; a zero row scores 0.0. Returns a
+    ``(len(blocks), len(b))`` array. A dot product is an elementwise product
     summed over the last axis, not a matmul, so a pair's value does not
     depend on the other rows stacked with it.
     """
@@ -114,14 +122,15 @@ def _max_cosine(a: np.ndarray, sq_a: np.ndarray, b: np.ndarray, sq_b: np.ndarray
     dots = (a[:, None, :] * b[None, :, :]).sum(axis=-1)
     norms = np.sqrt(np.multiply.outer(sq_a, sq_b))
     norms[norms == 0.0] = np.inf  # 0 / inf = 0
+    dots /= norms
     # clamping is monotone, so clamping the max equals the max of the clamps
-    return np.clip((dots / norms).max(axis=0), -1.0, 1.0)
+    return np.clip(np.maximum.reduceat(dots, blocks, axis=0), -1.0, 1.0)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1]; 0.0 for a zero vector."""
     a, b = _as_row(a), _as_row(b)
-    return float(_max_cosine(a, _sq_norms(a), b, _sq_norms(b))[0])
+    return float(_max_cosine(a, _sq_norms(a), b, _sq_norms(b))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -160,18 +169,39 @@ def bank_update(bank: FeatureBank, emb: np.ndarray, frame: int) -> FeatureBank:
     return merge_banks(bank, FeatureBank(bank.size, (frame,), row))
 
 
-def bank_similarity(bank: FeatureBank, queries: np.ndarray) -> np.ndarray:
-    """Maximum cosine similarity between each query and any bank row.
+def bank_similarities(banks: list[FeatureBank], queries: np.ndarray) -> np.ndarray:
+    """Maximum cosine similarity between each query and any row of each bank.
 
-    ``queries`` is an ``(n, d)`` stack; the result is an ``(n,)`` array, entry
-    ``j`` equal to the one a stack of query ``j`` alone gives.
+    ``queries`` is an ``(n, d)`` stack; the result is a ``(len(banks), n)``
+    array. The banks' rows are stacked and meet the queries in one cosine
+    call, reduced per bank, so entry ``(k, j)`` equals the one bank ``k``
+    and query ``j`` alone give.
     """
-    if len(bank) == 0:
+    sizes = [len(bank) for bank in banks]
+    if 0 in sizes:
         raise DegenerateInput("similarity against an empty feature bank")
     q = np.asarray(queries, dtype=float)
     if q.ndim != 2:
         raise ShapeMismatch(f"queries must be an (n, d) stack, got shape {q.shape}")
-    return _max_cosine(bank.rows, bank.sq_norms, q, _sq_norms(q))
+    if not banks:
+        return np.zeros((0, len(q)))
+    widths = {bank.rows.shape[1] for bank in banks}
+    if len(widths) > 1:
+        raise ShapeMismatch(f"bank widths differ: {sorted(widths)}")
+    rows = np.concatenate([bank.rows for bank in banks])
+    sq_rows = np.concatenate([bank.sq_norms for bank in banks])
+    blocks = list(accumulate(sizes[:-1], initial=0))  # each bank's first row
+    return _max_cosine(rows, sq_rows, q, _sq_norms(q), blocks)
+
+
+def bank_similarity(bank: FeatureBank, queries: np.ndarray) -> np.ndarray:
+    """Maximum cosine similarity between each query and any bank row.
+
+    ``queries`` is an ``(n, d)`` stack; the result is an ``(n,)`` array, entry
+    ``j`` equal to the one a stack of query ``j`` alone gives. The one-bank
+    case of :func:`bank_similarities`.
+    """
+    return bank_similarities([bank], queries)[0]
 
 
 def bank_cross_similarity(a: FeatureBank, b: FeatureBank) -> float:

@@ -323,12 +323,19 @@ def resolve_records(
     by the resolution are dropped. Output is sorted by (frame, track_id).
     Each mask is cut only against the kept masks of its frame that
     :func:`cannot_overlap` does not rule out; the others already miss it.
+    A mask whose dimensions are not the sequence's raises ShapeMismatch
+    naming its frame and track, since its record could not be read back.
     """
     records: list[ResultRecord] = []
     for frame in sorted(per_frame):
         entries = sorted(per_frame[frame], key=lambda e: e[0])
         kept: list[BinaryMask] = []
         for track_id, class_id, mask in entries:
+            if (mask.height, mask.width) != (meta.img_h, meta.img_w):
+                raise ShapeMismatch(
+                    f"frame {frame}: track {track_id} mask is {mask.height}x{mask.width}, "
+                    f"the sequence is {meta.img_h}x{meta.img_w}"
+                )
             near = [k for k in kept if not cannot_overlap(mask, k)]
             resolved = mask
             for k in near:

@@ -23,7 +23,11 @@ foreground intervals of a list of masks, each mask placed in the block of
 pixel positions of its slot (its frame), sorted by start. Neighbouring
 intervals show whether a slot's masks overlap (:func:`overlapping_masks`),
 and two disjoint tables merge by binary search into the exact intersection
-area of every pair that shares pixels (:func:`table_intersections`).
+area of every pair that shares pixels (:func:`table_intersections`). A list
+of chosen pairs, such as a tracker's candidate matches, goes through the
+same merge (:func:`pair_intersections`): each pair gets its own slot, so
+both tables are disjoint however the masks of one side overlap, and they
+are built from the masks' cached run ends.
 
 Building a mask coerces its fields with ``operator.index`` (a float or a
 str is refused) and checks the run list with ``min``, ``in`` and ``sum``;
@@ -305,6 +309,10 @@ def _extent_rows(masks: list[BinaryMask]) -> np.ndarray:
     return np.array([m.extent or _NO_EXTENT for m in masks], dtype=float).reshape(-1, 4)
 
 
+def _dims(masks: list[BinaryMask]) -> np.ndarray:
+    return np.array([(m.height, m.width) for m in masks]).reshape(-1, 2)
+
+
 def may_overlap(a: list[BinaryMask], b: list[BinaryMask], pairs: np.ndarray) -> np.ndarray:
     """``not cannot_overlap(a[i], b[j])`` for every pair asked about, by broadcast.
 
@@ -313,8 +321,7 @@ def may_overlap(a: list[BinaryMask], b: list[BinaryMask], pairs: np.ndarray) -> 
     asked about has masks of different dimensions, empty ones included, as
     :func:`cannot_overlap` does.
     """
-    dims_a = np.array([(m.height, m.width) for m in a]).reshape(-1, 2)
-    dims_b = np.array([(m.height, m.width) for m in b]).reshape(-1, 2)
+    dims_a, dims_b = _dims(a), _dims(b)
     differ = pairs & (dims_a[:, None, :] != dims_b[None, :, :]).any(axis=-1)
     if differ.any():
         i, j = np.argwhere(differ)[0]
@@ -509,6 +516,67 @@ def table_intersections(
     first = np.flatnonzero(np.diff(key, prepend=-1))
     key = key[first]
     return key // n, key % n, np.add.reduceat(area, first)
+
+
+def _slot_tables(
+    a: list[BinaryMask], b: list[BinaryMask], ia: np.ndarray, ib: np.ndarray, slot: int
+) -> tuple[IntervalTable, IntervalTable]:
+    """The tables of ``a[ia[p]]`` and of ``b[ib[p]]``, pair ``p`` placed at ``p * slot``.
+
+    Both are read in one pass over the masks' cached run ends, each mask
+    once however many pairs name it: foreground run ``2k+1`` of a mask covers
+    ``[run_ends[2k], run_ends[2k+1])``.
+    """
+    masks = a + b
+    which = np.concatenate((ia, ib + len(a)))
+    ends = [m.run_ends for m in masks]
+    runs = np.fromiter(map(len, ends), dtype=np.int64, count=len(ends))
+    first = np.cumsum(runs) - runs
+    fg = (runs // 2)[which]  # foreground runs of each pair's mask, side a first
+    before = np.cumsum(fg) - fg
+    owner = np.repeat(np.arange(which.size) % ia.size, fg)
+    # the k-th interval of an entry starts at end 2k of its mask
+    at = np.repeat(first[which] - 2 * before, fg) + 2 * np.arange(owner.size)
+    offset = owner * slot
+    flat = np.concatenate(ends)
+    starts, stops = flat[at] + offset, flat[at + 1] + offset
+    area = np.fromiter((m.area for m in masks), dtype=np.int64, count=len(masks))[which]
+    n, k = ia.size, before[ia.size]  # the intervals of side a come first
+    return (
+        IntervalTable(starts[:k], stops[:k], owner[:k], area[:n]),
+        IntervalTable(starts[k:], stops[k:], owner[k:], area[n:]),
+    )
+
+
+def pair_intersections(
+    a: list[BinaryMask], b: list[BinaryMask], ia: np.ndarray, ib: np.ndarray
+) -> np.ndarray:
+    """``mask_intersection_area(a[ia[p]], b[ib[p]])`` for every pair ``p``, in int64.
+
+    Each pair gets a slot of its own on one position axis, as wide as the
+    largest frame among the masks, so each side's table holds one mask per
+    slot and is disjoint, and one :func:`table_intersections` merge gives
+    every pair's area at once. A mask may appear in many pairs. Raises
+    ShapeMismatch for a pair of masks of different dimensions, or for more
+    slots than int64 positions hold.
+    """
+    ia = np.asarray(ia, dtype=np.int64)
+    ib = np.asarray(ib, dtype=np.int64)
+    if ia.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    dims = {(m.height, m.width) for m in chain(a, b)}
+    if len(dims) > 1:
+        differ = (_dims(a)[ia] != _dims(b)[ib]).any(axis=1)
+        if differ.any():
+            p = int(np.argmax(differ))
+            _check_dims(a[ia[p]], b[ib[p]])
+    slot = max(h * w for h, w in dims)
+    if ia.size > _INT64_MAX // slot:
+        raise ShapeMismatch(f"{ia.size} slots of {slot} pixels overflow int64 positions")
+    pair, _, area = table_intersections(*_slot_tables(a, b, ia, ib, slot))
+    out = np.zeros(ia.size, dtype=np.int64)
+    out[pair] = area  # a slot meets only the same slot of the other side
+    return out
 
 
 _MERGE_OPS = {

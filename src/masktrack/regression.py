@@ -2,10 +2,12 @@
 
 The loss is quadratic for residuals up to ``delta`` and linear beyond,
 minimized by iteratively reweighted least squares: outliers get weight
-``delta / |r|``, inliers weight 1. When every residual at the ordinary
-least-squares solution is within ``delta`` the fit equals plain least
-squares exactly. Iteration stops once no parameter moves by ``TOL`` or
-more, or after ``MAX_ITER`` rounds.
+``delta / |r|``, inliers weight 1. A round whose residuals are all within
+``delta`` weighs every point 1, so it takes the ordinary least-squares
+solution, which is solved once per fit. When every residual at that
+solution is within ``delta``, the fit is plain least squares after one
+solve. Iteration stops once no parameter moves by ``TOL`` or more, or
+after ``MAX_ITER`` rounds.
 """
 
 from __future__ import annotations
@@ -31,15 +33,21 @@ def huber_fit(times, values, delta: float = 4.0) -> tuple[float, float]:
     """
     t, v = _validate(times, values)
     design = np.stack([t, np.ones_like(t)], axis=1)
-    params, *_ = np.linalg.lstsq(design, v, rcond=None)
+    ols, *_ = np.linalg.lstsq(design, v, rcond=None)
+    params = ols
     for _ in range(MAX_ITER):
         residuals = v - design @ params
         abs_r = np.abs(residuals)
-        weights = np.where(abs_r <= delta, 1.0, delta / np.maximum(abs_r, 1e-300))
-        sqrt_w = np.sqrt(weights)
-        new_params, *_ = np.linalg.lstsq(
-            design * sqrt_w[:, None], v * sqrt_w, rcond=None
-        )
+        inlier = abs_r <= delta
+        if inlier.all():
+            # every weight is 1, so the weighted solve is the ordinary one
+            new_params = ols
+        else:
+            weights = np.where(inlier, 1.0, delta / np.maximum(abs_r, 1e-300))
+            sqrt_w = np.sqrt(weights)
+            new_params, *_ = np.linalg.lstsq(
+                design * sqrt_w[:, None], v * sqrt_w, rcond=None
+            )
         change = float(np.max(np.abs(new_params - params)))
         params = new_params
         if change < TOL:

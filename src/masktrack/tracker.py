@@ -2,10 +2,12 @@
 
 Each step matches the frame's detections against tracks seen in the previous
 frame with a cost of ``2 - mask_iou - feature_similarity``, solved as a
-minimum-cost assignment and gated. The cost matrix is built once per step:
-class ids and mask extents are compared by broadcast, so a mask pair is cut
-only when the classes agree and the extents meet, and each track's bank is
-compared with all of its class's detections in one similarity row. The gate
+minimum-cost assignment and gated. The cost matrix is built once per step
+by a fixed number of array operations, however many tracks and pairs the
+frame has: class ids and mask extents are compared by broadcast, the pairs
+whose classes agree and extents meet have their intersection areas taken in
+one merge of two interval tables, and the banks of each class are stacked
+and compared with all of that class's detections in one cosine call. The gate
 applies after the solve: a pair the solve picked whose cost exceeds the gate
 is dropped, and its track is not offered another detection that frame.
 Tracks that missed the previous frame get a second chance through short-term
@@ -28,13 +30,14 @@ import numpy as np
 from .assignment import INFEASIBLE, hungarian_solve
 from .embedding import (
     FeatureBank,
+    bank_similarities,
     bank_similarity,
     bank_update,
     instance_aware_pool,
     spatial_attention,
 )
 from .errors import OutOfOrderFrame, ShapeMismatch
-from .geometry import BBox, BinaryMask, bbox_iou, mask_iou, may_overlap
+from .geometry import BBox, BinaryMask, bbox_iou, mask_iou, may_overlap, pair_intersections
 from .regression import huber_fit
 
 CAR = 1
@@ -188,25 +191,34 @@ def _stack(embeddings: list[np.ndarray]) -> np.ndarray:
 def assignment_cost(tracks: list[Track], detections: list[Detection]) -> np.ndarray:
     """The ``(tracks, detections)`` cost matrix ``2 - mask IOU - bank similarity``.
 
-    Cross-class cells are infeasible. A track's last mask is cut against a
-    detection's only when their extents meet; every other IOU is 0.0. Each
-    track's bank meets its class's detections in one similarity call.
+    Cross-class cells are infeasible. A fixed number of array operations
+    builds it, however many tracks and pairs there are: the pairs of a
+    track's last mask and a same-class detection mask whose extents meet go
+    through one :func:`pair_intersections` merge, and every other IOU is
+    0.0; each class's banks are stacked and meet its detections in one
+    :func:`bank_similarities` call.
     """
     t_cls = np.array([t.class_id for t in tracks])
     d_cls = np.array([d.class_id for d in detections])
     same = t_cls[:, None] == d_cls[None, :]
     last = [t.observations[-1].mask for t in tracks]
     masks = [d.mask for d in detections]
+    ti, dj = np.nonzero(may_overlap(last, masks, same))
+    inter = pair_intersections(last, masks, ti, dj)
+    # mask_iou's formula on the same integers, so the same bits; may_overlap
+    # passes no empty mask, so no union is 0
+    area_t = np.fromiter((m.area for m in last), dtype=np.int64, count=len(last))
+    area_d = np.fromiter((m.area for m in masks), dtype=np.int64, count=len(masks))
     iou = np.zeros(same.shape)
-    for i, j in zip(*np.nonzero(may_overlap(last, masks, same))):
-        iou[i, j] = mask_iou(last[i], masks[j])
+    iou[ti, dj] = inter / (area_t[ti] + area_d[dj] - inter)
     sim = np.zeros(same.shape)
     for class_id in sorted({t.class_id for t in tracks}):
         cols = np.flatnonzero(d_cls == class_id)
         if cols.size:
+            rows = np.flatnonzero(t_cls == class_id)
             queries = _stack([detections[j].embedding for j in cols])
-            for i in np.flatnonzero(t_cls == class_id):
-                sim[i, cols] = bank_similarity(tracks[i].bank, queries)
+            banks = [tracks[i].bank for i in rows]
+            sim[np.ix_(rows, cols)] = bank_similarities(banks, queries)
     return np.where(same, 2.0 - iou - sim, INFEASIBLE)
 
 

@@ -11,6 +11,7 @@ from masktrack.errors import OverlappingMasksInInput, ParseError, ShapeMismatch
 from masktrack.formats import SequenceMeta
 from masktrack.geometry import BBox, mask_intersection_area, mask_iou, rect_mask
 from masktrack.metrics import ClassStats, EvalReport
+from masktrack.regression import MAX_ITER, TOL
 from masktrack.reid import moving_merge_test, static_merge_test
 from masktrack.tracker import PEDESTRIAN, Detection, Tracklet
 
@@ -66,6 +67,25 @@ def least_squares_fit(times, values) -> tuple[float, float]:
     v = np.asarray(values, dtype=float)
     design = np.stack([t, np.ones_like(t)], axis=1)
     params, *_ = np.linalg.lstsq(design, v, rcond=None)
+    return float(params[0]), float(params[1])
+
+
+def reference_huber_fit(times, values, delta) -> tuple[float, float]:
+    """The robust fit with a weighted solve in every round, unit weights
+    included: the oracle for ``regression.huber_fit``."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    design = np.stack([t, np.ones_like(t)], axis=1)
+    params, *_ = np.linalg.lstsq(design, v, rcond=None)
+    for _ in range(MAX_ITER):
+        abs_r = np.abs(v - design @ params)
+        weights = np.where(abs_r <= delta, 1.0, delta / np.maximum(abs_r, 1e-300))
+        sqrt_w = np.sqrt(weights)
+        new_params, *_ = np.linalg.lstsq(design * sqrt_w[:, None], v * sqrt_w, rcond=None)
+        change = float(np.max(np.abs(new_params - params)))
+        params = new_params
+        if change < TOL:
+            break
     return float(params[0]), float(params[1])
 
 

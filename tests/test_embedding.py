@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from masktrack.embedding import (
     FeatureBank,
     bank_cross_similarity,
+    bank_similarities,
     bank_similarity,
     bank_update,
     cosine_similarity,
@@ -226,6 +227,16 @@ class TestFeatureBank:
             with pytest.raises(ShapeMismatch, match=r"an \(n, d\) stack"):
                 bank_similarity(bank, queries)
 
+    def test_stacked_similarity_checks_every_bank(self):
+        banks = [build_bank([[1, 0]]), build_bank([[0, 1], [1, 1]])]
+        assert bank_similarities(banks, np.array([[1.0, 0.0]])).tolist() == [
+            [1.0], [pytest.approx(1 / np.sqrt(2))]]
+        assert bank_similarities([], np.ones((3, 2))).shape == (0, 3)
+        with pytest.raises(DegenerateInput, match="empty feature bank"):
+            bank_similarities([banks[0], FeatureBank()], np.ones((1, 2)))
+        with pytest.raises(ShapeMismatch, match=r"bank widths differ: \[2, 3\]"):
+            bank_similarities([banks[0], build_bank([[1, 0, 0]])], np.ones((1, 2)))
+
     def test_similarity_rejects_a_query_of_another_width(self):
         bank = build_bank([[1, 0, 0, 0]])
         with pytest.raises(ShapeMismatch, match="embedding widths differ: 4 vs 1"):
@@ -335,6 +346,17 @@ class TestMaxCosineProperty:
         assert abs(cross - max(fsum_cosine(x, y) for x in a for y in b)) <= 1e-12
         assert all(pairs[i][j] == 0.0 for i, x in enumerate(a) for j, y in enumerate(b)
                    if not (x.any() and y.any()))
+
+    @given(st.data(), st.integers(1, 40))
+    def test_stacked_banks_give_each_bank_its_own_values(self, data, width):
+        banks = [build_bank(data.draw(row_sets(width))) for _ in range(data.draw(st.integers(1, 5)))]
+        queries = data.draw(row_sets(width))
+        stacked = bank_similarities(banks, queries)
+        assert stacked.shape == (len(banks), len(queries))
+        for row, bank in zip(stacked.tolist(), banks):
+            # bit for bit: each query's largest cosine over this bank's rows alone
+            assert row == [max(cosine_similarity(x, y) for x in bank.rows) for y in queries]
+            assert row == bank_similarity(bank, queries).tolist()
 
 
 class TestL2Normalize:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from helpers import IMG_H, IMG_W, make_det, make_meta, make_tracklet, packed, unit
 
-from masktrack.embedding import instance_aware_pool, spatial_attention
+from masktrack.embedding import FeatureBank, bank_update, instance_aware_pool, spatial_attention
 from masktrack.errors import ParseError, ShapeMismatch
 from masktrack.formats import (
     ResultRecord,
@@ -33,7 +33,7 @@ from masktrack.geometry import (
     rle_encode,
     rle_to_string,
 )
-from masktrack.tracker import PEDESTRIAN, Detection
+from masktrack.tracker import PEDESTRIAN, Detection, Tracklet
 
 
 EMPTY_TOKEN = rle_to_string(BinaryMask(IMG_H, IMG_W, (IMG_H * IMG_W,)))
@@ -570,6 +570,18 @@ class TestResults:
         records = write_results(tracks, make_meta(), str(tmp_path / "r.txt"))
         keys = [(r.frame, r.track_id) for r in records]
         assert keys == sorted(keys)
+
+    def test_mask_of_other_dims_refused_before_writing(self, tmp_path):
+        # written, the 10x10 mask's record would not sum to 20*30 and
+        # read_results would refuse it
+        box = BBox(2, 2, 4, 4)
+        det = Detection(3, PEDESTRIAN, 0.9, box, rect_mask(10, 10, box), unit(0))
+        track = Tracklet(2001, PEDESTRIAN, [det], bank_update(FeatureBank(5), unit(0), 3))
+        meta = SequenceMeta("seq", 25.0, 20, 30, "static")
+        path = tmp_path / "r.txt"
+        with pytest.raises(ShapeMismatch, match=r"^frame 3: track 2001 mask is 10x10, the sequence is 20x30$"):
+            write_results([track], meta, str(path))
+        assert not path.exists()
 
     def test_read_rejects_duplicate_frame_id(self, tmp_path):
         rec = ResultRecord(1, 2001, 2, 2, 2, "04")

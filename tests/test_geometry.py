@@ -18,6 +18,7 @@ from masktrack.geometry import (
     mask_merge,
     may_overlap,
     overlapping_masks,
+    pair_intersections,
     rect_mask,
     rle_decode,
     rle_encode,
@@ -475,6 +476,53 @@ class TestIntervalTable:
     def test_mixed_dims_refused(self):
         with pytest.raises(ShapeMismatch):
             interval_table([BinaryMask(2, 2, (4,)), BinaryMask(1, 4, (4,))], [0, 1])
+
+
+@st.composite
+def paired_masks(draw, max_side=8):
+    """Two lists of masks of one shape and pairs between them. Each mask is
+    its own grid, so masks of one side often overlap; any mask may be empty
+    or full, or have runs that wrap past a column. A mask may be in many
+    pairs, and there may be no pair at all."""
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    a = [rle_encode(draw(grids(shape))) for _ in range(draw(st.integers(1, 4)))]
+    b = [rle_encode(draw(grids(shape))) for _ in range(draw(st.integers(1, 4)))]
+    pair = st.tuples(st.integers(0, len(a) - 1), st.integers(0, len(b) - 1))
+    return a, b, draw(st.lists(pair, max_size=10))
+
+
+class TestPairIntersections:
+    @given(paired_masks())
+    def test_equals_the_pairwise_area(self, drawn):
+        a, b, pairs = drawn
+        ia = np.array([i for i, _ in pairs], dtype=np.int64)
+        ib = np.array([j for _, j in pairs], dtype=np.int64)
+        got = pair_intersections(a, b, ia, ib)
+        assert got.dtype == np.int64
+        assert got.tolist() == [mask_intersection_area(a[i], b[j]) for i, j in pairs]
+
+    def test_wrapping_runs_and_repeated_masks(self):
+        full, empty = BinaryMask(2, 3, (0, 6)), BinaryMask(2, 3, (6,))
+        wrap = BinaryMask(2, 3, (1, 2, 3))  # (1, 0) and (0, 1): across the column wrap
+        lower = BinaryMask(2, 3, (1, 1, 1, 1, 1, 1))  # the bottom row
+        a, b = [wrap, full, empty], [lower, wrap, full]
+        ia, ib = np.array([0, 0, 0, 1, 1, 2, 0]), np.array([0, 1, 2, 0, 2, 2, 0])
+        assert pair_intersections(a, b, ia, ib).tolist() == [1, 2, 2, 3, 6, 0, 1]
+        assert pair_intersections(a, b, [], []).tolist() == []
+
+    def test_pairs_of_different_frames(self):
+        small, big = BinaryMask(2, 2, (1, 2, 1)), BinaryMask(3, 3, (0, 5, 4))
+        pairs = [small, big], [big, small]
+        assert pair_intersections(*pairs, [0, 1, 0], [1, 0, 1]).tolist() == [2, 5, 2]
+        with pytest.raises(ShapeMismatch, match="mask dims differ: 3x3 vs 2x2"):
+            pair_intersections(*pairs, [0, 1], [1, 1])
+
+    def test_slots_past_int64_positions_refused(self):
+        side = 2**31  # one frame holds 2**62 positions
+        mask = BinaryMask(side, side, (3, 5, side * side - 8))
+        assert pair_intersections([mask], [mask], [0], [0]).tolist() == [5]
+        with pytest.raises(ShapeMismatch, match="int64"):
+            pair_intersections([mask], [mask], [0, 0], [0, 0])
 
 
 class TestMaskMerge:

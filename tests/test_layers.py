@@ -101,6 +101,9 @@ BENCHMARK_ONLY = {
     # perfbench's piece clock and tracer patch metrics.mask_iou by name; the
     # evaluator takes IOU from the interval table's intersection areas
     ("metrics", "mask_iou"),
+    # the same for tracker.mask_iou: assignment_cost takes IOU from one
+    # pair-table merge (geometry.pair_intersections)
+    ("tracker", "mask_iou"),
 }
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from helpers import least_squares_fit
+from helpers import least_squares_fit, reference_huber_fit
+from hypothesis import given
+from hypothesis import strategies as st
 
 from masktrack.errors import DegenerateInput
 from masktrack.regression import huber_fit
@@ -49,6 +51,18 @@ class TestHuberFit:
         assert abs(slope - 1.0) < 1e-2
         assert abs(ls_slope - 1.0) > 0.5
 
+    def test_unit_weight_solve_counted_once(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        huber_fit([0, 1, 2, 3], [0.0, 1.1, 1.9, 3.0], delta=1.0)
+        assert len(calls) == 1  # every residual inlier: the ordinary solve only
+
     def test_degenerate_all_same_t(self):
         with pytest.raises(DegenerateInput):
             huber_fit([3, 3, 3], [1, 2, 3], delta=1.0)
@@ -56,6 +70,22 @@ class TestHuberFit:
     def test_degenerate_single_sample(self):
         with pytest.raises(DegenerateInput):
             huber_fit([1], [1], delta=1.0)
+
+
+# small integers and halves, so lines through them are exact and residuals
+# often sit right at delta; a few values far off the line make outliers
+SAMPLES = st.integers(-40, 40).map(lambda k: k / 2) | st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+class TestHuberFitProperty:
+    @given(
+        st.lists(st.tuples(st.integers(0, 30), SAMPLES), min_size=2, max_size=12, unique_by=lambda p: p[0]),
+        st.sampled_from([0.5, 1.0, 4.0]) | st.floats(1e-3, 1e3),
+    )
+    def test_equals_the_loop_that_solves_every_round(self, points, delta):
+        times = [t for t, _ in points]
+        values = [v for _, v in points]
+        assert huber_fit(times, values, delta=delta) == reference_huber_fit(times, values, delta)
 
 
 class TestLeastSquaresFit:

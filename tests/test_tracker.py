@@ -112,9 +112,11 @@ def signed_rows(draw, n, width, sign):
 @st.composite
 def association_cases(draw):
     """Tracks with banks of 1-10 rows and detections of either class, on
-    masks that may be empty. With ``opposed`` signs every bank row is
-    non-negative and every detection embedding non-positive, so no cosine
-    is above 0."""
+    masks that may be empty. A detection may be drawn near an earlier
+    detection or a track's last box, with its class, so same-class masks
+    overlap on both sides of many pairs. With ``opposed`` signs every bank
+    row is non-negative and every detection embedding non-positive, so no
+    cosine is above 0."""
     width = draw(st.integers(1, 12))
     opposed = draw(st.booleans())
     tracks = []
@@ -132,9 +134,15 @@ def association_cases(draw):
     embs = draw(signed_rows(n, width, -1 if opposed else 0))
     dets = []
     for emb in embs:
-        box = draw(small_boxes())
+        anchors = [(o.box, o.class_id) for o in [t.observations[-1] for t in tracks] + dets]
+        if draw(st.booleans()):
+            near, class_id = draw(st.sampled_from(anchors))
+            dx, dy = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            box = BBox(near.x + dx, near.y + dy, near.w, near.h)
+        else:
+            box, class_id = draw(small_boxes()), draw(st.sampled_from([CAR, PEDESTRIAN]))
         mask = rect_mask(SMALL_H, SMALL_W, box)
-        dets.append(Detection(20, draw(st.sampled_from([CAR, PEDESTRIAN])), 0.9, box, mask, emb))
+        dets.append(Detection(20, class_id, 0.9, box, mask, emb))
     return tracks, dets
 
 
@@ -151,6 +159,28 @@ class TestAssignmentCostMatrix:
                     continue
                 iou = mask_iou(t.observations[-1].mask, d.mask)
                 assert costs[i, j] == 2.0 - iou - bank_similarity(t.bank, [d.embedding])[0]
+
+    def test_builds_without_a_per_pair_or_per_track_call(self, monkeypatch):
+        """Crossing same-class masks go through the pair merge and the
+        stacked cosine, never the per-pair IOU or the one-bank similarity."""
+        dets = [make_det(1, x, 30, unit(k)) for k, x in enumerate((20, 26, 32))]
+        dets.append(make_det(1, 24, 36, unit(3), CAR))
+        tracks = [make_track(2001 + k, [d]) for k, d in enumerate(dets)]
+        frame = [make_det(2, x, 31, unit(k)) for k, x in enumerate((22, 28, 34))]
+        frame.append(make_det(2, 25, 37, unit(3), CAR))
+        expected = np.array([
+            [2.0 - mask_iou(t.observations[-1].mask, d.mask) - bank_similarity(t.bank, [d.embedding])[0]
+             if t.class_id == d.class_id else INFEASIBLE for d in frame]
+            for t in tracks
+        ])
+        assert (expected < 2.0).sum() == 8  # seven pedestrian pairs overlap, and the cars
+
+        def refuse(*args):
+            raise AssertionError("a per-pair or per-track kernel was called")
+
+        monkeypatch.setattr("masktrack.tracker.mask_iou", refuse)
+        monkeypatch.setattr("masktrack.tracker.bank_similarity", refuse)
+        assert np.array_equal(assignment_cost(tracks, frame), expected)
 
     def test_mask_dims_checked_only_within_a_class(self):
         tracker = MaskTracker(track_cfg())
