@@ -35,6 +35,7 @@ from .geometry import (
     mask_merge,
     rle_decode,
     rle_from_string,
+    rle_from_strings,
     rle_to_string,
 )
 from .tracker import CLASS_NAMES, Detection, Tracklet
@@ -67,7 +68,14 @@ class SequenceMeta:
 @dataclass(frozen=True)
 class ResultRecord:
     """One line of a result file. ``source`` is the ``FILE:LINE`` it was read
-    from, so a check made after reading can name it; empty in memory."""
+    from, so a check made after reading can name it; empty in memory.
+
+    ``decoded`` is the mask ``rle`` encodes. :func:`read_results` and
+    :func:`resolve_records` hand it over, so :meth:`mask` decodes nothing for
+    the records they return; a record built without it decodes ``rle`` on
+    each call. A mask whose dims are not ``img_h x img_w`` raises
+    ShapeMismatch.
+    """
 
     frame: int
     track_id: int
@@ -76,8 +84,19 @@ class ResultRecord:
     img_w: int
     rle: str
     source: str = field(default="", compare=False)
+    decoded: BinaryMask | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        m = self.decoded
+        if m is not None and (m.height, m.width) != (self.img_h, self.img_w):
+            raise ShapeMismatch(
+                f"{self.source or 'record'}: mask is {m.height}x{m.width}, "
+                f"the record is {self.img_h}x{self.img_w}"
+            )
 
     def mask(self) -> BinaryMask:
+        if self.decoded is not None:
+            return self.decoded
         return rle_from_string(self.rle, self.img_h, self.img_w)
 
     def to_line(self) -> str:
@@ -355,6 +374,7 @@ def resolve_records(
                     meta.img_h,
                     meta.img_w,
                     rle_to_string(resolved),
+                    decoded=resolved,
                 )
             )
     return records
@@ -389,36 +409,48 @@ def read_results(path: str) -> list[ResultRecord]:
 
     The five integer fields are plain decimal digits and the class id is a
     known class; anything else raises ParseError naming the file and line.
+    The file's mask tokens are decoded together once every line is read, by
+    :func:`rle_from_strings`, and each record carries its mask. A bad token
+    raises ParseError or ShapeMismatch naming its line, before any fault of
+    a later line.
     """
-    records: list[ResultRecord] = []
+    rows: list[tuple] = []  # each record's fields, its mask not yet decoded
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in text_lines(path, "ascii"):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(" ")
-        if len(parts) != 6:
-            raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        # the line is ASCII, so isdigit admits 0-9 only: no sign, no '_'
-        if not all(p.isdigit() for p in parts[:5]):
-            raise ParseError(f"{path}:{lineno}: non-integer field")
-        try:
-            frame, track_id, class_id, img_h, img_w = (int(p) for p in parts[:5])
-        except ValueError:  # more digits than int() converts
-            raise ParseError(f"{path}:{lineno}: integer field too long") from None
-        if class_id not in CLASS_NAMES:
-            raise ParseError(f"{path}:{lineno}: unknown class_id {class_id}")
-        key = (frame, track_id)
-        if key in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate (frame, track_id) {key}")
-        seen.add(key)
-        rec = ResultRecord(frame, track_id, class_id, img_h, img_w, parts[5], f"{path}:{lineno}")
-        try:
-            rec.mask()
-        except (ParseError, ShapeMismatch) as exc:
-            raise type(exc)(f"{rec.source}: {exc}") from None
-        records.append(rec)
-    return records
+    try:
+        for lineno, raw in text_lines(path, "ascii"):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(" ")
+            if len(parts) != 6:
+                raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+            # the line is ASCII, so isdigit admits 0-9 only: no sign, no '_'
+            if not all(p.isdigit() for p in parts[:5]):
+                raise ParseError(f"{path}:{lineno}: non-integer field")
+            try:
+                frame, track_id, class_id, img_h, img_w = (int(p) for p in parts[:5])
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"{path}:{lineno}: integer field too long") from None
+            if class_id not in CLASS_NAMES:
+                raise ParseError(f"{path}:{lineno}: unknown class_id {class_id}")
+            key = (frame, track_id)
+            if key in seen:
+                raise ParseError(f"{path}:{lineno}: duplicate (frame, track_id) {key}")
+            seen.add(key)
+            rows.append((frame, track_id, class_id, img_h, img_w, parts[5], f"{path}:{lineno}"))
+    except ParseError:
+        _decode_rows(rows)  # a bad token on an earlier line is named first
+        raise
+    return [ResultRecord(*row, decoded=mask) for row, mask in zip(rows, _decode_rows(rows))]
+
+
+def _decode_rows(rows: list[tuple]) -> list[BinaryMask]:
+    """The masks of :func:`read_results`' rows; a bad token raises its error
+    prefixed with its ``FILE:LINE``."""
+    try:
+        return rle_from_strings([row[5] for row in rows], [row[3] for row in rows], [row[4] for row in rows])
+    except (ParseError, ShapeMismatch) as exc:
+        raise type(exc)(f"{rows[exc.index][6]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,13 @@ longer values are decoded in Python, and the delta chains are undone with
 ``itertools.accumulate``. Encoding looks the characters of each small delta
 up in a table. Non-canonical tokens, with needless continuation characters,
 decode as the shortest form would.
+
+A file's tokens are decoded together by :func:`rle_from_strings`, in blocks
+of a few thousand characters: one byte array, the values summed from their
+chunks with ``np.add.reduceat`` and the delta chains undone with cumulative
+sums restarted at each token. A token it cannot prove valid, such as a bad
+one, goes through :func:`rle_from_string`, so both accept the same tokens
+and raise the same first error.
 """
 
 from __future__ import annotations
@@ -269,6 +276,132 @@ def rle_from_string(token: str, height: int, width: int) -> BinaryMask:
     counts[1::2] = accumulate(values[1::2])
     counts[2::2] = accumulate(values[2::2])
     return BinaryMask(height, width, counts)
+
+
+# The batch decoder reads tokens in blocks of about this many characters, so
+# its int64 temporaries, a few per character, stay small for any file.
+_BLOCK_CHARS = 1 << 14
+# A token goes through rle_from_string instead when its frame holds more
+# pixels, it is longer, or one of its values has more characters. Within
+# these, a value has at most 60 bits, and a token's counts, each at most
+# 2**40, sum to at most 2**62: every int64 below is exact where it matters.
+_BATCH_AREA = 1 << 40
+_BATCH_CHARS = 1 << 22
+_VALUE_CHARS = 12
+
+
+def _batch_area(token: str, height, width) -> int:
+    """``height * width`` when the batch can prove ``token`` right or wrong, else 0."""
+    try:
+        h, w = operator.index(height), operator.index(width)
+    except TypeError:
+        return 0
+    if h <= 0 or w <= 0 or h * w > _BATCH_AREA:
+        return 0
+    if not token or len(token) > _BATCH_CHARS or not token.isascii():
+        return 0
+    return h * w
+
+
+def _decode_block(tokens: list[str], areas: list[int]) -> list[list[int] | None]:
+    """The run list of each token that decodes to a valid mask of ``areas[k]``
+    pixels, or None: a bad character, a truncated token, a value longer than
+    ``_VALUE_CHARS`` characters, or a run list ``BinaryMask`` refuses.
+
+    Every token is non-empty ASCII. The tokens are read as one byte array;
+    each value is the sum of its 5-bit chunks, and each delta chain is one
+    cumulative sum, restarted at every token. int64 wraps, so a chain is
+    exact up to its first count outside ``[0, area]``, which marks the token
+    bad, and the counts of a good token sum exactly.
+    """
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    stop = np.cumsum(lengths)
+    start = stop - lengths
+    chunk = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8).astype(np.int64)
+    chunk -= 48
+    bad = np.logical_or.reduceat((chunk < 0) | (chunk > 63), start)
+    bad |= chunk[stop - 1] >= 32  # truncated: its last value goes on
+    # a character below 32 ends its value; a token's last one ends it anyway
+    end = chunk < 32
+    end[stop - 1] = True
+    vend = np.flatnonzero(end)
+    del end
+    vstart = np.concatenate(([0], vend[:-1] + 1))
+    size = vend - vstart + 1
+    first = np.searchsorted(vend, start)  # each token's first value
+    bad |= np.logical_or.reduceat(size > _VALUE_CHARS, first)
+    # the k-th character of a value carries its bits 5k .. 5k+4; the shifts
+    # of a longer value, whose token is bad already, only stay in range
+    shift = np.arange(chunk.size) - np.repeat(vstart, size)
+    np.minimum(shift, _VALUE_CHARS - 1, out=shift)
+    shift *= 5
+    negative = (chunk[vend] & 16) != 0
+    chunk &= 31
+    chunk <<= shift
+    del shift
+    counts = np.add.reduceat(chunk, vstart)
+    del chunk
+    np.minimum(size, _VALUE_CHARS, out=size)
+    counts[negative] -= np.left_shift(1, 5 * size[negative])  # sign extension
+    # undo the delta coding: a token's odd counts, and its even ones from the
+    # third, are running sums of their own chain. Each chain is a contiguous
+    # part of one stride-2 view; so is the first count, a part of its own.
+    nv = np.diff(first, append=counts.size)
+    parts = (first[:, None] + np.arange(3))[np.arange(3) < nv[:, None]]
+    for parity in (0, 1):
+        chain = counts[parity::2]
+        seg = parts[(parts & 1) == parity] // 2
+        run = np.cumsum(chain)
+        run -= np.repeat(run[seg] - chain[seg], np.diff(seg, append=chain.size))
+        chain[...] = run
+    area = np.array(areas, dtype=np.int64)
+    bad |= np.minimum.reduceat(counts, first) < 0
+    bad |= np.maximum.reduceat(counts, first) > area
+    empty = counts == 0
+    empty[first] = False  # only the first run may be empty
+    bad |= np.logical_or.reduceat(empty, first)
+    bad |= np.add.reduceat(counts, first) != area
+    rows = counts.tolist()
+    ranges = zip(first.tolist(), (first + nv).tolist())
+    return [None if b else rows[lo:hi] for b, (lo, hi) in zip(bad.tolist(), ranges)]
+
+
+def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -> list[BinaryMask]:
+    """``rle_from_string(tokens[k], heights[k], widths[k])`` for every ``k``,
+    decoded together in a few numpy passes over blocks of tokens.
+
+    :func:`rle_from_string` stays the authority: a token the batch cannot
+    prove valid (a bad character, a truncated or empty token, dims that are
+    not positive, a value longer than 12 characters, a frame past 2**40
+    pixels) goes through it, in order. So the masks, and the first error
+    raised, are the ones the per-token loop gives; the error carries the
+    token's position as its ``index`` attribute.
+    """
+    areas = [_batch_area(t, h, w) for t, h, w in zip(tokens, heights, widths)]
+    masks: list[BinaryMask] = []
+    lo = 0
+    while lo < len(tokens):
+        hi, chars = lo, 0
+        while hi < len(tokens) and chars < _BLOCK_CHARS:
+            chars += len(tokens[hi]) if areas[hi] else 0
+            hi += 1
+        batch = [i for i in range(lo, hi) if areas[i]]
+        runs = {}
+        if batch:
+            decoded = _decode_block([tokens[i] for i in batch], [areas[i] for i in batch])
+            runs = dict(zip(batch, decoded))
+        for i in range(lo, hi):
+            counts = runs.get(i)
+            if counts is not None:
+                masks.append(BinaryMask(heights[i], widths[i], counts))
+                continue
+            try:
+                masks.append(rle_from_string(tokens[i], heights[i], widths[i]))
+            except (ParseError, ShapeMismatch) as exc:
+                exc.index = i
+                raise
+        lo = hi
+    return masks
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ hypothesis id differs from the one it was most recently assigned.
     MOTSA  = (TP - FP - IDS) / |GT|
     sMOTSA = (sum of TP IOUs - FP - IDS) / |GT|
 
-There is no loop over mask pairs. Each record is decoded once, and each
-side's masks go into one interval table (``geometry.interval_table``), the
-frames in sorted order each in its own block of pixel positions. The table
+There is no loop over mask pairs, and no decoding: a record read from a
+file or resolved from tracks carries its mask (``read_results`` decodes a
+file's tokens once, in one batch), so each mask is decoded once, when read.
+Each side's masks go into one interval table (``geometry.interval_table``),
+the frames in sorted order each in its own block of pixel positions. The table
 checks that a side's same-frame masks are disjoint, and a merge of the two
 tables gives the intersection area of every gt/hyp pair that shares pixels.
 IOU is ``mask_iou``'s formula on those integers, and frames, classes and
@@ -68,7 +70,7 @@ class EvalReport:
 
 
 def _table(records: list[ResultRecord], slot: dict[int, int], label: str) -> IntervalTable:
-    """Decode each record once into the side's interval table.
+    """The interval table of one side's record masks.
 
     Raises OverlappingMasksInInput naming the first frame, in record order,
     whose masks overlap, and in it the first pair ``(i, j)``, ``i < j`` in

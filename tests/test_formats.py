@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from helpers import IMG_H, IMG_W, make_det, make_meta, make_tracklet, packed, unit
 
+from masktrack import formats, geometry
 from masktrack.embedding import FeatureBank, bank_update, instance_aware_pool, spatial_attention
 from masktrack.errors import ParseError, ShapeMismatch
 from masktrack.formats import (
@@ -31,8 +32,10 @@ from masktrack.geometry import (
     rle_decode,
     rect_mask,
     rle_encode,
+    rle_from_string,
     rle_to_string,
 )
+from masktrack.metrics import evaluate
 from masktrack.tracker import PEDESTRIAN, Detection, Tracklet
 
 
@@ -640,6 +643,64 @@ class TestResults:
         with pytest.raises(ShapeMismatch, match=r"r\.txt:2: mask dims"):
             read_results(str(path))
 
+    @pytest.mark.parametrize(
+        "line4",
+        [b"3 2001 2 2 2 04", b"4 2001 2 2", b"4 x 2 2 2 04", b"4 2001 7 2 2 04", b"# caf\xc3\xa9"],
+        ids=["duplicate_key", "field_count", "non_digit", "unknown_class", "non_ascii_byte"],
+    )
+    def test_a_bad_token_is_named_before_a_later_line_fault(self, tmp_path, line4):
+        path = tmp_path / "r.txt"
+        path.write_bytes(b"1 2001 2 2 2 04\n2 2001 2 2 2 0{4\n3 2001 2 2 2 04\n" + line4 + b"\n")
+        with pytest.raises(ParseError, match=r"r\.txt:2: invalid character '\{' at 1$"):
+            read_results(str(path))
+
+    def test_a_token_of_the_wrong_sum_is_named_before_a_later_duplicate(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("1 2001 2 2 2 04\n2 2001 2 2 2 05\n3 2001 2 2 2 04\n3 2001 2 2 2 04\n")
+        with pytest.raises(ShapeMismatch, match=r"r\.txt:2: counts sum 5 != 2\*2$"):
+            read_results(str(path))
+
+    def test_read_and_resolved_records_carry_their_masks(self, tmp_path):
+        tracks = [make_tracklet(2001, [(1, 10, 10), (2, 12, 10)], unit(0)),
+                  make_tracklet(2002, [(1, 15, 10)], unit(1))]
+        path = tmp_path / "r.txt"
+        written = write_results(tracks, make_meta(), str(path))
+        for rec in written + read_results(str(path)):
+            assert rec.decoded is not None
+            assert rec.mask() is rec.decoded
+            assert rec.decoded == rle_from_string(rec.rle, rec.img_h, rec.img_w)
+
+    def test_a_carried_mask_of_other_dims_is_refused(self):
+        mask = BinaryMask(2, 2, (0, 4))
+        with pytest.raises(ShapeMismatch, match=r"^r\.txt:3: mask is 2x2, the record is 2x3$"):
+            ResultRecord(1, 2001, 2, 2, 3, "04", "r.txt:3", mask)
+        with pytest.raises(ShapeMismatch, match=r"^record: mask is 2x2, the record is 3x2$"):
+            ResultRecord(1, 2001, 2, 3, 2, "04", decoded=mask)
+        # the mask is a cache of the token: it takes no part in equality
+        assert ResultRecord(1, 2001, 2, 2, 2, "04", decoded=mask) == ResultRecord(1, 2001, 2, 2, 2, "04")
+
+
+class TestDecodeOnce:
+    def test_evaluate_and_overlays_decode_no_token(self, tmp_path, monkeypatch):
+        """Once read, or resolved from tracks, records are scored and painted
+        with the masks they carry: the per-token decoder is never called."""
+        tracks = [
+            make_tracklet(2001, [(1, 10, 10), (2, 12, 10)], unit(0)),
+            make_tracklet(2002, [(1, 15, 10), (3, 50, 40)], unit(1)),
+        ]
+        path = tmp_path / "r.txt"
+        written = write_results(tracks, make_meta(), str(path))
+        records = read_results(str(path))
+
+        def refuse(*args):
+            raise AssertionError("a mask token was decoded again")
+
+        monkeypatch.setattr(formats, "rle_from_string", refuse)
+        monkeypatch.setattr(geometry, "rle_from_string", refuse)
+        report = evaluate(records, written)
+        assert (report.total.tp, report.total.fp, report.total.fn) == (len(records), 0, 0)
+        assert len(render_overlays(records, str(tmp_path / "overlays"))) == 3
+
 
 @st.composite
 def overlapping_frames(draw):
@@ -677,7 +738,10 @@ class TestResolveRecords:
                     token = rle_to_string(rle_encode(own))
                     expected.append(ResultRecord(frame, track_id, class_id, h, w, token))
         meta = SequenceMeta("resolve", 25.0, h, w, "static")
-        assert resolve_records(per_frame, meta) == expected
+        records = resolve_records(per_frame, meta)
+        assert records == expected
+        # each record carries the mask its token encodes
+        assert [r.mask() for r in records] == [rle_from_string(r.rle, h, w) for r in records]
 
 
 class TestOverlays:

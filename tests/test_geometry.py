@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from helpers import counts_token, token_counts
@@ -5,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from masktrack import geometry
 from masktrack.errors import MaskTrackError, ParseError, ShapeMismatch
 from masktrack.geometry import (
     BBox,
@@ -23,6 +26,7 @@ from masktrack.geometry import (
     rle_decode,
     rle_encode,
     rle_from_string,
+    rle_from_strings,
     rle_to_string,
     slot_capacity,
     table_intersections,
@@ -271,6 +275,108 @@ class TestStringCodec:
         token = rle_to_string(mask)
         assert token == counts_token(counts)
         assert rle_from_string(token, 1, sum(counts)) == mask
+
+
+def lengthen(token: str, at: int, extra: int) -> str:
+    """``token`` with the value ending at character ``at`` written with
+    ``extra`` needless continuation characters, as a non-canonical encoder
+    might: the same low bits, then sign-fill groups."""
+    negative = (ord(token[at]) - 48) & 16
+    fill, last = ("o", "O") if negative else ("P", "0")
+    return token[:at] + chr(ord(token[at]) + 32) + fill * (extra - 1) + last + token[at + 1 :]
+
+
+# run lists small and large, up to a frame of 2**40 pixels and past it
+BATCH_COUNTS = st.one_of(
+    CANONICAL_COUNTS,
+    st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    st.sampled_from([[2**40], [0, 2**40], [1, 2**40 - 1], [2**40 - 3, 2, 1]]),
+)
+
+
+@st.composite
+def token_batches(draw):
+    """(tokens, heights, widths): tokens of drawn run lists, some written long
+    (past 12 characters a value). Half the batches also hold faults: a
+    character fuzzed, a token cut short, empty or arbitrary text, and dims
+    that miss the counts, are 0, or make a 2**40 x 2**40 frame."""
+    faulty = draw(st.booleans())
+    edits = ["none", "none", "long"] + (["fuzz", "cut", "empty", "text"] if faulty else [])
+    fits = ["fit", "fit"] + (["miss", "zero", "huge"] if faulty else [])
+    tokens, heights, widths = [], [], []
+    for _ in range(draw(st.integers(0, 10))):
+        counts = draw(BATCH_COUNTS)
+        token = counts_token(counts)
+        edit = draw(st.sampled_from(edits))
+        if edit == "long":
+            ends = [i for i, c in enumerate(token) if c < "P"]
+            token = lengthen(token, draw(st.sampled_from(ends)), draw(st.integers(1, 14)))
+        elif edit == "fuzz":
+            at = draw(st.integers(0, len(token) - 1))
+            char = draw(st.characters(min_codepoint=40, max_codepoint=120) | st.just("é"))
+            token = token[:at] + char + token[at + 1 :]
+        elif edit == "cut":
+            token = token[: draw(st.integers(0, len(token) - 1))]
+        elif edit == "empty":
+            token = ""
+        elif edit == "text":
+            token = draw(TOKEN_TEXT)
+        total = sum(counts)
+        height = draw(st.sampled_from([h for h in (1, 2, 3, 4) if total % h == 0]))
+        dims = draw(st.sampled_from(fits))
+        width = total // height + (dims == "miss")
+        if dims == "zero":
+            height = 0
+        elif dims == "huge":
+            height, width = 2**40, 2**40
+        tokens.append(token)
+        heights.append(height)
+        widths.append(width)
+    return tokens, heights, widths
+
+
+def per_token(tokens, heights, widths):
+    """(masks, None) from ``rle_from_string`` one token at a time, or the
+    masks before the first error and ``(index, class, message)`` of it."""
+    masks = []
+    for k, (token, h, w) in enumerate(zip(tokens, heights, widths)):
+        try:
+            masks.append(rle_from_string(token, h, w))
+        except MaskTrackError as exc:
+            return masks, (k, type(exc), str(exc))
+    return masks, None
+
+
+class TestBatchDecode:
+    @given(token_batches(), st.sampled_from([1, 2, 5, 16, 64, geometry._BLOCK_CHARS]))
+    @example((["04", "P04", "0}4", "o01"], [2, 2, 2, 4], [2, 2, 2, 8]), 2)
+    @example((["4", "04", ""], [2, 2, 2], [2, 2, 2]), 1)
+    @example(([counts_token([0, 2**40])], [2**40], [1]), 16)
+    def test_matches_the_per_token_decoder(self, batch, block):
+        """Blocks of any size decode what the per-token loop decodes, equal to
+        the per-character oracle, or raise its first error at its index."""
+        tokens, heights, widths = batch
+        expected, error = per_token(tokens, heights, widths)
+        with patch.object(geometry, "_BLOCK_CHARS", block):
+            try:
+                masks = rle_from_strings(tokens, heights, widths)
+            except MaskTrackError as exc:
+                assert (exc.index, type(exc), str(exc)) == error
+                return
+        assert error is None
+        assert masks == expected
+        assert [m.counts for m in masks] == [tuple(token_counts(t)) for t in tokens]
+
+    def test_an_empty_batch(self):
+        assert rle_from_strings([], [], []) == []
+
+    def test_errors_name_the_first_bad_token_across_blocks(self):
+        good = rle_to_string(BinaryMask(4, 8, (3, 9, 20)))
+        tokens = [good] * 5 + ["0{4", good, "o"]
+        with patch.object(geometry, "_BLOCK_CHARS", len(good) * 2):
+            with pytest.raises(ParseError, match=r"^invalid character '\{' at 1$") as info:
+                rle_from_strings(tokens, [4] * 8, [8] * 8)
+        assert info.value.index == 5
 
 
 @st.composite
