@@ -3,7 +3,9 @@
 A detection arrives with a spatial feature map aligned to its bounding box.
 The instance mask is resampled onto the feature grid and turned into a
 foreground/background weighting (1.0 inside the object, 0.5 outside), the
-map is pooled under those weights, and the result is L2-normalized. Tracks
+map is pooled under those weights, and the result is L2-normalized. The
+masks of many detections on one grid size are resampled together, in one
+lookup over all their run ends (:func:`spatial_attentions`). Tracks
 keep the embeddings of their earliest and most recent frames in a bank, one
 stacked row per frame.
 
@@ -23,7 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DegenerateInput, OutOfOrderFrame, ShapeMismatch
-from .geometry import BBox, BinaryMask
+from .geometry import BBox, BinaryMask, slot_capacity
 
 FOREGROUND_WEIGHT = 1.0
 BACKGROUND_WEIGHT = 0.5
@@ -38,6 +40,7 @@ def spatial_attention(
     lookup: foreground cells weigh 1.0, background cells 0.5. Cells whose
     centre falls outside the image count as background. A cell's pixel is
     looked up in the mask's cached run ends, so the frame is never decoded.
+    The one-mask case of :func:`spatial_attentions`.
 
     Args:
         mask: Instance mask in full image coordinates.
@@ -48,22 +51,64 @@ def spatial_attention(
     Returns:
         (grid_h, grid_w) float array with values in {0.5, 1.0}.
     """
+    return spatial_attentions([mask], [box], grid_h, grid_w)[0]
+
+
+def spatial_attentions(
+    masks: list[BinaryMask], boxes: list[BBox], grid_h: int, grid_w: int
+) -> np.ndarray:
+    """The attention grid of each mask under its box, all on one grid size.
+
+    Returns a ``(len(masks), grid_h, grid_w)`` array whose entry ``k`` is
+    ``spatial_attention(masks[k], boxes[k], grid_h, grid_w)``, bit for bit:
+    each cell goes through the same float operations. The masks' cached run
+    ends are laid end to end, mask ``k``'s shifted by the pixels of the masks
+    before it, and one ``searchsorted`` finds the run under every cell. The
+    masks go in blocks of :func:`slot_capacity` of the largest frame, so
+    every shifted position fits in int64.
+    """
     if grid_h <= 0 or grid_w <= 0:
         raise ShapeMismatch(f"grid dims must be positive, got {grid_h}x{grid_w}")
-    if box.empty:
-        raise DegenerateInput(f"cannot sample attention under a zero-area box: {box}")
-    ys = box.y + (np.arange(grid_h) + 0.5) * box.h / grid_h
-    xs = box.x + (np.arange(grid_w) + 0.5) * box.w / grid_w
-    rows = np.floor(ys).astype(int)
-    cols = np.floor(xs).astype(int)
-    inside_r = (rows >= 0) & (rows < mask.height)
-    inside_c = (cols >= 0) & (cols < mask.width)
-    r_idx = np.clip(rows, 0, mask.height - 1)
-    c_idx = np.clip(cols, 0, mask.width - 1)
-    # column-major pixel index; the run holding it is foreground when odd
-    pixels = c_idx[None, :] * mask.height + r_idx[:, None]
-    odd_run = np.searchsorted(mask.run_ends, pixels, side="right") & 1
-    fg = (odd_run == 1) & inside_r[:, None] & inside_c[None, :]
+    for box in boxes:
+        if box.empty:
+            raise DegenerateInput(f"cannot sample attention under a zero-area box: {box}")
+    if not masks:
+        return np.zeros((0, grid_h, grid_w))
+    largest = max(masks, key=lambda m: m.height * m.width)
+    block = max(1, slot_capacity(largest.height, largest.width))
+    return np.concatenate([
+        _attention_block(masks[lo : lo + block], boxes[lo : lo + block], grid_h, grid_w)
+        for lo in range(0, len(masks), block)
+    ])
+
+
+def _attention_block(
+    masks: list[BinaryMask], boxes: list[BBox], grid_h: int, grid_w: int
+) -> np.ndarray:
+    y, x, box_h, box_w = np.array([(b.y, b.x, b.h, b.w) for b in boxes], dtype=float).T[:, :, None]
+    ys = y + (np.arange(grid_h) + 0.5) * box_h / grid_h
+    xs = x + (np.arange(grid_w) + 0.5) * box_w / grid_w
+    rows = np.floor(ys).astype(int)  # (n, grid_h)
+    cols = np.floor(xs).astype(int)  # (n, grid_w)
+    height = np.array([m.height for m in masks])[:, None]
+    width = np.array([m.width for m in masks])[:, None]
+    inside_r = (rows >= 0) & (rows < height)
+    inside_c = (cols >= 0) & (cols < width)
+    r_idx = np.clip(rows, 0, height - 1)
+    c_idx = np.clip(cols, 0, width - 1)
+    # column-major pixel index, shifted to its mask's place on the joint axis
+    ends = [m.run_ends for m in masks]
+    runs = np.fromiter(map(len, ends), dtype=np.int64, count=len(ends))
+    size = (height * width)[:, 0]
+    shift = np.cumsum(size) - size
+    pixels = c_idx[:, None, :] * height[:, :, None] + r_idx[:, :, None]
+    pixels += shift[:, None, None]
+    joint = np.concatenate(ends)
+    joint += np.repeat(shift, runs)
+    # the run holding a pixel, counted from its mask's first, is foreground when odd
+    run = np.searchsorted(joint, pixels, side="right")
+    run -= (np.cumsum(runs) - runs)[:, None, None]
+    fg = ((run & 1) == 1) & inside_r[:, :, None] & inside_c[:, None, :]
     return np.where(fg, FOREGROUND_WEIGHT, BACKGROUND_WEIGHT)
 
 

@@ -6,7 +6,10 @@ float array in a detection (``embedding``, ``feature_map.values``) is either
 a JSON list of numbers or a string packing the same values: standard base64
 of their little-endian float64 bytes, a map in C order ``(gh, gw, c)``.
 :func:`write_detections` writes the packed form, which round-trips every
-value bit for bit as the list form does.
+value bit for bit as the list form does. A detection file is read in one
+batch pass: each line is parsed and checked as it is read, then the masks
+of the whole file are decoded together, their run caches filled, and the
+feature maps of each grid size pooled together under one attention lookup.
 
 Results use the plain text layout common to mask-level tracking benchmarks:
 ``frame track_id class_id img_h img_w rle`` per line, frames ascending, with
@@ -23,14 +26,17 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInput, OverlapAfterResolution, ParseError, ShapeMismatch
+from .embedding import instance_aware_pool, spatial_attentions
+from .errors import OverlapAfterResolution, ParseError, ShapeMismatch
 from .geometry import (
     BBox,
     BinaryMask,
     cannot_overlap,
+    fill_caches,
     mask_intersection_area,
     mask_merge,
     rle_decode,
@@ -110,41 +116,78 @@ class ResultRecord:
 # detections
 # ---------------------------------------------------------------------------
 
+class _Row(NamedTuple):
+    """A checked detection line, its mask not yet decoded."""
+
+    frame: int
+    class_id: int
+    score: float
+    box: BBox
+    embedding: np.ndarray | None
+    feature_map: np.ndarray | None
+
+
 def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]]:
     """Read a detection file; returns the sequence meta and per-frame lists.
 
-    Frames come out sorted ascending. A detection given a feature map is
-    pooled into its embedding as it is read. Raises ParseError or
-    ShapeMismatch naming the file and line. Every detection's embedding or
-    feature map must have as many channels as the first one's.
+    Frames come out sorted ascending. Each line is parsed and checked as it
+    is read. The file's mask tokens are decoded together once every line is
+    read, by :func:`rle_from_strings`, and :func:`fill_caches` fills every
+    mask's run ends, area and extent. The feature maps of each grid size are
+    then pooled together into their embeddings, under one
+    :func:`spatial_attentions` lookup. Raises ParseError or ShapeMismatch
+    naming the file and line; a bad token is named before any later fault,
+    of its own line or a later one. Every detection's embedding or feature
+    map must have as many channels as the first one's.
     """
     meta: SequenceMeta | None = None
-    by_frame: dict[int, list[Detection]] = {}
+    # each detection's mask token and its FILE:LINE, decoded once every line is read
+    tokens: list[str] = []
+    sources: list[str] = []
+    rows: list[_Row] = []
     channels: int | None = None  # of the first detection; every other must match
-    for lineno, raw in text_lines(path, "utf-8"):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-        except ValueError as exc:  # an integer literal past Python's digit limit
-            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-        if meta is None:
-            meta = _parse_meta(obj, path, lineno)
-            continue
-        det = _parse_detection(obj, meta, path, lineno)
-        dim = det.embedding.size
-        if channels is None:
-            channels = dim
-        elif dim != channels:
-            raise ParseError(
-                f"{path}:{lineno}: {dim} feature channels, the first detection has {channels}"
-            )
-        by_frame.setdefault(det.frame, []).append(det)
+    try:
+        for lineno, raw in text_lines(path, "utf-8"):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # an integer literal past Python's digit limit
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            if meta is None:
+                meta = _parse_meta(obj, path, lineno)
+                continue
+            where = f"{path}:{lineno}"
+            frame, class_id, score, bbox, token = _parse_record(obj, meta, where)
+            # the line's token is checked before its features, as if decoded here
+            tokens.append(token)
+            sources.append(where)
+            embedding, feature_map = _parse_features(obj, where)
+            box = _parse_box(bbox, frame, embedding, feature_map, where)
+            dim = embedding.size if embedding is not None else feature_map.shape[2]
+            if channels is None:
+                channels = dim
+            elif dim != channels:
+                raise ParseError(
+                    f"{where}: {dim} feature channels, the first detection has {channels}"
+                )
+            rows.append(_Row(frame, class_id, score, box, embedding, feature_map))
+    except (ParseError, ShapeMismatch):
+        _decode_tokens(tokens, sources, meta)  # a bad token on an earlier line is named first
+        raise
     if meta is None:
         raise ParseError(f"{path}: missing header line")
+    masks = _decode_tokens(tokens, sources, meta)
+    fill_caches(masks)
+    embeddings = _pool(rows, masks)
+    by_frame: dict[int, list[Detection]] = {}
+    for row, mask, embedding in zip(rows, masks, embeddings):
+        by_frame.setdefault(row.frame, []).append(
+            Detection(row.frame, row.class_id, row.score, row.box, mask, embedding, row.feature_map)
+        )
     return meta, {f: by_frame[f] for f in sorted(by_frame)}
 
 
@@ -207,8 +250,19 @@ def _parse_meta(obj, path, lineno) -> SequenceMeta:
         raise ParseError(f"{path}:{lineno}: bad header ({exc})") from None
 
 
-def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
-    where = f"{path}:{lineno}"
+def _decode_tokens(
+    tokens: list[str], sources: list[str], meta: SequenceMeta | None
+) -> list[BinaryMask]:
+    """The masks of :func:`load_detections`' tokens, each of the sequence's
+    dims; a bad token raises its error prefixed with its ``FILE:LINE``."""
+    if not tokens:  # also before the header is read
+        return []
+    return _decode(tokens, [meta.img_h] * len(tokens), [meta.img_w] * len(tokens), sources)
+
+
+def _parse_record(obj, meta: SequenceMeta, where: str) -> tuple:
+    """A detection's frame, class id, score, bbox values and mask token,
+    checked up to the token itself."""
     try:
         frame = json_whole(obj["frame"], "frame")
         class_id = json_whole(obj["class_id"], "class_id")
@@ -229,13 +283,12 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
         raise ShapeMismatch(
             f"{where}: mask dims {mh}x{mw} != sequence {meta.img_h}x{meta.img_w}"
         )
-    try:
-        mask = rle_from_string(token, mh, mw)
-    except (ParseError, ShapeMismatch) as exc:
-        raise type(exc)(f"{where}: {exc}") from None
+    return frame, class_id, score, (bx, by, bw, bh), token
 
-    embedding = None
-    feature_map = None
+
+def _parse_features(obj, where: str) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """A detection's ``(embedding, feature_map)``; at most one is set, the
+    embedding when both are given."""
     if "embedding" in obj and obj["embedding"] is not None:
         try:
             embedding = _floats(obj["embedding"])
@@ -245,7 +298,8 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
             raise ParseError(f"{where}: embedding is empty")
         if not np.isfinite(embedding).all():
             raise ParseError(f"{where}: non-finite embedding value")
-    elif "feature_map" in obj and obj["feature_map"] is not None:
+        return embedding, None
+    if "feature_map" in obj and obj["feature_map"] is not None:
         fm = obj["feature_map"]
         try:
             gh, gw = json_whole(fm["gh"], "gh"), json_whole(fm["gw"], "gw")
@@ -261,11 +315,39 @@ def _parse_detection(obj, meta: SequenceMeta, path, lineno) -> Detection:
             )
         if not np.isfinite(values).all():
             raise ParseError(f"{where}: non-finite feature_map value")
-        feature_map = values.reshape(gh, gw, ch)
+        return None, values.reshape(gh, gw, ch)
+    return None, None
+
+
+def _parse_box(bbox, frame, embedding, feature_map, where: str) -> BBox:
+    """The detection's box, once it is known that the detection has features
+    and that a feature map has a box with an area to pool under."""
     try:
-        return Detection(frame, class_id, score, BBox(bx, by, bw, bh), mask, embedding, feature_map)
-    except (ValueError, DegenerateInput) as exc:
+        box = BBox(*bbox)
+    except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from None
+    if embedding is None and feature_map is None:
+        raise ParseError(
+            f"{where}: detection at frame {frame} has neither an embedding nor a feature map"
+        )
+    if feature_map is not None and box.empty:
+        raise ParseError(f"{where}: cannot sample attention under a zero-area box: {box}")
+    return box
+
+
+def _pool(rows: list[_Row], masks: list[BinaryMask]) -> list[np.ndarray]:
+    """Each row's embedding: the one it gave, or its feature map pooled under
+    its mask's attention, every map of one grid size in one lookup."""
+    embeddings = [row.embedding for row in rows]
+    grids: dict[tuple[int, int], list[int]] = {}
+    for k, row in enumerate(rows):
+        if row.feature_map is not None:
+            grids.setdefault(row.feature_map.shape[:2], []).append(k)
+    for (gh, gw), ks in grids.items():
+        attns = spatial_attentions([masks[k] for k in ks], [rows[k].box for k in ks], gh, gw)
+        for k, attn in zip(ks, attns):
+            embeddings[k] = instance_aware_pool(rows[k].feature_map, attn)
+    return embeddings
 
 
 def _floats(value) -> np.ndarray:
@@ -447,10 +529,19 @@ def read_results(path: str) -> list[ResultRecord]:
 def _decode_rows(rows: list[tuple]) -> list[BinaryMask]:
     """The masks of :func:`read_results`' rows; a bad token raises its error
     prefixed with its ``FILE:LINE``."""
+    tokens, heights, widths, sources = ([row[k] for row in rows] for k in (5, 3, 4, 6))
+    return _decode(tokens, heights, widths, sources)
+
+
+def _decode(
+    tokens: list[str], heights: list[int], widths: list[int], sources: list[str]
+) -> list[BinaryMask]:
+    """:func:`rle_from_strings` on a file's tokens; a bad token raises its
+    error prefixed with its source, ``FILE:LINE``."""
     try:
-        return rle_from_strings([row[5] for row in rows], [row[3] for row in rows], [row[4] for row in rows])
+        return rle_from_strings(tokens, heights, widths)
     except (ParseError, ShapeMismatch) as exc:
-        raise type(exc)(f"{rows[exc.index][6]}: {exc}") from None
+        raise type(exc)(f"{sources[exc.index]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,10 @@ of a few thousand characters: one byte array, the values summed from their
 chunks with ``np.add.reduceat`` and the delta chains undone with cumulative
 sums restarted at each token. A token it cannot prove valid, such as a bad
 one, goes through :func:`rle_from_string`, so both accept the same tokens
-and raise the same first error.
+and raise the same first error; a mask it has proven is built without the
+constructor's checks. :func:`fill_caches` fills the run ends, area and
+extent caches of many masks at once, from one cumulative sum over their run
+lists laid end to end.
 """
 
 from __future__ import annotations
@@ -116,7 +119,8 @@ class BinaryMask:
     def run_ends(self) -> np.ndarray:
         """Cumulative run ends: run ``i`` covers pixels up to ``run_ends[i]``.
 
-        Cached on first use; the mask is frozen, so the cache cannot go stale.
+        Cached on first use, or filled together with other masks' by
+        :func:`fill_caches`; the mask is frozen, so the cache cannot go stale.
         """
         return np.cumsum(self.counts)
 
@@ -366,6 +370,15 @@ def _decode_block(tokens: list[str], areas: list[int]) -> list[list[int] | None]
     return [None if b else rows[lo:hi] for b, (lo, hi) in zip(bad.tolist(), ranges)]
 
 
+def _proven_mask(height: int, width: int, counts: tuple[int, ...]) -> BinaryMask:
+    """A mask built without ``BinaryMask``'s checks, for a run list
+    :func:`_decode_block` has proven: ints, non-negative, no empty run after
+    the first, summing to ``height * width``."""
+    mask = object.__new__(BinaryMask)
+    mask.__dict__.update(height=height, width=width, counts=counts)
+    return mask
+
+
 def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -> list[BinaryMask]:
     """``rle_from_string(tokens[k], heights[k], widths[k])`` for every ``k``,
     decoded together in a few numpy passes over blocks of tokens.
@@ -393,7 +406,8 @@ def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -
         for i in range(lo, hi):
             counts = runs.get(i)
             if counts is not None:
-                masks.append(BinaryMask(heights[i], widths[i], counts))
+                h, w = operator.index(heights[i]), operator.index(widths[i])
+                masks.append(_proven_mask(h, w, tuple(counts)))
                 continue
             try:
                 masks.append(rle_from_string(tokens[i], heights[i], widths[i]))
@@ -402,6 +416,71 @@ def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -
                 raise
         lo = hi
     return masks
+
+
+# The cache pass reads run lists in blocks of about this many runs, so its
+# temporaries stay small for any number of masks.
+_BLOCK_RUNS = 1 << 14
+
+
+def fill_caches(masks: list[BinaryMask]) -> None:
+    """Fill the ``run_ends``, ``area`` and ``extent`` caches of many masks at once.
+
+    Each cache holds what the mask computes on first use. The run lists of
+    a block of masks are laid end to end, each padded to even length with
+    an empty foreground run, and one cumulative sum, restarted at each
+    mask, gives every run end; each mask keeps a read-only view of its own.
+    A mask of more pixels than int64 holds is left to fill its own.
+    """
+    masks = [m for m in masks if m.height * m.width <= _INT64_MAX]
+    lo = 0
+    while lo < len(masks):
+        hi, runs = lo, 0
+        while hi < len(masks) and runs < _BLOCK_RUNS:
+            runs += len(masks[hi].counts)
+            hi += 1
+        _fill_block(masks[lo:hi])
+        lo = hi
+
+
+def _fill_block(masks: list[BinaryMask]):
+    """:func:`fill_caches` on one block of masks."""
+    runs = np.fromiter(map(len, (m.counts for m in masks)), dtype=np.int64, count=len(masks))
+    padded = runs + (runs & 1)
+    first = np.cumsum(padded) - padded
+    pad = ((), (0,))
+    ends = np.fromiter(
+        chain.from_iterable(chain(m.counts, pad[len(m.counts) & 1]) for m in masks),
+        dtype=np.int64,
+        count=int(padded.sum()),
+    )
+    area = np.add.reduceat(ends[1::2], first // 2)  # the odd runs are foreground
+    # mask k - 1 sums to its pixel count, so subtracting that from the first
+    # run of mask k restarts the sum there: every partial sum lies in [0, h * w]
+    ends[first[1:]] -= np.array([m.height * m.width for m in masks[:-1]], dtype=np.int64)
+    np.cumsum(ends, out=ends)
+    ends.flags.writeable = False
+    # foreground run i of the block covers [ends[2i], ends[2i + 1]); only
+    # the padding runs are empty
+    starts, stops = ends[0::2], ends[1::2]
+    fg = np.flatnonzero(stops > starts)
+    owner = np.repeat(np.arange(len(masks)), padded // 2)[fg]
+    h = np.array([m.height for m in masks], dtype=np.int64)[owner]
+    col_first, row_first = np.divmod(starts[fg], h)
+    col_last, row_last = np.divmod(stops[fg] - 1, h)
+    del fg
+    group = np.flatnonzero(np.diff(owner, prepend=-1))  # each non-empty mask's first run
+    # a run that wraps past a column reaches both the last row and the first
+    wraps = np.logical_or.reduceat(col_last > col_first, group)
+    row_min = np.where(wraps, 0, np.minimum.reduceat(row_first, group))
+    row_max = np.where(wraps, h[group] - 1, np.maximum.reduceat(row_last, group))
+    col_max = np.maximum.reduceat(col_last, group)
+    extents: list[tuple | None] = [None] * len(masks)
+    bounds = zip(col_first[group].tolist(), col_max.tolist(), row_min.tolist(), row_max.tolist())
+    for k, extent in zip(owner[group].tolist(), bounds):
+        extents[k] = extent
+    for m, lo, n, a, extent in zip(masks, first.tolist(), runs.tolist(), area.tolist(), extents):
+        m.__dict__.update(run_ends=ends[lo : lo + n], area=a, extent=extent)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,29 @@
 """Small builders and oracles shared by the tests."""
 
 import base64
+import json
 from functools import reduce
 from itertools import permutations
 
 import numpy as np
 
 from masktrack.embedding import FeatureBank, bank_cross_similarity, bank_update, merge_banks
-from masktrack.errors import OverlappingMasksInInput, ParseError, ShapeMismatch
-from masktrack.formats import SequenceMeta
-from masktrack.geometry import BBox, mask_intersection_area, mask_iou, rect_mask
+from masktrack.errors import DegenerateInput, OverlappingMasksInInput, ParseError, ShapeMismatch
+from masktrack.formats import (
+    DEFAULT_FEATURE_CHANNELS,
+    SequenceMeta,
+    _floats,
+    _parse_meta,
+    json_number,
+    json_str,
+    json_whole,
+    text_lines,
+)
+from masktrack.geometry import BBox, mask_intersection_area, mask_iou, rect_mask, rle_from_string
 from masktrack.metrics import ClassStats, EvalReport
 from masktrack.regression import MAX_ITER, TOL
 from masktrack.reid import moving_merge_test, static_merge_test
-from masktrack.tracker import PEDESTRIAN, Detection, Tracklet
+from masktrack.tracker import CLASS_NAMES, PEDESTRIAN, Detection, Tracklet
 
 IMG_H, IMG_W = 120, 200
 
@@ -295,3 +305,96 @@ def reference_evaluate(results, ground_truth):
         total.fn += stats.fn
         total.ids += stats.ids
     return report
+
+
+def reference_load_detections(path):
+    """A detection file read one line at a time: each line's token decoded
+    by ``rle_from_string`` and its map pooled by ``Detection`` as the line is
+    read. The oracle for ``formats.load_detections``, raising its errors."""
+    meta = None
+    by_frame = {}
+    channels = None
+    for lineno, raw in text_lines(path, "utf-8"):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if meta is None:
+            meta = _parse_meta(obj, path, lineno)
+            continue
+        det = _reference_detection(obj, meta, f"{path}:{lineno}")
+        dim = det.embedding.size
+        if channels is None:
+            channels = dim
+        elif dim != channels:
+            raise ParseError(
+                f"{path}:{lineno}: {dim} feature channels, the first detection has {channels}"
+            )
+        by_frame.setdefault(det.frame, []).append(det)
+    if meta is None:
+        raise ParseError(f"{path}: missing header line")
+    return meta, {f: by_frame[f] for f in sorted(by_frame)}
+
+
+def _reference_detection(obj, meta, where):
+    try:
+        frame = json_whole(obj["frame"], "frame")
+        class_id = json_whole(obj["class_id"], "class_id")
+        score = float(json_number(obj["score"], "score"))
+        bx, by, bw, bh = (float(json_number(v, "bbox")) for v in obj["bbox"])
+        mask_obj = obj["mask"]
+        mh, mw = json_whole(mask_obj["h"], "mask.h"), json_whole(mask_obj["w"], "mask.w")
+        token = json_str(mask_obj["counts"], "mask.counts")
+    except (KeyError, TypeError, ValueError, ParseError) as exc:
+        raise ParseError(f"{where}: bad detection record ({exc})") from None
+    if frame < 0:
+        raise ParseError(f"{where}: frame {frame} below 0")
+    if class_id not in CLASS_NAMES:
+        raise ParseError(f"{where}: unknown class_id {class_id}")
+    if not (0.0 <= score <= 1.0):
+        raise ParseError(f"{where}: score {score} outside [0, 1]")
+    if (mh, mw) != (meta.img_h, meta.img_w):
+        raise ShapeMismatch(
+            f"{where}: mask dims {mh}x{mw} != sequence {meta.img_h}x{meta.img_w}"
+        )
+    try:
+        mask = rle_from_string(token, mh, mw)
+    except (ParseError, ShapeMismatch) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+    embedding = None
+    feature_map = None
+    if "embedding" in obj and obj["embedding"] is not None:
+        try:
+            embedding = _floats(obj["embedding"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{where}: bad embedding ({exc})") from None
+        if embedding.size == 0:
+            raise ParseError(f"{where}: embedding is empty")
+        if not np.isfinite(embedding).all():
+            raise ParseError(f"{where}: non-finite embedding value")
+    elif "feature_map" in obj and obj["feature_map"] is not None:
+        fm = obj["feature_map"]
+        try:
+            gh, gw = json_whole(fm["gh"], "gh"), json_whole(fm["gw"], "gw")
+            ch = json_whole(fm.get("c", DEFAULT_FEATURE_CHANNELS), "c")
+            values = _floats(fm["values"])
+        except (KeyError, TypeError, ValueError, OverflowError, ParseError) as exc:
+            raise ParseError(f"{where}: bad feature_map ({exc})") from None
+        if min(gh, gw, ch) < 1:
+            raise ParseError(f"{where}: feature_map gh, gw and c must be >= 1, got {gh}x{gw}x{ch}")
+        if values.size != gh * gw * ch:
+            raise ParseError(
+                f"{where}: feature_map has {values.size} values, expected {gh * gw * ch}"
+            )
+        if not np.isfinite(values).all():
+            raise ParseError(f"{where}: non-finite feature_map value")
+        feature_map = values.reshape(gh, gw, ch)
+    try:
+        return Detection(frame, class_id, score, BBox(bx, by, bw, bh), mask, embedding, feature_map)
+    except (ValueError, DegenerateInput) as exc:
+        raise ParseError(f"{where}: {exc}") from None

@@ -17,9 +17,10 @@ from masktrack.embedding import (
     l2_normalize,
     merge_banks,
     spatial_attention,
+    spatial_attentions,
 )
 from masktrack.errors import DegenerateInput, OutOfOrderFrame, ShapeMismatch
-from masktrack.geometry import BBox, BinaryMask, rle_decode, rle_encode
+from masktrack.geometry import BBox, BinaryMask, rle_decode, rle_encode, slot_capacity
 
 
 class TestSpatialAttention:
@@ -90,6 +91,60 @@ class TestSpatialAttentionProperty:
             spatial_attention(mask, box, grid_h, grid_w),
             attention_by_decode(mask, box, grid_h, grid_w),
         )
+
+
+@st.composite
+def attention_batches(draw):
+    """Masks of mixed small dims, each under a box that may reach past any
+    image edge, and one grid size for all."""
+    masks, boxes = [], []
+    coord = st.floats(-6.0, 22.0, allow_nan=False)
+    size = st.floats(0.25, 24.0, allow_nan=False)
+    for _ in range(draw(st.integers(0, 8))):
+        h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+        masks.append(rle_encode(draw(arrays(np.bool_, (h, w), elements=st.booleans()))))
+        boxes.append(BBox(draw(coord), draw(coord), draw(size), draw(size)))
+    return masks, boxes, draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+
+class TestSpatialAttentions:
+    @given(attention_batches())
+    def test_each_entry_is_its_masks_attention(self, batch):
+        """Entry k is mask k's attention alone, bit for bit, and the grid
+        read from its decoded frame."""
+        masks, boxes, grid_h, grid_w = batch
+        attns = spatial_attentions(masks, boxes, grid_h, grid_w)
+        assert attns.shape == (len(masks), grid_h, grid_w) and attns.dtype == np.float64
+        for mask, box, attn in zip(masks, boxes, attns):
+            assert attn.tobytes() == spatial_attention(mask, box, grid_h, grid_w).tobytes()
+            np.testing.assert_array_equal(attn, attention_by_decode(mask, box, grid_h, grid_w))
+
+    def test_a_cell_outside_the_image_is_background(self):
+        full = BinaryMask(4, 4, (0, 16))
+        attns = spatial_attentions([full, full], [BBox(0, 0, 4, 4), BBox(2, -2, 4, 4)], 2, 2)
+        assert (attns[0] == 1.0).all()
+        np.testing.assert_array_equal(attns[1], [[0.5, 0.5], [1.0, 0.5]])
+
+    def test_more_frames_than_int64_positions_hold(self):
+        """Frames of 2**62 pixels, more than one table slot holds, each get
+        the attention they get alone."""
+        h = w = 1 << 31
+        masks = [BinaryMask(h, w, (3, 4, h * w - 7)), BinaryMask(h, w, (h * w - 7, 7)),
+                 BinaryMask(h, w, (h * w,))]
+        boxes = [BBox(0, 0, 1, 8), BBox(w - 2, h - 2, 4, 4), BBox(1, 1, 2, 2)]
+        assert slot_capacity(h, w) < len(masks)
+        attns = spatial_attentions(masks, boxes, 2, 2)
+        for mask, box, attn in zip(masks, boxes, attns):
+            assert attn.tobytes() == spatial_attention(mask, box, 2, 2).tobytes()
+        np.testing.assert_array_equal(attns[:, :, 0], [[0.5, 1.0], [1.0, 0.5], [0.5, 0.5]])
+
+    def test_no_masks_and_bad_inputs(self):
+        assert spatial_attentions([], [], 2, 3).shape == (0, 2, 3)
+        mask = BinaryMask(4, 4, (16,))
+        with pytest.raises(DegenerateInput, match="zero-area box"):
+            spatial_attentions([mask, mask], [BBox(0, 0, 2, 2), BBox(0, 0, 2, 0)], 2, 2)
+        with pytest.raises(ShapeMismatch, match="grid dims must be positive"):
+            spatial_attentions([mask], [BBox(0, 0, 2, 2)], 0, 2)
 
 
 class TestInstanceAwarePool:

@@ -8,11 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from helpers import IMG_H, IMG_W, make_det, make_meta, make_tracklet, packed, unit
+from helpers import (
+    IMG_H,
+    IMG_W,
+    counts_token,
+    make_det,
+    make_meta,
+    make_tracklet,
+    packed,
+    reference_load_detections,
+    unit,
+)
 
 from masktrack import formats, geometry
 from masktrack.embedding import FeatureBank, bank_update, instance_aware_pool, spatial_attention
-from masktrack.errors import ParseError, ShapeMismatch
+from masktrack.errors import MaskTrackError, ParseError, ShapeMismatch
 from masktrack.formats import (
     ResultRecord,
     SequenceMeta,
@@ -504,6 +514,179 @@ class TestPackedArrays:
         path = tmp_path / "dets.jsonl"
         path.write_text(header_line() + "\n" + det_line() + "\n" + json.dumps(rec) + "\n")
         with pytest.raises(ParseError, match=rf"dets\.jsonl:3: .*{named}"):
+            load_detections(str(path))
+
+
+# values whose pooled sums stay finite, the smallest subnormal among them
+POOL_FLOATS = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 5e-324, 1 / 3])
+GRIDS = [(1, 1), (2, 3), (3, 2)]
+LOAD_FAULTS = ["token", "json", "missing_field", "class", "dims", "map", "channels",
+               "zero_box_map", "neither", "bbox", "byte"]
+
+
+@st.composite
+def detection_files(draw):
+    """The bytes of a small detection file: masks empty, full or of random
+    runs (which wrap past a column on a short frame), boxes that may reach
+    past the image, embeddings and feature maps on several grids, each in
+    the list or the packed form. A quarter of the files have one fault and
+    another quarter two, each one of ``LOAD_FAULTS`` on a random line."""
+    h, w, c = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    header = {"name": "seq", "fps": 25.0, "img_h": h, "img_w": w, "camera_mode": "static"}
+    coord, size = st.floats(-6.0, 15.0, allow_nan=False), st.floats(0.25, 12.0, allow_nan=False)
+    recs = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["empty", "full", "runs"]))
+        if kind == "runs":
+            cuts = sorted(draw(st.sets(st.integers(1, h * w - 1), max_size=8)) if h * w > 1 else [])
+            counts = np.diff([0, *cuts, h * w]).tolist()
+            counts = [0, *counts] if draw(st.booleans()) else counts
+        else:
+            counts = [h * w] if kind == "empty" else [0, h * w]
+        rec = {
+            "frame": draw(st.integers(0, 5)),
+            "class_id": draw(st.sampled_from([1, 2])),
+            "score": draw(st.floats(0.0, 1.0)),
+            "bbox": [draw(coord), draw(coord), draw(size), draw(size)],
+            "mask": {"h": h, "w": w, "counts": counts_token(counts)},
+        }
+        as_text = draw(st.booleans())
+        if draw(st.booleans()):
+            gh, gw = draw(st.sampled_from(GRIDS))
+            values = draw(arrays(np.float64, (gh, gw, c), elements=POOL_FLOATS))
+            rec["feature_map"] = {"gh": gh, "gw": gw, "c": c,
+                                  "values": packed(values) if as_text else values.ravel().tolist()}
+        else:
+            values = draw(arrays(np.float64, (c,), elements=POOL_FLOATS))
+            rec["embedding"] = packed(values) if as_text else values.tolist()
+        recs.append(rec)
+    broken = {}  # record index -> a fault written into its bytes
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if recs else 0):
+        at = draw(st.integers(0, len(recs) - 1))
+        rec = recs[at] = dict(recs[at])
+        fault = draw(st.sampled_from(LOAD_FAULTS))
+        if fault in ("map", "zero_box_map", "neither"):
+            rec.pop("embedding", None)
+            rec.pop("feature_map", None)
+        if fault == "token":
+            rec["mask"] = dict(rec["mask"], counts=draw(st.sampled_from(["0{4", "0o", "", counts_token([h * w + 1])])))
+        elif fault == "missing_field":
+            rec.pop(draw(st.sampled_from(["frame", "score", "bbox", "mask"])), None)
+        elif fault == "class":
+            rec["class_id"] = 3
+        elif fault == "dims" and "mask" in rec:
+            rec["mask"] = dict(rec["mask"], h=h + 1)
+        elif fault == "map":
+            rec["feature_map"] = {"gh": 1, "gw": 1, "c": c, "values": [0.5] * (c + 1)}
+        elif fault == "channels":
+            rec.pop("feature_map", None)
+            rec["embedding"] = [0.5] * (c + 1)
+        elif fault == "zero_box_map":
+            rec["bbox"] = [1.0, 1.0, 0.0, 2.0]
+            rec["feature_map"] = {"gh": 1, "gw": 1, "c": c, "values": [0.5] * c}
+        elif fault == "bbox":
+            rec["bbox"] = [1.0, 1.0, 2.0, -1.0]
+        elif fault in ("json", "byte"):
+            broken[at] = fault
+    lines = [json.dumps(header).encode("ascii")]
+    for at, rec in enumerate(recs):
+        line = json.dumps(rec).encode("ascii")
+        if broken.get(at) == "json":
+            line = line[:-1]
+        elif broken.get(at) == "byte":
+            line = line.replace(b'"class_id"', b'"cl\xe9ss_id"')
+        lines.append(line)
+    return b"\n".join(lines) + b"\n"
+
+
+def load_outcome(load, path):
+    """``(meta, by_frame)`` and no error, or no result and the error's
+    ``(class, message)``."""
+    try:
+        return load(path), None
+    except MaskTrackError as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestBatchLoad:
+    @given(detection_files())
+    def test_matches_the_per_line_loader(self, data):
+        """The batch loader reads what the per-line loader reads, bit for
+        bit, with every mask's caches filled; or it raises the same first
+        error, naming the same line."""
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "dets.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            expected, error = load_outcome(reference_load_detections, path)
+            loaded, batch_error = load_outcome(load_detections, path)
+        assert batch_error == error
+        if error:
+            return
+        (meta, by_frame), (ref_meta, ref_by_frame) = loaded, expected
+        assert meta == ref_meta
+        assert list(by_frame) == list(ref_by_frame)
+        for frame, dets in by_frame.items():
+            assert len(dets) == len(ref_by_frame[frame])
+            for det, ref in zip(dets, ref_by_frame[frame]):
+                assert (det.frame, det.class_id, det.score, det.box, det.mask) == (
+                    ref.frame, ref.class_id, ref.score, ref.box, ref.mask)
+                assert same_bits(det.embedding, ref.embedding)
+                assert (det.feature_map is None) == (ref.feature_map is None)
+                if det.feature_map is not None:
+                    assert same_bits(det.feature_map, ref.feature_map)
+                cache = det.mask.__dict__
+                fresh = BinaryMask(det.mask.height, det.mask.width, det.mask.counts)
+                assert cache["run_ends"].dtype == fresh.run_ends.dtype
+                np.testing.assert_array_equal(cache["run_ends"], fresh.run_ends)
+                assert (cache["area"], cache["extent"]) == (fresh.area, fresh.extent)
+
+    @pytest.mark.parametrize(
+        "line4",
+        [
+            b"{not json",
+            det_line(frame=4).replace('"score": 0.9, ', "").encode(),
+            det_line(frame=4, class_id=3).encode(),
+            det_line(frame=4).replace(f'"h": {IMG_H}', f'"h": {IMG_H + 1}').encode(),
+            det_line(frame=4, embedding=None, feature_map={"gh": 1, "gw": 1, "c": 2, "values": [0.5]}).encode(),
+            det_line(frame=4, embedding=[1.0, 0.0, 0.0]).encode(),
+            det_line(frame=4, bbox=(10, 10, 0, 20), embedding=None,
+                     feature_map={"gh": 1, "gw": 1, "c": 2, "values": [0.5, 0.5]}).encode(),
+            det_line(frame=4).encode().replace(b'"score"', b'"sc\xe9re"'),
+        ],
+        ids=["bad_json", "missing_field", "bad_class", "dims_mismatch", "bad_map",
+             "channel_mismatch", "zero_area_box_with_map", "non_utf8_byte"],
+    )
+    def test_a_bad_token_is_named_before_a_later_line_fault(self, tmp_path, line4):
+        path = tmp_path / "dets.jsonl"
+        head = header_line().encode() + b"\n"
+        tail = det_line(frame=3).encode() + b"\n" + line4 + b"\n"
+        path.write_bytes(head + det_line().encode() + b"\n" + tail)
+        with pytest.raises(MaskTrackError, match=r"dets\.jsonl:4: "):
+            load_detections(str(path))  # line 4 is at fault on its own
+        path.write_bytes(head + det_line(counts="0{4").encode() + b"\n" + tail)
+        with pytest.raises(ParseError, match=r"dets\.jsonl:2: invalid character '\{' at 1$"):
+            load_detections(str(path))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"embedding": [1.0, float("nan")]},
+            {"embedding": None, "feature_map": {"gh": 1, "gw": 1, "c": 2, "values": [0.5]}},
+            {"bbox": (10, 10, -1, 20)},
+            {"embedding": None},
+            {"bbox": (10, 10, 0, 20), "embedding": None,
+             "feature_map": {"gh": 1, "gw": 1, "c": 2, "values": [0.5, 0.5]}},
+        ],
+        ids=["bad_embedding", "bad_map", "negative_bbox", "no_features", "zero_area_box_with_map"],
+    )
+    def test_a_bad_token_is_named_before_a_fault_of_its_own_line(self, tmp_path, fields):
+        path = tmp_path / "dets.jsonl"
+        path.write_text(header_line() + "\n" + det_line(**fields) + "\n")
+        with pytest.raises(ParseError, match=r"dets\.jsonl:2: "):
+            load_detections(str(path))  # the line is at fault with a good token
+        path.write_text(header_line() + "\n" + det_line(counts="0o", **fields) + "\n")
+        with pytest.raises(ParseError, match=r"dets\.jsonl:2: token truncated at character 2$"):
             load_detections(str(path))
 
 

@@ -15,6 +15,7 @@ from masktrack.geometry import (
     _cut,
     bbox_iou,
     cannot_overlap,
+    fill_caches,
     interval_table,
     mask_intersection_area,
     mask_iou,
@@ -377,6 +378,77 @@ class TestBatchDecode:
             with pytest.raises(ParseError, match=r"^invalid character '\{' at 1$") as info:
                 rle_from_strings(tokens, [4] * 8, [8] * 8)
         assert info.value.index == 5
+
+
+    def test_proven_run_lists_skip_the_constructor_checks(self):
+        """A token the batch proves is built without BinaryMask's re-check,
+        into the fields the constructor would make; one it cannot prove still
+        goes through the checks."""
+        counts = [[3, 9, 20], [32], [0, 32], [1, 1, 30]]
+        tokens = [counts_token(c) for c in counts]
+        heights, widths = [np.int64(4)] * 4, [8] * 4
+        checks = []
+        original = BinaryMask.__post_init__
+
+        def counted(mask):
+            checks.append(mask)
+            original(mask)
+
+        with patch.object(BinaryMask, "__post_init__", counted):
+            masks = rle_from_strings(tokens, heights, widths)
+            assert checks == []
+            with pytest.raises(ShapeMismatch, match=r"^counts sum 33 != 4\*8$"):
+                rle_from_strings([*tokens, counts_token([1, 32])], heights + [4], widths + [8])
+        assert masks == [BinaryMask(4, 8, c) for c in counts]
+        for m, c in zip(masks, counts):
+            assert (type(m.height), type(m.width), type(m.counts)) == (int, int, tuple)
+            assert m.counts == tuple(c) and all(type(x) is int for x in m.counts)
+
+
+@st.composite
+def mask_lists(draw):
+    """Masks of mixed small dims: empty, full, or cut at random pixels,
+    background or foreground first, so that runs wrap past columns."""
+    masks = []
+    for _ in range(draw(st.integers(0, 12))):
+        h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        cuts = sorted(draw(st.sets(st.integers(1, h * w), max_size=10)) - {h * w})
+        counts = np.diff([0, *cuts, h * w]).tolist()
+        if draw(st.booleans()):
+            counts = [0, *counts]
+        masks.append(BinaryMask(h, w, counts))
+    return masks
+
+
+class TestFillCaches:
+    @given(mask_lists(), st.sampled_from([1, 2, 7, geometry._BLOCK_RUNS]))
+    def test_fills_what_each_mask_computes(self, masks, block):
+        with patch.object(geometry, "_BLOCK_RUNS", block):
+            fill_caches(masks)
+        for m in masks:
+            cache = m.__dict__
+            ends = np.cumsum(m.counts)
+            assert cache["run_ends"].dtype == ends.dtype
+            np.testing.assert_array_equal(cache["run_ends"], ends)
+            assert not cache["run_ends"].flags.writeable  # a view of the block's array
+            assert cache["area"] == sum(m.counts[1::2]) and type(cache["area"]) is int
+            assert cache["extent"] == BinaryMask(m.height, m.width, m.counts).extent
+
+    def test_frames_past_the_batch_area_or_int64_are_no_refusal(self):
+        """Frames past 2**40 pixels, more of them than slot_capacity allows,
+        are filled exactly; a frame past int64 is left to fill its own."""
+        h, w = 1 << 31, 1 << 31  # 2**62 pixels: one slot per table
+        masks = [BinaryMask(h, w, (5, h * w - 5)), BinaryMask(h, w, (h * w - 7, 7)),
+                 BinaryMask(h, w, (0, h * w)), BinaryMask(h, w, (h * w,))]
+        past = BinaryMask(1 << 40, 1 << 30, (1, (1 << 70) - 1))
+        assert slot_capacity(h, w) < len(masks)
+        fill_caches([*masks, past])
+        for m in masks:
+            np.testing.assert_array_equal(m.__dict__["run_ends"], np.cumsum(m.counts))
+            fresh = BinaryMask(m.height, m.width, m.counts)
+            assert (m.__dict__["area"], m.__dict__["extent"]) == (fresh.area, fresh.extent)
+        assert "run_ends" not in past.__dict__
+        assert (past.area, past.extent) == (2**70 - 1, (0, 2**30 - 1, 0, 2**40 - 1))
 
 
 @st.composite
