@@ -13,7 +13,8 @@ One cosine kernel, :func:`_max_cosine`, computes every similarity in the
 package: vector against vector, banks against detections, bank against
 bank, and the motion-direction check of re-identification. It reduces per
 block of rows, so the rows of many banks can be stacked and meet their
-detections in one call (:func:`bank_similarities`).
+detections in one call (:func:`bank_similarities`), or another bank's rows
+(:func:`bank_cross_similarities`).
 """
 
 from __future__ import annotations
@@ -249,11 +250,32 @@ def bank_similarity(bank: FeatureBank, queries: np.ndarray) -> np.ndarray:
     return bank_similarities([bank], queries)[0]
 
 
-def bank_cross_similarity(a: FeatureBank, b: FeatureBank) -> float:
-    """Maximum pairwise cosine similarity between two banks' rows."""
-    if len(a) == 0 or len(b) == 0:
+def bank_cross_similarities(bank: FeatureBank, banks: list[FeatureBank]) -> np.ndarray:
+    """Maximum pairwise cosine similarity between ``bank``'s rows and each bank's rows.
+
+    The result is a ``(len(banks),)`` array. The banks' rows are stacked and
+    meet ``bank``'s rows in one cosine call, reduced per bank, so entry ``k``
+    equals the one bank ``k`` alone gives, bit for bit (a maximum is exact).
+    """
+    sizes = [len(other) for other in banks]
+    if len(bank) == 0 or 0 in sizes:
         raise DegenerateInput("cross similarity with an empty feature bank")
-    return float(_max_cosine(a.rows, a.sq_norms, b.rows, b.sq_norms).max())
+    if not banks:
+        return np.zeros(0)
+    widths = {other.rows.shape[1] for other in banks}
+    if len(widths) > 1:
+        raise ShapeMismatch(f"bank widths differ: {sorted(widths)}")
+    rows = np.concatenate([other.rows for other in banks])
+    sq_rows = np.concatenate([other.sq_norms for other in banks])
+    # each stacked row's largest cosine with a row of ``bank``, then each bank's largest
+    best = _max_cosine(bank.rows, bank.sq_norms, rows, sq_rows)[0]
+    return np.maximum.reduceat(best, list(accumulate(sizes[:-1], initial=0)))
+
+
+def bank_cross_similarity(a: FeatureBank, b: FeatureBank) -> float:
+    """Maximum pairwise cosine similarity between two banks' rows. The
+    one-bank case of :func:`bank_cross_similarities`."""
+    return float(bank_cross_similarities(a, [b])[0])
 
 
 def merge_banks(earlier: FeatureBank, later: FeatureBank) -> FeatureBank:

@@ -10,12 +10,19 @@ motion.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .embedding import bank_cross_similarity, cosine_similarity, merge_banks
+from .embedding import (
+    bank_cross_similarities,
+    bank_cross_similarity,
+    cosine_similarity,
+    merge_banks,
+)
+from .errors import ConfigError
 from .geometry import bbox_iou
 from .tracker import (
     CAR,
@@ -49,8 +56,10 @@ def motion_vector(tracklet: Tracklet, end: str, n3: int) -> np.ndarray:
     """Mean consecutive top-left displacement ``[dx, dy]`` over the first or last ``n3`` frames.
 
     ``end`` is 'head' or 'tail'. A single-observation tracklet yields the
-    zero vector, which has no direction.
+    zero vector, which has no direction. ``n3`` below 1 is refused.
     """
+    if n3 < 1:
+        raise ConfigError(f"n3 must be >= 1, got {n3}")
     if end == "head":
         window = tracklet.observations[: min(n3, len(tracklet))]
     elif end == "tail":
@@ -67,20 +76,25 @@ def motion_vector(tracklet: Tracklet, end: str, n3: int) -> np.ndarray:
 def candidate_pairs(
     tracklets: list[Tracklet], cfg: ReidConfig, fps: float
 ) -> list[tuple[int, int, float]]:
-    """Ordered index pairs (u, v, sim) eligible for merging.
+    """Ordered index pairs (u, v, sim) eligible for merging, in (u, v) order.
 
     The gap between u's last frame and v's first must hold 0 to n2 frames
     (u ends before v starts, within u's class's long-term window), and the
-    banks must look alike (max pairwise cosine sim above beta1).
+    banks must look alike (max pairwise cosine sim above beta1). Only the
+    tracklets that start inside u's window are visited: two bisections of the
+    tracklets sorted by first frame find them, and the banks of the
+    same-class ones meet u's bank in one cosine call.
     """
+    order = sorted(range(len(tracklets)), key=lambda j: tracklets[j].first_frame)
+    starts = [tracklets[j].first_frame for j in order]
     pairs = []
     for i, u in enumerate(tracklets):
-        n2 = cfg.n2_frames(u.class_id, fps)
-        for j, v in enumerate(tracklets):
-            if u.class_id == v.class_id and 0 <= v.first_frame - u.last_frame - 1 <= n2:
-                sim = bank_cross_similarity(u.bank, v.bank)
-                if sim > cfg.beta1:
-                    pairs.append((i, j, sim))
+        lo = bisect_right(starts, u.last_frame)
+        hi = bisect_right(starts, u.last_frame + cfg.n2_frames(u.class_id, fps) + 1)
+        js = sorted(j for j in order[lo:hi] if tracklets[j].class_id == u.class_id)
+        if js:
+            sims = bank_cross_similarities(u.bank, [tracklets[j].bank for j in js])
+            pairs.extend((i, j, sim) for j, sim in zip(js, sims.tolist()) if sim > cfg.beta1)
     return pairs
 
 

@@ -23,7 +23,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .embedding import (
     instance_aware_pool,
     spatial_attention,
 )
-from .errors import OutOfOrderFrame, ShapeMismatch
+from .errors import ConfigError, OutOfOrderFrame, ShapeMismatch
 from .geometry import BBox, BinaryMask, bbox_iou, mask_iou, may_overlap, pair_intersections
 from .regression import huber_fit
 
@@ -125,13 +124,17 @@ class Tracklet:
 
     The online tracker grows each one as a :class:`Track`; offline reid
     stitches fragments of one object, and the post-filters and the result
-    writer read them.
+    writer read them. ``observations`` is append-only: a detection once in
+    it is never replaced or removed, so a motion fit cached for a window of
+    it (:func:`extrapolate_track`) never goes stale.
     """
 
     id: int
     class_id: int
     observations: list[Detection]
     bank: FeatureBank
+    # each fitted window's line, keyed by (start, stop, huber_delta): see _end_fit
+    _end_fits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.observations:
@@ -227,24 +230,49 @@ def extrapolate_track(track: Tracklet, frames, cfg: TrackerConfig) -> list[BBox]
 
     A frame before the fragment faces its first ``huber_window`` observations,
     any other frame its last ones. One fit per fragment end: an end is fitted
-    when the first frame facing it comes up, and its line serves every frame
-    that faces it. Width and height come from the observation at that end, and
-    a window of one observation gives that observation's box.
+    when the first frame facing it comes up, and the fragment keeps its line,
+    which then serves every frame that faces that end, in this call and in
+    any later one, until an observation is appended. Width and height come
+    from the observation at that end, and a window of one observation gives
+    that observation's box. A ``huber_window`` below 1 is refused.
     """
-    obs = track.observations
+    if cfg.huber_window < 1:
+        raise ConfigError(f"huber_window must be >= 1, got {cfg.huber_window}")
+    first, ends, boxes = track.first_frame, {}, []
+    for frame in frames:
+        head = frame < first
+        if head not in ends:
+            ends[head] = _end_fit(track, head, cfg)
+        anchor, line = ends[head]
+        if line is None:
+            boxes.append(anchor)
+        else:
+            sx, ix, sy, iy = line
+            boxes.append(BBox(sx * frame + ix, sy * frame + iy, anchor.w, anchor.h))
+    return boxes
 
-    @cache
-    def fit_end(head: bool):
-        window = obs[: cfg.huber_window] if head else obs[-cfg.huber_window :]
-        anchor = window[0].box if head else window[-1].box
-        if len(window) < 2:
-            return lambda frame: anchor
+
+def _end_fit(track: Tracklet, head: bool, cfg: TrackerConfig):
+    """``(anchor box, (sx, ix, sy, iy) or None)`` for one end of ``track``.
+
+    The line is fitted once per window of observations and ``huber_delta``:
+    a fragment no longer than ``huber_window`` has one window at both ends,
+    and one line serves both.
+    """
+    obs, n = track.observations, len(track.observations)
+    start, stop = (0, min(cfg.huber_window, n)) if head else (max(0, n - cfg.huber_window), n)
+    anchor = obs[start].box if head else obs[stop - 1].box
+    if stop - start < 2:
+        return anchor, None
+    key = (start, stop, cfg.huber_delta)
+    line = track._end_fits.get(key)
+    if line is None:
+        window = obs[start:stop]
         times = [o.frame for o in window]
         sx, ix = huber_fit(times, [o.box.x for o in window], delta=cfg.huber_delta)
         sy, iy = huber_fit(times, [o.box.y for o in window], delta=cfg.huber_delta)
-        return lambda frame: BBox(sx * frame + ix, sy * frame + iy, anchor.w, anchor.h)
-
-    return [fit_end(frame < track.first_frame)(frame) for frame in frames]
+        line = track._end_fits[key] = (sx, ix, sy, iy)
+    return anchor, line
 
 
 def _gated_solve(

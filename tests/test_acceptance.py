@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from helpers import least_squares_fit, matching_cost
 
-from masktrack import pipeline, reid
+from masktrack import pipeline, reid, tracker
 from masktrack.assignment import INFEASIBLE, hungarian_solve
 from masktrack.config import PipelineConfig, load_config, parse_config_text
 from masktrack.formats import load_detections, read_results, records_from_tracks, write_detections
@@ -313,24 +313,33 @@ def scenario_crossing():
     )
 
 
-def scenario_reid():
-    """Forty pedestrians on a static camera, born five frames apart and alive
-    for sixty frames each, so a dozen are on screen at once, each in its own
-    slot of a 4x3 grid. Every one is hidden again and again for 6-11 frames:
-    longer than the tracker's 5-frame memory, so each occlusion ends a track,
-    and within reid's 25-frame window, so only the offline merger can join
-    the fragments."""
+def scenario_reid(n=40, cars=False, name="reid"):
+    """``n`` pedestrians (forty by default) on a static camera, born five
+    frames apart and alive for sixty frames each, so a dozen are on screen at
+    once, each in its own slot of a 4x3 grid. Every one is hidden again and
+    again for 6-11 frames: longer than the tracker's 5-frame memory, so each
+    occlusion ends a track, and within reid's 25-frame window, so only the
+    offline merger can join the fragments.
+
+    The sequence runs 5n + 40 frames. The embedding has a dimension per
+    object past forty, its noise scaled so that the noise vector's expected
+    norm stays what it is at forty. With ``cars`` every second object is a
+    car, whose 3-frame memory the same occlusions exceed and whose 13-frame
+    reid window they stay within."""
+    frames = 5 * n + 40
+    dim = max(40, n)
     objects, occlusions = [], []
-    for i in range(40):
+    for i in range(n):
         birth = 1 + 5 * i
-        death = min(240, birth + 59)
+        death = min(frames, birth + 59)
         row, col = divmod(i % 12, 4)
         sign = 1 if (row + col) % 2 == 0 else -1
+        car = cars and i % 2 == 1
         objects.append(
             ObjectSpec(
-                class_id=PEDESTRIAN,
-                width=14.0,
-                height=36.0,
+                class_id=CAR if car else PEDESTRIAN,
+                width=40.0 if car else 14.0,
+                height=24.0 if car else 36.0,
                 start_x=100.0 + 150.0 * col,
                 start_y=60.0 + 150.0 * row,
                 vx=sign * (0.5 + 0.25 * (i % 3)),
@@ -348,14 +357,21 @@ def scenario_reid():
             t += length + 10 + k % 3
             k += 1
     return ScenarioSpec(
-        name="reid",
-        frames=240,
+        name=name,
+        frames=frames,
         objects=objects,
         occlusions=occlusions,
         detector=DetectorModel(score_mean=0.9, score_sigma=0.03, jitter_sigma=0.5),
-        embedding=EmbeddingModel(dim=40, noise_sigma=0.1),
+        embedding=EmbeddingModel(dim=dim, noise_sigma=0.1 * (40 / dim) ** 0.5),
         seed=7,
     )
+
+
+def scenario_long_reid():
+    """The reid scenario grown to 160 objects over 840 frames, every second
+    one a car: the tracker leaves 479 tracklets for the offline merger, and
+    each one's n2 window holds only the few that start soon after it ends."""
+    return scenario_reid(160, cars=True, name="long_reid")
 
 
 def scenario_features():
@@ -444,6 +460,7 @@ GOLDEN_RESULT_SHA256 = {
     "reid": "3d2d136dab9713e359d940eb1674f0a68f90b229f2c89e3b683e310ef4dcc5e1",
     "features": "b15b0f64c242ad1a2208e46df251444e74323f24d8db940bcdffffb77d17ab71",
     "twenty": "51f4ed08ef1b333b19adee50208725aa2cecddbebde599776c0a305313d1c707",
+    "long_reid": "9770e6e9a6ec451c3702c661c4927aa0328ccff3a724b2e666dd4e113c813190",
 }
 GOLDEN_CROSSING_GT_SHA256 = "00669fa1092d1d1bbed215df25e6135dc226b0354e7cf15c8a9fa3f856fef026"
 
@@ -470,6 +487,7 @@ GOLDEN_SCENARIOS = [
     ("reid", scenario_reid()),
     ("features", scenario_features()),
     ("twenty", scenario_twenty()),
+    ("long_reid", scenario_long_reid()),
 ]
 
 
@@ -496,6 +514,7 @@ GOLDEN_REPORT_SHA256 = {
     "reid": "35e8dd3fcf7d484a0784d5a75cd6466d04100d6739c8feb0e951937c25bf79c4",
     "features": "bd37212ffebef75eb78e3972a2d374d30e38712cf7c9da163010ecf0aa13258f",
     "twenty": "b61475f0ee8dc6e35677e33a52e83566a25c1ab0c3fd33821a2f0605574b57a1",
+    "long_reid": "d53a793900714ebb61803f6479efe8feacdd3ae82236e9a2cfc05301f28c35e0",
     # the benchmark workloads at seed 7, through their detection and ground-truth files
     "crowd_seed7": "2e3402d3ad66295ed2982754adff0e4700719eb99a92f53dea50353a87634270",
     "fragments_seed7": "807ccb10b904b474a5c117c14de98706b34a0d08e9d3aec5e790f78e3795db4e",
@@ -594,6 +613,37 @@ def test_reid_scenario_splits_and_merges(monkeypatch):
         "reid scenario splits and merges",
         f"{sizes['before']} tracklets, {len(passes)} passes, {merges} merges",
     )
+
+
+def test_long_reid_scenario_merges_half_its_tracklets():
+    """The long reid scenario stays in bounds (``generate`` refuses an object
+    that leaves the image), leaves at least 400 tracklets, and merge_pass
+    joins them into at most half as many."""
+    meta, dets, _ = generate(scenario_long_reid())
+    merged, _ = run_pipeline(meta, dets, PipelineConfig())
+    split, _ = run_pipeline(meta, dets, no_reid_config())
+    assert len(split) >= 400
+    assert 2 * len(merged) <= len(split)
+    announce("long reid scenario merges", f"{len(split)} -> {len(merged)} tracklets")
+
+
+def test_fragments_fit_each_window_once(monkeypatch):
+    """On the seed-7 fragments workload no robust fit repeats its inputs:
+    retrieval's fits of a lost track's tail, frame after frame, and reid's
+    fits of the same windows are served from the tracklet's cached line. That
+    is 416 fits, two per window; without the cache it took 816."""
+    calls = []
+    real_fit = tracker.huber_fit
+
+    def counted_fit(times, values, delta):
+        calls.append((tuple(times), tuple(values), delta))
+        return real_fit(times, values, delta=delta)
+
+    monkeypatch.setattr(tracker, "huber_fit", counted_fit)
+    meta, dets, _ = generate(workloads.fragments_spec(7))
+    run_pipeline(meta, dets, PipelineConfig())
+    assert len(calls) == len(set(calls)) <= 416
+    announce("fragments fits each window once", f"{len(calls)} fits")
 
 
 def test_twenty_object_scenario_merges_under_a_moving_camera():

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from masktrack.embedding import (
     FeatureBank,
+    bank_cross_similarities,
     bank_cross_similarity,
     bank_similarities,
     bank_similarity,
@@ -312,6 +313,21 @@ class TestFeatureBank:
         b = build_bank([[0, 1], [1, 0]])
         assert bank_cross_similarity(a, b) == pytest.approx(1.0)
 
+    def test_cross_similarities_check_every_bank(self):
+        a = build_bank([[1, 0]])
+        banks = [build_bank([[0, 1], [1, 0]]), build_bank([[0, 1]]), build_bank([[1, 1]])]
+        assert bank_cross_similarities(a, banks).tolist() == [
+            1.0, 0.0, pytest.approx(1 / np.sqrt(2))]
+        assert bank_cross_similarities(a, []).shape == (0,)
+        with pytest.raises(DegenerateInput, match="empty feature bank"):
+            bank_cross_similarities(a, [banks[0], FeatureBank()])
+        with pytest.raises(DegenerateInput, match="empty feature bank"):
+            bank_cross_similarities(FeatureBank(), banks)
+        with pytest.raises(ShapeMismatch, match=r"bank widths differ: \[2, 3\]"):
+            bank_cross_similarities(a, [banks[0], build_bank([[1, 0, 0]])])
+        with pytest.raises(ShapeMismatch, match="embedding widths differ: 3 vs 2"):
+            bank_cross_similarities(build_bank([[1, 0, 0]]), banks)
+
     def test_merge_banks_keeps_boundary_frames(self):
         early = build_bank([[float(i), 1.0] for i in range(8)])  # frames 1..8
         late = FeatureBank(5)
@@ -412,6 +428,16 @@ class TestMaxCosineProperty:
             # bit for bit: each query's largest cosine over this bank's rows alone
             assert row == [max(cosine_similarity(x, y) for x in bank.rows) for y in queries]
             assert row == bank_similarity(bank, queries).tolist()
+
+    @given(st.data(), st.integers(1, 40))
+    def test_stacked_cross_banks_give_each_bank_its_own_value(self, data, width):
+        bank = build_bank(data.draw(row_sets(width)))
+        banks = [build_bank(data.draw(row_sets(width))) for _ in range(data.draw(st.integers(1, 5)))]
+        # bit for bit: the largest cosine over every pair of rows of the two banks alone
+        assert bank_cross_similarities(bank, banks).tolist() == [
+            max(cosine_similarity(x, y) for x in bank.rows for y in other.rows) for other in banks]
+        assert bank_cross_similarities(bank, banks).tolist() == [
+            bank_cross_similarity(bank, other) for other in banks]
 
 
 class TestL2Normalize:

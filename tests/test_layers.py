@@ -104,6 +104,9 @@ BENCHMARK_ONLY = {
     # the same for tracker.mask_iou: assignment_cost takes IOU from one
     # pair-table merge (geometry.pair_intersections)
     ("tracker", "mask_iou"),
+    # and for reid.bank_cross_similarity: candidate_pairs compares each
+    # tracklet with its whole window in one bank_cross_similarities call
+    ("reid", "bank_cross_similarity"),
 }
 
 

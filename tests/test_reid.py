@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from helpers import IMG_H, IMG_W, make_tracklet, reference_merge_pass, unit
+from helpers import (
+    IMG_H,
+    IMG_W,
+    make_tracklet,
+    reference_candidate_pairs,
+    reference_merge_pass,
+    unit,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from masktrack.embedding import FeatureBank, bank_cross_similarity, bank_update
+from masktrack.errors import ConfigError
 from masktrack.geometry import BBox, bbox_iou, rect_mask
 from masktrack.regression import huber_fit
 from masktrack.reid import (
@@ -17,7 +25,7 @@ from masktrack.reid import (
     moving_merge_test,
     static_merge_test,
 )
-from masktrack.tracker import PEDESTRIAN, Detection, Tracklet, TrackerConfig
+from masktrack.tracker import CAR, PEDESTRIAN, Detection, Tracklet, TrackerConfig
 
 FPS = 25.0  # pedestrian long-term window: 25 frames
 
@@ -87,6 +95,44 @@ class TestCandidatePairsProperty:
             assert sim > ReidConfig().beta1
 
 
+@st.composite
+def windowed(draw):
+    """2-12 tracklets of either class, each starting after an earlier one's
+    last frame by a gap of exactly 0, n2 or n2 + 1 frames or any other, or
+    on another's first frame. Banks hold 1 to 2 * bank_size noisy copies of
+    one of two looks; ids come in any order."""
+    cfg = ReidConfig()
+    n = draw(st.integers(2, 12))
+    ids = draw(st.permutations(range(2001, 2001 + n)))
+    tracklets = []
+    for track_id in ids:
+        class_id = draw(st.sampled_from([CAR, PEDESTRIAN]))
+        if not tracklets:
+            first = draw(st.integers(1, 40))
+        else:
+            other = draw(st.sampled_from(tracklets))
+            n2 = cfg.n2_frames(other.class_id, FPS)
+            gap = draw(st.sampled_from([0, n2, n2 + 1]) | st.integers(0, 2 * n2))
+            first = draw(st.sampled_from([other.last_frame + 1 + gap, other.first_frame]))
+        look = unit(draw(st.integers(0, 1)), dim=16)
+        positions = [(first + f, 40.0, 30.0) for f in range(draw(st.integers(1, 20)))]
+        noise = st.lists(st.floats(-0.6, 0.6), min_size=16, max_size=16)
+        bank = FeatureBank(5)
+        for row in range(draw(st.integers(1, 10))):
+            bank = bank_update(bank, look + np.array(draw(noise)), row)
+        obs = make_tracklet(track_id, positions, look, class_id=class_id).observations
+        tracklets.append(Tracklet(track_id, class_id, obs, bank))
+    return tracklets
+
+
+class TestCandidatePairsWindow:
+    @given(windowed())
+    def test_equals_the_all_pairs_reference_bit_for_bit(self, tracklets):
+        got = candidate_pairs(tracklets, ReidConfig(), FPS)
+        want = reference_candidate_pairs(tracklets, ReidConfig(), FPS)
+        assert [(i, j, sim.hex()) for i, j, sim in got] == [(i, j, sim.hex()) for i, j, sim in want]
+
+
 class TestMotionVector:
     def test_uniform_motion(self):
         tr = make_tracklet(2001, [(f, float(f - 1), 0.0) for f in range(1, 6)], unit(0))
@@ -126,6 +172,17 @@ class TestMotionVector:
                 m = len(window)
                 assert vec[0] == (window[-1] - window[0]) / (m - 1)
                 assert vec[1] == (wy[-1] - wy[0]) / (m - 1)
+
+    @pytest.mark.parametrize("n3", [0, -2])
+    def test_window_below_one_refused(self, n3):
+        # n3=0 took every observation for the tail and none for the head;
+        # n3=-2 took obs[:-2] for the head
+        tr = make_tracklet(2001, [(f, float(f), 0.0) for f in range(1, 6)], unit(0))
+        for end in ("head", "tail"):
+            with pytest.raises(ConfigError, match=f"n3 must be >= 1, got {n3}"):
+                motion_vector(tr, end, n3)
+        with pytest.raises(ConfigError):
+            moving_merge_test(tr, tr, ReidConfig(n3_frames=n3))
 
     def test_single_observation_low_confidence(self):
         tr = make_tracklet(2001, [(1, 5.0, 5.0)], unit(0))

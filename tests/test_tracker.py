@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from helpers import brute_force, make_det, make_meta, unit
 
-from masktrack import cli
+from masktrack import cli, tracker
 from masktrack.assignment import INFEASIBLE, hungarian_solve
 from masktrack.embedding import FeatureBank, bank_similarity, bank_update
-from masktrack.errors import OutOfOrderFrame, ShapeMismatch
+from masktrack.errors import ConfigError, OutOfOrderFrame, ShapeMismatch
 from masktrack.formats import write_results
 from masktrack.geometry import BBox, mask_iou, rect_mask
 from masktrack.tracker import (
@@ -19,6 +19,7 @@ from masktrack.tracker import (
     Detection,
     MaskTracker,
     Track,
+    Tracklet,
     TrackerConfig,
     TrackState,
     _gated_solve,
@@ -242,6 +243,76 @@ class TestExtrapolateTrack:
         track = make_track(2001, [det])
         box, = extrapolate_track(track, [7], TrackerConfig())
         assert (box.x, box.y) == (33, 44)
+
+    @pytest.mark.parametrize("window", [0, -1, -10])
+    def test_window_below_one_refused(self, window):
+        # obs[-0:] would fit the tail on every observation; obs[:0] has no head box
+        track = make_track(2001, [make_det(f, 40, 50, unit(0)) for f in range(1, 6)])
+        for frame in (0, 9):
+            with pytest.raises(ConfigError, match=f"huber_window must be >= 1, got {window}"):
+                extrapolate_track(track, [frame], TrackerConfig(huber_window=window))
+
+    def test_window_of_one_gives_the_end_boxes(self):
+        dets = [make_det(f, 10 + 2 * f, 50, unit(0)) for f in range(1, 6)]
+        track = make_track(2001, dets)
+        assert extrapolate_track(track, [0, 9], TrackerConfig(huber_window=1)) == [
+            dets[0].box, dets[-1].box]
+
+
+def fresh_copy(track):
+    """The same fragment as a new object, with no fit cached."""
+    return Tracklet(track.id, track.class_id, list(track.observations), track.bank)
+
+
+@st.composite
+def walks(draw, min_size=1):
+    """Detections at increasing frames with small steps in position."""
+    frame, x, y, dets = 10, 60, 40, []
+    for _ in range(draw(st.integers(min_size, 15))):
+        frame += draw(st.integers(1, 3))
+        x, y = x + draw(st.integers(-3, 3)), y + draw(st.integers(-2, 2))
+        dets.append(make_det(frame, x, y, unit(0)))
+    return dets
+
+
+class TestExtrapolateTrackFitCache:
+    @given(walks(min_size=2), st.integers(1, 8), st.floats(0.5, 8.0), st.data())
+    def test_after_observe_equals_a_fresh_fit(self, dets, window, delta, data):
+        cfg = TrackerConfig(huber_window=window, huber_delta=delta)
+        track = make_track(2001, dets[:-1])
+        frames = [track.first_frame - 2, track.last_frame + 1, track.last_frame + 4]
+        assert extrapolate_track(track, frames, cfg) == extrapolate_track(fresh_copy(track), frames, cfg)
+        track.observe(dets[-1])  # the tail window moves on; the cached line must not serve it
+        frames = [track.first_frame - 2, track.last_frame + data.draw(st.integers(1, 6))]
+        assert extrapolate_track(track, frames, cfg) == extrapolate_track(fresh_copy(track), frames, cfg)
+
+    @given(walks(), st.integers(1, 8), st.integers(1, 8), st.floats(0.5, 8.0), st.floats(0.5, 8.0))
+    def test_each_config_gets_its_own_fit(self, dets, w1, w2, d1, d2):
+        track = make_track(2001, dets)
+        frames = [track.first_frame - 3, track.last_frame + 2]
+        configs = [TrackerConfig(huber_window=w1, huber_delta=d1),
+                   TrackerConfig(huber_window=w2, huber_delta=d2)]
+        want = [extrapolate_track(fresh_copy(track), frames, cfg) for cfg in configs]
+        # asked in turn, each config twice, on one tracklet
+        assert [extrapolate_track(track, frames, cfg) for cfg in configs * 2] == want * 2
+
+    def test_each_window_is_fitted_once(self, monkeypatch):
+        calls = []
+        real_fit = tracker.huber_fit
+
+        def counted_fit(*args, **kwargs):
+            calls.append(args)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(tracker, "huber_fit", counted_fit)
+        cfg = TrackerConfig(huber_window=4)
+        short = make_track(2001, [make_det(f, 10 + f, 50, unit(0)) for f in range(1, 5)])
+        for frames in ([9], [10], [0, 9], [-3]):  # one window: head and tail are the same four
+            extrapolate_track(short, frames, cfg)
+        assert len(calls) == 2  # one line: a fit for x, one for y
+        short.observe(make_det(5, 15, 50, unit(0)))
+        extrapolate_track(short, [0, 9], cfg)  # the head window is cached, the tail moved on
+        assert len(calls) == 4
 
 
 class TestExtrapolateTrackProperty:
