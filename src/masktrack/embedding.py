@@ -5,7 +5,7 @@ The instance mask is resampled onto the feature grid and turned into a
 foreground/background weighting (1.0 inside the object, 0.5 outside), the
 map is pooled under those weights, and the result is L2-normalized. The
 masks of many detections on one grid size are resampled together, in one
-lookup over all their run ends (:func:`spatial_attentions`). Tracks
+lookup over all their foreground intervals (:func:`spatial_attentions`). Tracks
 keep the embeddings of their earliest and most recent frames in a bank, one
 stacked row per frame.
 
@@ -26,7 +26,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DegenerateInput, OutOfOrderFrame, ShapeMismatch
-from .geometry import BBox, BinaryMask, slot_capacity
+from .geometry import BBox, BinaryMask, foreground_intervals, slot_capacity
 
 FOREGROUND_WEIGHT = 1.0
 BACKGROUND_WEIGHT = 0.5
@@ -62,12 +62,16 @@ def spatial_attentions(
 
     Returns a ``(len(masks), grid_h, grid_w)`` array whose entry ``k`` is
     ``spatial_attention(masks[k], boxes[k], grid_h, grid_w)``, bit for bit:
-    each cell goes through the same float operations. The masks' cached run
-    ends are laid end to end, mask ``k``'s shifted by the pixels of the masks
-    before it, and one ``searchsorted`` finds the run under every cell. The
+    each cell goes through the same float operations. The masks'
+    :func:`~masktrack.geometry.foreground_intervals` are laid end to end,
+    mask ``k``'s shifted by the pixels of the masks before it, and one
+    ``searchsorted`` finds the interval that may hold each cell. The
     masks go in blocks of :func:`slot_capacity` of the largest frame, so
-    every shifted position fits in int64.
+    every shifted position fits in int64. Lists of unequal length raise
+    ShapeMismatch.
     """
+    if len(masks) != len(boxes):
+        raise ShapeMismatch(f"{len(masks)} masks but {len(boxes)} boxes")
     if grid_h <= 0 or grid_w <= 0:
         raise ShapeMismatch(f"grid dims must be positive, got {grid_h}x{grid_w}")
     for box in boxes:
@@ -98,18 +102,17 @@ def _attention_block(
     r_idx = np.clip(rows, 0, height - 1)
     c_idx = np.clip(cols, 0, width - 1)
     # column-major pixel index, shifted to its mask's place on the joint axis
-    ends = [m.run_ends for m in masks]
-    runs = np.fromiter(map(len, ends), dtype=np.int64, count=len(ends))
     size = (height * width)[:, 0]
     shift = np.cumsum(size) - size
     pixels = c_idx[:, None, :] * height[:, :, None] + r_idx[:, :, None]
     pixels += shift[:, None, None]
-    joint = np.concatenate(ends)
-    joint += np.repeat(shift, runs)
-    # the run holding a pixel, counted from its mask's first, is foreground when odd
-    run = np.searchsorted(joint, pixels, side="right")
-    run -= (np.cumsum(runs) - runs)[:, None, None]
-    fg = ((run & 1) == 1) & inside_r[:, :, None] & inside_c[:, None, :]
+    starts, stops, owner = foreground_intervals(masks, np.arange(len(masks)))
+    starts += shift[owner]
+    # a pixel is foreground when the last interval starting at or before it
+    # stops after it; index -1, before every interval, reads the appended 0
+    stops = np.append(stops + shift[owner], 0)
+    last = np.searchsorted(starts, pixels, side="right") - 1
+    fg = (stops[last] > pixels) & inside_r[:, :, None] & inside_c[:, None, :]
     return np.where(fg, FOREGROUND_WEIGHT, BACKGROUND_WEIGHT)
 
 

@@ -132,18 +132,17 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
 
     Frames come out sorted ascending. Each line is parsed and checked as it
     is read. The file's mask tokens are decoded together once every line is
-    read, by :func:`rle_from_strings`, and :func:`fill_caches` fills every
-    mask's run ends, area and extent. The feature maps of each grid size are
-    then pooled together into their embeddings, under one
-    :func:`spatial_attentions` lookup. Raises ParseError or ShapeMismatch
+    read, by :func:`rle_from_strings`, which gives each mask its run ends and
+    area; :func:`fill_caches` then fills every extent from those run ends.
+    The feature maps of each grid size are then pooled together into their
+    embeddings, under one :func:`spatial_attentions` lookup. Raises ParseError or ShapeMismatch
     naming the file and line; a bad token is named before any later fault,
     of its own line or a later one. Every detection's embedding or feature
     map must have as many channels as the first one's.
     """
     meta: SequenceMeta | None = None
-    # each detection's mask token and its FILE:LINE, decoded once every line is read
-    tokens: list[str] = []
-    sources: list[str] = []
+    # each detection's mask dims, token and FILE:LINE, decoded once every line is read
+    mask_rows: list[tuple[int, int, str, str]] = []
     rows: list[_Row] = []
     channels: int | None = None  # of the first detection; every other must match
     try:
@@ -163,8 +162,7 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
             where = f"{path}:{lineno}"
             frame, class_id, score, bbox, token = _parse_record(obj, meta, where)
             # the line's token is checked before its features, as if decoded here
-            tokens.append(token)
-            sources.append(where)
+            mask_rows.append((meta.img_h, meta.img_w, token, where))
             embedding, feature_map = _parse_features(obj, where)
             box = _parse_box(bbox, frame, embedding, feature_map, where)
             dim = embedding.size if embedding is not None else feature_map.shape[2]
@@ -176,11 +174,11 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
                 )
             rows.append(_Row(frame, class_id, score, box, embedding, feature_map))
     except (ParseError, ShapeMismatch):
-        _decode_tokens(tokens, sources, meta)  # a bad token on an earlier line is named first
+        _decode(mask_rows)  # a bad token on an earlier line is named first
         raise
     if meta is None:
         raise ParseError(f"{path}: missing header line")
-    masks = _decode_tokens(tokens, sources, meta)
+    masks = _decode(mask_rows)
     fill_caches(masks)
     embeddings = _pool(rows, masks)
     by_frame: dict[int, list[Detection]] = {}
@@ -248,16 +246,6 @@ def _parse_meta(obj, path, lineno) -> SequenceMeta:
         raise ParseError(f"{path}:{lineno}: header missing field {exc}") from None
     except (TypeError, ParseError) as exc:
         raise ParseError(f"{path}:{lineno}: bad header ({exc})") from None
-
-
-def _decode_tokens(
-    tokens: list[str], sources: list[str], meta: SequenceMeta | None
-) -> list[BinaryMask]:
-    """The masks of :func:`load_detections`' tokens, each of the sequence's
-    dims; a bad token raises its error prefixed with its ``FILE:LINE``."""
-    if not tokens:  # also before the header is read
-        return []
-    return _decode(tokens, [meta.img_h] * len(tokens), [meta.img_w] * len(tokens), sources)
 
 
 def _parse_record(obj, meta: SequenceMeta, where: str) -> tuple:
@@ -521,23 +509,17 @@ def read_results(path: str) -> list[ResultRecord]:
             seen.add(key)
             rows.append((frame, track_id, class_id, img_h, img_w, parts[5], f"{path}:{lineno}"))
     except ParseError:
-        _decode_rows(rows)  # a bad token on an earlier line is named first
+        _decode(rows)  # a bad token on an earlier line is named first
         raise
-    return [ResultRecord(*row, decoded=mask) for row, mask in zip(rows, _decode_rows(rows))]
+    return [ResultRecord(*row, decoded=mask) for row, mask in zip(rows, _decode(rows))]
 
 
-def _decode_rows(rows: list[tuple]) -> list[BinaryMask]:
-    """The masks of :func:`read_results`' rows; a bad token raises its error
-    prefixed with its ``FILE:LINE``."""
-    tokens, heights, widths, sources = ([row[k] for row in rows] for k in (5, 3, 4, 6))
-    return _decode(tokens, heights, widths, sources)
-
-
-def _decode(
-    tokens: list[str], heights: list[int], widths: list[int], sources: list[str]
-) -> list[BinaryMask]:
-    """:func:`rle_from_strings` on a file's tokens; a bad token raises its
-    error prefixed with its source, ``FILE:LINE``."""
+def _decode(rows: list[tuple]) -> list[BinaryMask]:
+    """The masks of a file's rows, each row ending with its mask's height,
+    width and token and its ``FILE:LINE``, decoded together by
+    :func:`rle_from_strings`. A bad token raises its error prefixed with its
+    ``FILE:LINE``."""
+    heights, widths, tokens, sources = ([row[k] for row in rows] for k in (-4, -3, -2, -1))
     try:
         return rle_from_strings(tokens, heights, widths)
     except (ParseError, ShapeMismatch) as exc:

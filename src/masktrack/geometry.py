@@ -2,12 +2,12 @@
 
 Masks are immutable. The run list always starts with a background run
 (possibly of length zero), alternates background/foreground, and sums to
-``height * width``. Every two-mask operation (intersection area, the set
-operations) goes through one run cut, :func:`_cut`, which works on the
-cumulative run ends each mask caches, so its cost scales with the number of
-runs rather than the number of pixels. IOU is the intersection area over
-the two cached areas less it. Every computed run list is brought to
-canonical form by one function, :func:`_from_segments`.
+``height * width``. Each mask caches its cumulative run ends, and every
+operation reads the mask through them. A single pair (intersection area,
+the set operations) goes through one run cut, :func:`_cut`, so its cost
+scales with the number of runs rather than the number of pixels. IOU is
+the intersection area over the two cached areas less it. Every computed
+run list is brought to canonical form by one function, :func:`_from_segments`.
 
 Most mask pairs a tracker or an evaluator meets lie far apart. Each mask
 also caches its foreground extent (the columns and rows it spans), and
@@ -17,17 +17,18 @@ zero without a cut. The test is exact; it never rules out a pair that
 touches. :func:`may_overlap` is the same test over two lists of masks at
 once, one broadcast over their extent arrays.
 
-Scoring a whole sequence compares many masks at once, and goes through one
-structure instead of a pair loop: an :class:`IntervalTable` holds the
-foreground intervals of a list of masks, each mask placed in the block of
-pixel positions of its slot (its frame), sorted by start. Neighbouring
-intervals show whether a slot's masks overlap (:func:`overlapping_masks`),
-and two disjoint tables merge by binary search into the exact intersection
-area of every pair that shares pixels (:func:`table_intersections`). A list
-of chosen pairs, such as a tracker's candidate matches, goes through the
-same merge (:func:`pair_intersections`): each pair gets its own slot, so
-both tables are disjoint however the masks of one side overlap, and they
-are built from the masks' cached run ends.
+Many masks at once go through one function, :func:`foreground_intervals`,
+which reads their foreground intervals from the cached run ends, each mask
+once however many entries name it; each caller places the intervals on its
+own axis. An :class:`IntervalTable` holds the intervals of a list of masks,
+each mask placed in the block of pixel positions of its slot (its frame),
+sorted by start. Neighbouring intervals show whether a slot's masks overlap
+(:func:`overlapping_masks`), and two disjoint tables merge by binary search
+into the exact intersection area of every pair that shares pixels
+(:func:`table_intersections`). A list of chosen pairs, such as a tracker's
+candidate matches, goes through the same merge (:func:`pair_intersections`),
+each pair in a slot of its own. :func:`fill_caches` takes many masks'
+extents from the intervals too.
 
 Building a mask coerces its fields with ``operator.index`` (a float or a
 str is refused) and checks the run list with ``min``, ``in`` and ``sum``;
@@ -42,13 +43,12 @@ decode as the shortest form would.
 
 A file's tokens are decoded together by :func:`rle_from_strings`, in blocks
 of a few thousand characters: one byte array, the values summed from their
-chunks with ``np.add.reduceat`` and the delta chains undone with cumulative
-sums restarted at each token. A token it cannot prove valid, such as a bad
-one, goes through :func:`rle_from_string`, so both accept the same tokens
-and raise the same first error; a mask it has proven is built without the
-constructor's checks. :func:`fill_caches` fills the run ends, area and
-extent caches of many masks at once, from one cumulative sum over their run
-lists laid end to end.
+chunks with ``np.add.reduceat``, and the delta chains undone with cumulative
+sums restarted at each token; one more such sum gives the run ends. A mask
+it has proven is built without the constructor's checks and holds a
+read-only view of its run ends, and its area. A token it cannot prove
+valid, such as a bad one, goes through :func:`rle_from_string`, so both
+accept the same tokens and raise the same first error.
 """
 
 from __future__ import annotations
@@ -119,8 +119,9 @@ class BinaryMask:
     def run_ends(self) -> np.ndarray:
         """Cumulative run ends: run ``i`` covers pixels up to ``run_ends[i]``.
 
-        Cached on first use, or filled together with other masks' by
-        :func:`fill_caches`; the mask is frozen, so the cache cannot go stale.
+        Cached on first use, or filled by :func:`rle_from_strings` when it
+        decodes the mask: a read-only view of the run ends of the masks
+        decoded with it. The mask is frozen, so the cache cannot go stale.
         """
         return np.cumsum(self.counts)
 
@@ -128,7 +129,8 @@ class BinaryMask:
     def extent(self) -> tuple[int, int, int, int] | None:
         """``(col_min, col_max, row_min, row_max)`` of the foreground, inclusive.
 
-        ``None`` for an empty mask. Cached like :attr:`run_ends`.
+        ``None`` for an empty mask. Cached on first use, or filled together
+        with other masks' by :func:`fill_caches`.
         """
         ends = self.run_ends
         # odd runs are foreground; a canonical run list has no empty one
@@ -307,16 +309,18 @@ def _batch_area(token: str, height, width) -> int:
     return h * w
 
 
-def _decode_block(tokens: list[str], areas: list[int]) -> list[list[int] | None]:
-    """The run list of each token that decodes to a valid mask of ``areas[k]``
-    pixels, or None: a bad character, a truncated token, a value longer than
-    ``_VALUE_CHARS`` characters, or a run list ``BinaryMask`` refuses.
+def _decode_block(tokens: list[str], areas: list[int]) -> list[dict | None]:
+    """The ``counts``, ``run_ends`` and ``area`` fields of each token that
+    decodes to a valid mask of ``areas[k]`` pixels, or None: a bad
+    character, a truncated token, a value longer than ``_VALUE_CHARS``
+    characters, or a run list ``BinaryMask`` refuses. ``run_ends`` is a
+    read-only view of the block's run ends.
 
     Every token is non-empty ASCII. The tokens are read as one byte array;
     each value is the sum of its 5-bit chunks, and each delta chain is one
-    cumulative sum, restarted at every token. int64 wraps, so a chain is
-    exact up to its first count outside ``[0, area]``, which marks the token
-    bad, and the counts of a good token sum exactly.
+    cumulative sum, restarted at every token; so are the run ends. int64
+    wraps, so a chain is exact up to its first count outside ``[0, area]``,
+    which marks the token bad, and the counts of a good token sum exactly.
     """
     lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
     stop = np.cumsum(lengths)
@@ -364,18 +368,33 @@ def _decode_block(tokens: list[str], areas: list[int]) -> list[list[int] | None]
     empty = counts == 0
     empty[first] = False  # only the first run may be empty
     bad |= np.logical_or.reduceat(empty, first)
-    bad |= np.add.reduceat(counts, first) != area
+    total = np.add.reduceat(counts, first)
+    bad |= total != area
+    # the runs at odd places of the block, summed per token: a token's
+    # foreground when it starts at an even place, else its background
+    odd = np.concatenate(([0], np.cumsum(counts[1::2])))
+    fg = odd[(first + nv) // 2] - odd[first // 2]
+    fg = np.where(first & 1, area - fg, fg)
     rows = counts.tolist()
+    # the run ends: one cumulative sum, restarted at each token by taking the
+    # token before it off its first run (exact, as int64 wraps)
+    counts[first[1:]] -= total[:-1]
+    ends = np.cumsum(counts, out=counts)
+    ends.flags.writeable = False
     ranges = zip(first.tolist(), (first + nv).tolist())
-    return [None if b else rows[lo:hi] for b, (lo, hi) in zip(bad.tolist(), ranges)]
+    return [
+        None if b else dict(counts=tuple(rows[lo:hi]), run_ends=ends[lo:hi], area=a)
+        for b, (lo, hi), a in zip(bad.tolist(), ranges, fg.tolist())
+    ]
 
 
-def _proven_mask(height: int, width: int, counts: tuple[int, ...]) -> BinaryMask:
+def _proven_mask(height: int, width: int, fields: dict) -> BinaryMask:
     """A mask built without ``BinaryMask``'s checks, for a run list
     :func:`_decode_block` has proven: ints, non-negative, no empty run after
-    the first, summing to ``height * width``."""
+    the first, summing to ``height * width``. Its ``run_ends`` and ``area``
+    caches come filled, from ``fields``."""
     mask = object.__new__(BinaryMask)
-    mask.__dict__.update(height=height, width=width, counts=counts)
+    mask.__dict__.update(fields, height=height, width=width)
     return mask
 
 
@@ -388,8 +407,12 @@ def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -
     not positive, a value longer than 12 characters, a frame past 2**40
     pixels) goes through it, in order. So the masks, and the first error
     raised, are the ones the per-token loop gives; the error carries the
-    token's position as its ``index`` attribute.
+    token's position as its ``index`` attribute. A proven mask comes with
+    its ``run_ends`` and ``area`` caches filled. Lists of unequal length
+    raise ShapeMismatch.
     """
+    if not len(tokens) == len(heights) == len(widths):
+        raise ShapeMismatch(f"{len(tokens)} tokens, {len(heights)} heights, {len(widths)} widths")
     areas = [_batch_area(t, h, w) for t, h, w in zip(tokens, heights, widths)]
     masks: list[BinaryMask] = []
     lo = 0
@@ -404,10 +427,10 @@ def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -
             decoded = _decode_block([tokens[i] for i in batch], [areas[i] for i in batch])
             runs = dict(zip(batch, decoded))
         for i in range(lo, hi):
-            counts = runs.get(i)
-            if counts is not None:
+            proven = runs.get(i)
+            if proven is not None:
                 h, w = operator.index(heights[i]), operator.index(widths[i])
-                masks.append(_proven_mask(h, w, tuple(counts)))
+                masks.append(_proven_mask(h, w, proven))
                 continue
             try:
                 masks.append(rle_from_string(tokens[i], heights[i], widths[i]))
@@ -418,69 +441,32 @@ def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -
     return masks
 
 
-# The cache pass reads run lists in blocks of about this many runs, so its
-# temporaries stay small for any number of masks.
-_BLOCK_RUNS = 1 << 14
-
-
 def fill_caches(masks: list[BinaryMask]) -> None:
-    """Fill the ``run_ends``, ``area`` and ``extent`` caches of many masks at once.
+    """Fill the ``extent`` cache of many masks at once, with what each mask
+    computes on first use.
 
-    Each cache holds what the mask computes on first use. The run lists of
-    a block of masks are laid end to end, each padded to even length with
-    an empty foreground run, and one cumulative sum, restarted at each
-    mask, gives every run end; each mask keeps a read-only view of its own.
-    A mask of more pixels than int64 holds is left to fill its own.
+    The extents come from the :func:`foreground_intervals` of all the masks,
+    read in one pass over their cached run ends. A mask of more pixels than
+    int64 holds is left to fill its own.
     """
     masks = [m for m in masks if m.height * m.width <= _INT64_MAX]
-    lo = 0
-    while lo < len(masks):
-        hi, runs = lo, 0
-        while hi < len(masks) and runs < _BLOCK_RUNS:
-            runs += len(masks[hi].counts)
-            hi += 1
-        _fill_block(masks[lo:hi])
-        lo = hi
-
-
-def _fill_block(masks: list[BinaryMask]):
-    """:func:`fill_caches` on one block of masks."""
-    runs = np.fromiter(map(len, (m.counts for m in masks)), dtype=np.int64, count=len(masks))
-    padded = runs + (runs & 1)
-    first = np.cumsum(padded) - padded
-    pad = ((), (0,))
-    ends = np.fromiter(
-        chain.from_iterable(chain(m.counts, pad[len(m.counts) & 1]) for m in masks),
-        dtype=np.int64,
-        count=int(padded.sum()),
-    )
-    area = np.add.reduceat(ends[1::2], first // 2)  # the odd runs are foreground
-    # mask k - 1 sums to its pixel count, so subtracting that from the first
-    # run of mask k restarts the sum there: every partial sum lies in [0, h * w]
-    ends[first[1:]] -= np.array([m.height * m.width for m in masks[:-1]], dtype=np.int64)
-    np.cumsum(ends, out=ends)
-    ends.flags.writeable = False
-    # foreground run i of the block covers [ends[2i], ends[2i + 1]); only
-    # the padding runs are empty
-    starts, stops = ends[0::2], ends[1::2]
-    fg = np.flatnonzero(stops > starts)
-    owner = np.repeat(np.arange(len(masks)), padded // 2)[fg]
+    if not masks:
+        return
+    starts, stops, owner = foreground_intervals(masks, np.arange(len(masks)))
     h = np.array([m.height for m in masks], dtype=np.int64)[owner]
-    col_first, row_first = np.divmod(starts[fg], h)
-    col_last, row_last = np.divmod(stops[fg] - 1, h)
-    del fg
-    group = np.flatnonzero(np.diff(owner, prepend=-1))  # each non-empty mask's first run
+    col_first, row_first = np.divmod(starts, h)
+    col_last, row_last = np.divmod(stops - 1, h)
+    group = np.flatnonzero(np.diff(owner, prepend=-1))  # each non-empty mask's first interval
     # a run that wraps past a column reaches both the last row and the first
     wraps = np.logical_or.reduceat(col_last > col_first, group)
     row_min = np.where(wraps, 0, np.minimum.reduceat(row_first, group))
     row_max = np.where(wraps, h[group] - 1, np.maximum.reduceat(row_last, group))
     col_max = np.maximum.reduceat(col_last, group)
-    extents: list[tuple | None] = [None] * len(masks)
     bounds = zip(col_first[group].tolist(), col_max.tolist(), row_min.tolist(), row_max.tolist())
+    for m in masks:
+        m.__dict__["extent"] = None  # unless it has an interval
     for k, extent in zip(owner[group].tolist(), bounds):
-        extents[k] = extent
-    for m, lo, n, a, extent in zip(masks, first.tolist(), runs.tolist(), area.tolist(), extents):
-        m.__dict__.update(run_ends=ends[lo : lo + n], area=a, extent=extent)
+        masks[k].__dict__["extent"] = extent
 
 
 # ---------------------------------------------------------------------------
@@ -632,18 +618,43 @@ class IntervalTable(NamedTuple):
     area: np.ndarray
 
 
+def foreground_intervals(
+    masks: list[BinaryMask], which: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, stops, entry)``: the foreground intervals of ``masks[which[e]]``
+    for every entry ``e``, in entry order.
+
+    Interval ``k`` covers the pixels ``[starts[k], stops[k])`` of its mask's
+    frame and belongs to entry ``entry[k]``; a mask's intervals are sorted
+    and never empty. They are read in one pass over the masks' cached run
+    ends, each mask once however many entries name it: foreground run
+    ``2i+1`` of a mask covers ``[run_ends[2i], run_ends[2i+1])``. Each
+    caller places the intervals on its own axis.
+    """
+    ends = [m.run_ends for m in masks]
+    runs = np.fromiter(map(len, ends), dtype=np.int64, count=len(ends))
+    first = np.cumsum(runs) - runs
+    fg = (runs // 2)[which]  # foreground runs of each entry's mask
+    before = np.cumsum(fg) - fg
+    entry = np.repeat(np.arange(which.size), fg)
+    # the i-th interval of an entry starts at end 2i of its mask
+    at = np.repeat(first[which] - 2 * before, fg) + 2 * np.arange(entry.size)
+    flat = np.concatenate(ends)
+    return flat[at], flat[at + 1], entry
+
+
 def interval_table(masks: list[BinaryMask], slots: list[int]) -> IntervalTable:
     """Build the interval table of ``masks``, mask ``k`` placed in ``slots[k]``.
 
     Masks in one slot share positions, so their intervals can overlap; masks
     in different slots never meet. All masks must have the same dimensions.
-    The run lists are read in one pass: they are laid end to end, each padded
-    to even length with an empty foreground run, and one cumulative sum turns
-    them into run ends. Adding to each mask's first run the distance from
-    where the previous mask ended to its slot places every mask at once.
-    Raises ShapeMismatch for mixed dimensions, or for a slot past
+    Each mask's :func:`foreground_intervals` are shifted by its slot's first
+    position, and one stable sort by start orders them. Raises ShapeMismatch
+    for lists of unequal length, for mixed dimensions, or for a slot past
     :func:`slot_capacity`.
     """
+    if len(masks) != len(slots):
+        raise ShapeMismatch(f"{len(masks)} masks but {len(slots)} slots")
     if not masks:
         empty = np.zeros(0, dtype=np.int64)
         return IntervalTable(empty, empty, empty, empty)
@@ -657,29 +668,13 @@ def interval_table(masks: list[BinaryMask], slots: list[int]) -> IntervalTable:
             f"slots {slots.min()}..{slots.max()} outside the {capacity} frames of "
             f"{h}x{w} pixels that int64 positions hold"
         )
-    runs = np.fromiter(map(len, (m.counts for m in masks)), dtype=np.int64, count=len(masks))
-    runs += runs & 1
-    pad = ((), (0,))
-    flat = np.fromiter(
-        chain.from_iterable(chain(m.counts, pad[len(m.counts) & 1]) for m in masks),
-        dtype=np.int64,
-        count=int(runs.sum()),
-    )
-    first = np.cumsum(runs) - runs
-    # each padded mask sums to h * w, so mask k would start where mask k-1 ends
-    flat[first] += (np.diff(slots, prepend=-1) - 1) * (h * w)
-    np.cumsum(flat, out=flat)
-    # foreground run 2i+1 covers [end of run 2i, end of run 2i+1)
-    starts, stops = flat[0::2], flat[1::2]
-    lengths = stops - starts
-    area = np.add.reduceat(lengths, first // 2)
-    pairs = np.flatnonzero(lengths)  # drop the padding runs
-    del lengths
-    pairs = pairs[np.argsort(starts[pairs], kind="stable")]
-    starts, stops = starts[pairs], stops[pairs]
-    del flat
-    owner = np.searchsorted(first // 2, pairs, side="right") - 1
-    return IntervalTable(starts, stops, owner, area)
+    starts, stops, owner = foreground_intervals(masks, np.arange(len(masks)))
+    offset = slots[owner] * (h * w)
+    starts += offset
+    stops += offset
+    order = np.argsort(starts, kind="stable")
+    area = np.fromiter((m.area for m in masks), dtype=np.int64, count=len(masks))
+    return IntervalTable(starts[order], stops[order], owner[order], area)
 
 
 def overlapping_masks(table: IntervalTable) -> np.ndarray:
@@ -730,36 +725,6 @@ def table_intersections(
     return key // n, key % n, np.add.reduceat(area, first)
 
 
-def _slot_tables(
-    a: list[BinaryMask], b: list[BinaryMask], ia: np.ndarray, ib: np.ndarray, slot: int
-) -> tuple[IntervalTable, IntervalTable]:
-    """The tables of ``a[ia[p]]`` and of ``b[ib[p]]``, pair ``p`` placed at ``p * slot``.
-
-    Both are read in one pass over the masks' cached run ends, each mask
-    once however many pairs name it: foreground run ``2k+1`` of a mask covers
-    ``[run_ends[2k], run_ends[2k+1])``.
-    """
-    masks = a + b
-    which = np.concatenate((ia, ib + len(a)))
-    ends = [m.run_ends for m in masks]
-    runs = np.fromiter(map(len, ends), dtype=np.int64, count=len(ends))
-    first = np.cumsum(runs) - runs
-    fg = (runs // 2)[which]  # foreground runs of each pair's mask, side a first
-    before = np.cumsum(fg) - fg
-    owner = np.repeat(np.arange(which.size) % ia.size, fg)
-    # the k-th interval of an entry starts at end 2k of its mask
-    at = np.repeat(first[which] - 2 * before, fg) + 2 * np.arange(owner.size)
-    offset = owner * slot
-    flat = np.concatenate(ends)
-    starts, stops = flat[at] + offset, flat[at + 1] + offset
-    area = np.fromiter((m.area for m in masks), dtype=np.int64, count=len(masks))[which]
-    n, k = ia.size, before[ia.size]  # the intervals of side a come first
-    return (
-        IntervalTable(starts[:k], stops[:k], owner[:k], area[:n]),
-        IntervalTable(starts[k:], stops[k:], owner[k:], area[n:]),
-    )
-
-
 def pair_intersections(
     a: list[BinaryMask], b: list[BinaryMask], ia: np.ndarray, ib: np.ndarray
 ) -> np.ndarray:
@@ -769,23 +734,37 @@ def pair_intersections(
     largest frame among the masks, so each side's table holds one mask per
     slot and is disjoint, and one :func:`table_intersections` merge gives
     every pair's area at once. A mask may appear in many pairs. Raises
-    ShapeMismatch for a pair of masks of different dimensions, or for more
-    slots than int64 positions hold.
+    ShapeMismatch for index lists of unequal length, for a pair of masks of
+    different dimensions, or for more slots than int64 positions hold.
     """
     ia = np.asarray(ia, dtype=np.int64)
     ib = np.asarray(ib, dtype=np.int64)
+    if ia.size != ib.size:
+        raise ShapeMismatch(f"{ia.size} indices into a but {ib.size} into b")
     if ia.size == 0:
         return np.zeros(0, dtype=np.int64)
-    dims = {(m.height, m.width) for m in chain(a, b)}
+    masks, n = a + b, ia.size
+    dims = {(m.height, m.width) for m in masks}
     if len(dims) > 1:
         differ = (_dims(a)[ia] != _dims(b)[ib]).any(axis=1)
         if differ.any():
             p = int(np.argmax(differ))
             _check_dims(a[ia[p]], b[ib[p]])
     slot = max(h * w for h, w in dims)
-    if ia.size > _INT64_MAX // slot:
-        raise ShapeMismatch(f"{ia.size} slots of {slot} pixels overflow int64 positions")
-    pair, _, area = table_intersections(*_slot_tables(a, b, ia, ib, slot))
+    if n > _INT64_MAX // slot:
+        raise ShapeMismatch(f"{n} slots of {slot} pixels overflow int64 positions")
+    which = np.concatenate((ia, ib + len(a)))
+    starts, stops, entry = foreground_intervals(masks, which)
+    k = entry.searchsorted(n)  # the intervals of side a come first
+    entry[k:] -= n  # each interval's pair
+    offset = entry * slot
+    starts += offset
+    stops += offset
+    area = np.fromiter((m.area for m in masks), dtype=np.int64, count=len(masks))[which]
+    pair, _, area = table_intersections(
+        IntervalTable(starts[:k], stops[:k], entry[:k], area[:n]),
+        IntervalTable(starts[k:], stops[k:], entry[k:], area[n:]),
+    )
     out = np.zeros(ia.size, dtype=np.int64)
     out[pair] = area  # a slot meets only the same slot of the other side
     return out

@@ -2,8 +2,9 @@
 
 import base64
 import json
+import math
 from functools import reduce
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -19,7 +20,15 @@ from masktrack.formats import (
     json_whole,
     text_lines,
 )
-from masktrack.geometry import BBox, mask_intersection_area, mask_iou, rect_mask, rle_from_string
+from masktrack.geometry import (
+    BBox,
+    IntervalTable,
+    mask_intersection_area,
+    mask_iou,
+    rect_mask,
+    rle_decode,
+    rle_from_string,
+)
 from masktrack.metrics import ClassStats, EvalReport
 from masktrack.regression import MAX_ITER, TOL
 from masktrack.reid import moving_merge_test, static_merge_test
@@ -97,6 +106,52 @@ def reference_huber_fit(times, values, delta) -> tuple[float, float]:
         if change < TOL:
             break
     return float(params[0]), float(params[1])
+
+
+def reference_interval_table(masks, slots) -> IntervalTable:
+    """The interval table of ``masks`` (one or more, of one frame size) read
+    from their run lists, not their cached run ends: the oracle for
+    ``geometry.interval_table``. The run lists are laid end to end, each
+    padded to even length with an empty foreground run, and one cumulative
+    sum turns them into run ends. Adding to each mask's first run the
+    distance from where the previous mask ended to its slot places every
+    mask at once."""
+    h, w = masks[0].height, masks[0].width
+    slots = np.asarray(slots, dtype=np.int64)
+    runs = np.fromiter(map(len, (m.counts for m in masks)), dtype=np.int64, count=len(masks))
+    runs += runs & 1
+    pad = ((), (0,))
+    flat = np.fromiter(
+        chain.from_iterable(chain(m.counts, pad[len(m.counts) & 1]) for m in masks),
+        dtype=np.int64,
+        count=int(runs.sum()),
+    )
+    first = np.cumsum(runs) - runs
+    # each padded mask sums to h * w, so mask k would start where mask k-1 ends
+    flat[first] += (np.diff(slots, prepend=-1) - 1) * (h * w)
+    np.cumsum(flat, out=flat)
+    # foreground run 2i+1 covers [end of run 2i, end of run 2i+1)
+    starts, stops = flat[0::2], flat[1::2]
+    lengths = stops - starts
+    area = np.add.reduceat(lengths, first // 2)
+    pairs = np.flatnonzero(lengths)  # drop the padding runs
+    pairs = pairs[np.argsort(starts[pairs], kind="stable")]
+    owner = np.searchsorted(first // 2, pairs, side="right") - 1
+    return IntervalTable(starts[pairs], stops[pairs], owner, area)
+
+
+def attention_by_decode(mask, box, grid_h, grid_w):
+    """The attention grid read cell by cell from the decoded frame: the
+    reference for the run-end lookup in ``embedding.spatial_attentions``."""
+    frame = rle_decode(mask)
+    attn = np.full((grid_h, grid_w), 0.5)
+    for i in range(grid_h):
+        row = math.floor(box.y + (i + 0.5) * box.h / grid_h)
+        for j in range(grid_w):
+            col = math.floor(box.x + (j + 0.5) * box.w / grid_w)
+            if 0 <= row < mask.height and 0 <= col < mask.width and frame[row, col]:
+                attn[i, j] = 1.0
+    return attn
 
 
 def packed(values) -> str:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import attention_by_decode
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -21,7 +22,7 @@ from masktrack.embedding import (
     spatial_attentions,
 )
 from masktrack.errors import DegenerateInput, OutOfOrderFrame, ShapeMismatch
-from masktrack.geometry import BBox, BinaryMask, rle_decode, rle_encode, slot_capacity
+from masktrack.geometry import BBox, BinaryMask, rle_encode, slot_capacity
 
 
 class TestSpatialAttention:
@@ -57,20 +58,6 @@ class TestSpatialAttention:
     def test_empty_box(self):
         with pytest.raises(DegenerateInput, match="zero-area box"):
             spatial_attention(BinaryMask(4, 4, (16,)), BBox(0, 0, 0, 4), 2, 2)
-
-
-def attention_by_decode(mask, box, grid_h, grid_w):
-    """The attention grid read cell by cell from the decoded frame: the
-    reference for the run-end lookup in spatial_attention."""
-    frame = rle_decode(mask)
-    attn = np.full((grid_h, grid_w), 0.5)
-    for i in range(grid_h):
-        row = math.floor(box.y + (i + 0.5) * box.h / grid_h)
-        for j in range(grid_w):
-            col = math.floor(box.x + (j + 0.5) * box.w / grid_w)
-            if 0 <= row < mask.height and 0 <= col < mask.width and frame[row, col]:
-                attn[i, j] = 1.0
-    return attn
 
 
 @st.composite
@@ -146,6 +133,14 @@ class TestSpatialAttentions:
             spatial_attentions([mask, mask], [BBox(0, 0, 2, 2), BBox(0, 0, 2, 0)], 2, 2)
         with pytest.raises(ShapeMismatch, match="grid dims must be positive"):
             spatial_attentions([mask], [BBox(0, 0, 2, 2)], 0, 2)
+
+    def test_lists_of_unequal_length_refused(self):
+        """Each mask needs its own box: neither list is broadcast over the other."""
+        mask, box = BinaryMask(4, 4, (5, 6, 5)), BBox(0, 0, 4, 4)
+        with pytest.raises(ShapeMismatch, match="^3 masks but 1 boxes$"):
+            spatial_attentions([mask] * 3, [box], 2, 2)
+        with pytest.raises(ShapeMismatch, match="^1 masks but 3 boxes$"):
+            spatial_attentions([mask], [box] * 3, 2, 2)
 
 
 class TestInstanceAwarePool:

@@ -1,13 +1,15 @@
+import re
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from helpers import counts_token, token_counts
+from helpers import attention_by_decode, counts_token, reference_interval_table, token_counts
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from masktrack import geometry
+from masktrack.embedding import spatial_attentions
 from masktrack.errors import MaskTrackError, ParseError, ShapeMismatch
 from masktrack.geometry import (
     BBox,
@@ -368,8 +370,39 @@ class TestBatchDecode:
         assert masks == expected
         assert [m.counts for m in masks] == [tuple(token_counts(t)) for t in tokens]
 
+    @given(token_batches(), st.sampled_from([1, 5, 64, geometry._BLOCK_CHARS]))
+    @example(([counts_token([3, 2**41 - 3])], [2**41], [1]), 64)
+    def test_proven_masks_hold_their_run_ends_and_area(self, batch, block):
+        """A mask the batch proves holds a read-only view of its run ends,
+        ``np.cumsum`` of its counts, and its area; a mask left to
+        ``rle_from_string`` (a frame past 2**40 pixels, a value past 12
+        characters) holds neither and computes its own."""
+        tokens, heights, widths = batch
+        with patch.object(geometry, "_BLOCK_CHARS", block):
+            try:
+                masks = rle_from_strings(tokens, heights, widths)
+            except MaskTrackError:
+                return
+        long_value = re.compile("[P-o]{%d}" % geometry._VALUE_CHARS)
+        for m, token, h, w in zip(masks, tokens, heights, widths):
+            cache, ends = m.__dict__, np.cumsum(m.counts)
+            if geometry._batch_area(token, h, w) and not long_value.search(token):
+                assert cache["run_ends"].dtype == ends.dtype
+                np.testing.assert_array_equal(cache["run_ends"], ends)
+                assert not cache["run_ends"].flags.writeable
+                assert cache["area"] == sum(m.counts[1::2]) and type(cache["area"]) is int
+            else:
+                assert "run_ends" not in cache and "area" not in cache
+                np.testing.assert_array_equal(m.run_ends, ends)
+                assert m.area == sum(m.counts[1::2])
+
     def test_an_empty_batch(self):
         assert rle_from_strings([], [], []) == []
+
+    def test_lists_of_unequal_length_refused(self):
+        tokens = [counts_token([3, 9, 20])] * 3
+        with pytest.raises(ShapeMismatch, match="^3 tokens, 1 heights, 1 widths$"):
+            rle_from_strings(tokens, [4], [8])
 
     def test_errors_name_the_first_bad_token_across_blocks(self):
         good = rle_to_string(BinaryMask(4, 8, (3, 9, 20)))
@@ -421,22 +454,15 @@ def mask_lists(draw):
 
 
 class TestFillCaches:
-    @given(mask_lists(), st.sampled_from([1, 2, 7, geometry._BLOCK_RUNS]))
-    def test_fills_what_each_mask_computes(self, masks, block):
-        with patch.object(geometry, "_BLOCK_RUNS", block):
-            fill_caches(masks)
+    @given(mask_lists())
+    def test_fills_the_extent_each_mask_computes(self, masks):
+        fill_caches(masks)
         for m in masks:
-            cache = m.__dict__
-            ends = np.cumsum(m.counts)
-            assert cache["run_ends"].dtype == ends.dtype
-            np.testing.assert_array_equal(cache["run_ends"], ends)
-            assert not cache["run_ends"].flags.writeable  # a view of the block's array
-            assert cache["area"] == sum(m.counts[1::2]) and type(cache["area"]) is int
-            assert cache["extent"] == BinaryMask(m.height, m.width, m.counts).extent
+            assert m.__dict__["extent"] == BinaryMask(m.height, m.width, m.counts).extent
 
     def test_frames_past_the_batch_area_or_int64_are_no_refusal(self):
         """Frames past 2**40 pixels, more of them than slot_capacity allows,
-        are filled exactly; a frame past int64 is left to fill its own."""
+        are filled exactly; a frame past int64 is left to fill its own extent."""
         h, w = 1 << 31, 1 << 31  # 2**62 pixels: one slot per table
         masks = [BinaryMask(h, w, (5, h * w - 5)), BinaryMask(h, w, (h * w - 7, 7)),
                  BinaryMask(h, w, (0, h * w)), BinaryMask(h, w, (h * w,))]
@@ -444,11 +470,49 @@ class TestFillCaches:
         assert slot_capacity(h, w) < len(masks)
         fill_caches([*masks, past])
         for m in masks:
-            np.testing.assert_array_equal(m.__dict__["run_ends"], np.cumsum(m.counts))
-            fresh = BinaryMask(m.height, m.width, m.counts)
-            assert (m.__dict__["area"], m.__dict__["extent"]) == (fresh.area, fresh.extent)
-        assert "run_ends" not in past.__dict__
+            assert m.__dict__["extent"] == BinaryMask(m.height, m.width, m.counts).extent
+        assert "extent" not in past.__dict__
         assert (past.area, past.extent) == (2**70 - 1, (0, 2**30 - 1, 0, 2**40 - 1))
+
+
+class TestOneRunEndLayout:
+    @given(mask_lists(), st.sampled_from([None, 1, 5, 64]), st.data())
+    def test_every_many_mask_reader_equals_the_per_mask_values(self, masks, block, data):
+        """``interval_table`` equals the padded-count reference, and
+        ``pair_intersections``, ``spatial_attentions`` and ``fill_caches``
+        equal each mask's own values, bit for bit: whether the run ends were
+        cached by the batch decoder (in blocks of ``block`` characters) or by
+        the masks themselves. Masks may be empty or full, and their runs
+        often wrap past a column."""
+        fresh = [BinaryMask(m.height, m.width, m.counts) for m in masks]
+        if block:
+            tokens = [rle_to_string(m) for m in masks]
+            with patch.object(geometry, "_BLOCK_CHARS", block):
+                masks = rle_from_strings(tokens, [m.height for m in masks], [m.width for m in masks])
+            assert all("run_ends" in m.__dict__ for m in masks)
+        by_dims = {}
+        for k, m in enumerate(masks):
+            by_dims.setdefault((m.height, m.width), []).append(k)
+        for ks in by_dims.values():
+            slots = data.draw(st.lists(st.integers(0, 3), min_size=len(ks), max_size=len(ks)))
+            got = interval_table([masks[k] for k in ks], slots)
+            want = reference_interval_table([fresh[k] for k in ks], slots)
+            for col, ref in zip(got, want):
+                assert col.dtype == ref.dtype and col.tolist() == ref.tolist()
+        same = [(i, j) for i, a in enumerate(masks) for j, b in enumerate(masks)
+                if (a.height, a.width) == (b.height, b.width)]
+        pairs = data.draw(st.lists(st.sampled_from(same), max_size=12)) if same else []
+        ia, ib = [i for i, _ in pairs], [j for _, j in pairs]
+        assert pair_intersections(masks, masks, ia, ib).tolist() == [
+            mask_intersection_area(fresh[i], fresh[j]) for i, j in pairs]
+        coord, size = st.floats(-4.0, 12.0), st.floats(0.25, 12.0)
+        boxes = [BBox(*data.draw(st.tuples(coord, coord, size, size))) for _ in masks]
+        grid_h, grid_w = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        attns = spatial_attentions(masks, boxes, grid_h, grid_w)
+        for m, box, attn in zip(fresh, boxes, attns):
+            assert attn.tobytes() == attention_by_decode(m, box, grid_h, grid_w).tobytes()
+        fill_caches(masks)
+        assert [m.__dict__["extent"] for m in masks] == [m.extent for m in fresh]
 
 
 @st.composite
@@ -538,7 +602,7 @@ class TestCut:
 
 
 @st.composite
-def mask_lists(draw, max_side=16):
+def mask_list_pairs(draw, max_side=16):
     """Two lists of masks of one shape, taken from grid pairs, so that pairs
     across the lists lie apart, touch, share a line or overlap."""
     shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
@@ -549,7 +613,7 @@ def mask_lists(draw, max_side=16):
 
 
 class TestMayOverlap:
-    @given(mask_lists(), st.data())
+    @given(mask_list_pairs(), st.data())
     def test_agrees_with_cannot_overlap_on_every_pair(self, lists, data):
         a, b = lists
         expected = np.array([[not cannot_overlap(x, y) for y in b] for x in a], dtype=bool)
@@ -655,6 +719,11 @@ class TestIntervalTable:
         with pytest.raises(ShapeMismatch):
             interval_table([BinaryMask(2, 2, (4,)), BinaryMask(1, 4, (4,))], [0, 1])
 
+    def test_lists_of_unequal_length_refused(self):
+        mask = BinaryMask(2, 2, (1, 3))
+        with pytest.raises(ShapeMismatch, match="^3 masks but 2 slots$"):
+            interval_table([mask] * 3, [0, 1])
+
 
 @st.composite
 def paired_masks(draw, max_side=8):
@@ -701,6 +770,11 @@ class TestPairIntersections:
         assert pair_intersections([mask], [mask], [0], [0]).tolist() == [5]
         with pytest.raises(ShapeMismatch, match="int64"):
             pair_intersections([mask], [mask], [0, 0], [0, 0])
+
+    def test_index_lists_of_unequal_length_refused(self):
+        a, b = [BinaryMask(5, 5, (0, 25)), BinaryMask(5, 5, (25,))], [BinaryMask(5, 5, (0, 25))]
+        with pytest.raises(ShapeMismatch, match="^2 indices into a but 1 into b$"):
+            pair_intersections(a, b, [0, 1], [0])
 
 
 class TestMaskMerge:
