@@ -35,14 +35,15 @@ from .errors import OverlapAfterResolution, ParseError, ShapeMismatch
 from .geometry import (
     BBox,
     BinaryMask,
-    cannot_overlap,
     fill_caches,
-    mask_intersection_area,
     mask_merge,
+    paint_by_rank,
     rle_decode,
     rle_from_string,
     rle_from_strings,
     rle_to_string,
+    rle_to_strings,
+    slot_capacity,
 )
 from .tracker import CLASS_NAMES, Detection, Tracklet
 
@@ -403,6 +404,11 @@ def write_detections(
 # results
 # ---------------------------------------------------------------------------
 
+# resolve_records paints whole frames in blocks of about this many
+# intervals, so the table's temporaries stay small for any sequence
+_BLOCK_INTERVALS = 1 << 14
+
+
 def resolve_records(
     per_frame: dict[int, list[tuple[int, int, BinaryMask]]], meta: SequenceMeta
 ) -> list[ResultRecord]:
@@ -410,44 +416,79 @@ def resolve_records(
 
     Where masks overlap, pixels stay with the lower track id; masks emptied
     by the resolution are dropped. Output is sorted by (frame, track_id).
-    Each mask is cut only against the kept masks of its frame that
-    :func:`cannot_overlap` does not rule out; the others already miss it.
-    A mask whose dimensions are not the sequence's raises ShapeMismatch
-    naming its frame and track, since its record could not be read back.
+    The entries, sorted so, are painted by :func:`paint_by_rank` in blocks
+    of whole frames, each frame a slot of its block's interval table: a
+    mask that meets no other keeps its mask object, and only the masks that
+    lose pixels are rebuilt. The pieces painted where masks met are checked
+    to be disjoint (:func:`_check_disjoint`), and every kept mask is encoded
+    by one :func:`rle_to_strings` call. A mask whose dimensions are not the
+    sequence's raises ShapeMismatch naming its frame and track, since its
+    record could not be read back; so does a frame of more pixels than
+    int64 positions hold.
     """
-    records: list[ResultRecord] = []
-    for frame in sorted(per_frame):
-        entries = sorted(per_frame[frame], key=lambda e: e[0])
-        kept: list[BinaryMask] = []
-        for track_id, class_id, mask in entries:
-            if (mask.height, mask.width) != (meta.img_h, meta.img_w):
-                raise ShapeMismatch(
-                    f"frame {frame}: track {track_id} mask is {mask.height}x{mask.width}, "
-                    f"the sequence is {meta.img_h}x{meta.img_w}"
-                )
-            near = [k for k in kept if not cannot_overlap(mask, k)]
-            resolved = mask
-            for k in near:
-                resolved = mask_merge(resolved, k, "subtract")
-            if resolved.area == 0:
-                continue
-            if any(mask_intersection_area(resolved, k) for k in near):
-                raise OverlapAfterResolution(
-                    f"frame {frame}: masks overlap after resolution"
-                )
-            kept.append(resolved)
-            records.append(
-                ResultRecord(
-                    frame,
-                    track_id,
-                    class_id,
-                    meta.img_h,
-                    meta.img_w,
-                    rle_to_string(resolved),
-                    decoded=resolved,
-                )
+    entries = [
+        (frame, track_id, class_id, mask)
+        for frame in sorted(per_frame)
+        for track_id, class_id, mask in sorted(per_frame[frame], key=lambda e: e[0])
+    ]
+    h, w = meta.img_h, meta.img_w
+    for frame, track_id, _, mask in entries:
+        if (mask.height, mask.width) != (h, w):
+            raise ShapeMismatch(
+                f"frame {frame}: track {track_id} mask is {mask.height}x{mask.width}, "
+                f"the sequence is {h}x{w}"
             )
-    return records
+    capacity = slot_capacity(h, w)
+    if entries and not capacity:
+        frame, track_id = entries[0][:2]
+        raise ShapeMismatch(
+            f"frame {frame}: track {track_id} mask is {h}x{w}, more pixels than int64 positions hold"
+        )
+    kept: list[tuple[tuple, BinaryMask]] = []
+    for block, slots in _frame_blocks(entries, capacity):
+        painted, pieces = paint_by_rank([e[3] for e in block], slots)
+        _check_disjoint(pieces, block)
+        kept += [(e, m) for e, m in zip(block, painted) if m.area]
+    tokens = rle_to_strings([m for _, m in kept])
+    return [
+        ResultRecord(frame, track_id, class_id, h, w, token, decoded=mask)
+        for ((frame, track_id, class_id, _), mask), token in zip(kept, tokens)
+    ]
+
+
+def _frame_blocks(entries: list[tuple], capacity: int):
+    """``(block, slots)`` for consecutive slices of ``entries``, sorted by
+    frame, each of whole frames: at most ``capacity`` frames and about
+    ``_BLOCK_INTERVALS`` foreground intervals. ``slots`` gives each entry of
+    the block its frame's rank in it."""
+    lo = 0
+    while lo < len(entries):
+        hi, slots, rank, intervals = lo, [], 0, 0
+        while hi < len(entries) and intervals < _BLOCK_INTERVALS and rank < capacity:
+            frame = entries[hi][0]
+            while hi < len(entries) and entries[hi][0] == frame:
+                intervals += len(entries[hi][3].counts) // 2
+                slots.append(rank)
+                hi += 1
+            rank += 1
+        yield entries[lo:hi], slots
+        lo = hi
+
+
+def _check_disjoint(pieces: tuple[np.ndarray, np.ndarray, np.ndarray], entries: list[tuple]):
+    """Raise OverlapAfterResolution naming the frame and both track ids of
+    the first two painted pieces that overlap. ``pieces`` is ``(starts,
+    stops, owner)``, sorted by start, and ``owner`` indexes ``entries``; any
+    overlap shows between neighbours."""
+    starts, stops, owner = pieces
+    clash = np.flatnonzero(starts[1:] < stops[:-1])
+    if clash.size:
+        k = int(clash[0])
+        frame, first = entries[owner[k]][:2]
+        second = entries[owner[k + 1]][1]
+        raise OverlapAfterResolution(
+            f"frame {frame}: tracks {first} and {second} overlap after resolution"
+        )
 
 
 def records_from_tracks(tracks: list[Tracklet], meta: SequenceMeta) -> list[ResultRecord]:

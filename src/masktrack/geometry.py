@@ -6,8 +6,9 @@ Masks are immutable. The run list always starts with a background run
 operation reads the mask through them. A single pair (intersection area,
 the set operations) goes through one run cut, :func:`_cut`, so its cost
 scales with the number of runs rather than the number of pixels. IOU is
-the intersection area over the two cached areas less it. Every computed
-run list is brought to canonical form by one function, :func:`_from_segments`.
+the intersection area over the two cached areas less it. A run list
+computed from segments is brought to canonical form by :func:`_from_segments`;
+many at once, from foreground intervals, by :func:`_from_intervals`.
 
 Most mask pairs a tracker or an evaluator meets lie far apart. Each mask
 also caches its foreground extent (the columns and rows it spans), and
@@ -27,8 +28,9 @@ sorted by start. Neighbouring intervals show whether a slot's masks overlap
 into the exact intersection area of every pair that shares pixels
 (:func:`table_intersections`). A list of chosen pairs, such as a tracker's
 candidate matches, goes through the same merge (:func:`pair_intersections`),
-each pair in a slot of its own. :func:`fill_caches` takes many masks'
-extents from the intervals too.
+each pair in a slot of its own. :func:`paint_by_rank` makes a table's
+masks disjoint, each segment where they meet going to the earliest mask.
+:func:`fill_caches` takes many masks' extents from the intervals too.
 
 Building a mask coerces its fields with ``operator.index`` (a float or a
 str is refused) and checks the run list with ``min``, ``in`` and ``sum``;
@@ -49,6 +51,13 @@ it has proven is built without the constructor's checks and holds a
 read-only view of its run ends, and its area. A token it cannot prove
 valid, such as a bad one, goes through :func:`rle_from_string`, so both
 accept the same tokens and raise the same first error.
+
+A file's masks are encoded together by :func:`rle_to_strings`, in blocks of
+a few thousand runs: the counts and their deltas from the cached run ends,
+each value's character count from its magnitude, and one ``repeat`` that
+spreads each value over its characters, whose bits are then shifted out in
+place. A mask past 2**40 pixels goes through :func:`rle_to_string`, which
+stays the authority.
 """
 
 from __future__ import annotations
@@ -390,9 +399,10 @@ def _decode_block(tokens: list[str], areas: list[int]) -> list[dict | None]:
 
 def _proven_mask(height: int, width: int, fields: dict) -> BinaryMask:
     """A mask built without ``BinaryMask``'s checks, for a run list
-    :func:`_decode_block` has proven: ints, non-negative, no empty run after
-    the first, summing to ``height * width``. Its ``run_ends`` and ``area``
-    caches come filled, from ``fields``."""
+    :func:`_decode_block` has proven or :func:`_from_intervals` has built:
+    ints, non-negative, no empty run after the first, summing to ``height *
+    width``. Its ``run_ends`` and ``area`` caches come filled, from
+    ``fields``."""
     mask = object.__new__(BinaryMask)
     mask.__dict__.update(fields, height=height, width=width)
     return mask
@@ -441,17 +451,89 @@ def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -
     return masks
 
 
+# Many-mask passes over run ends (the encoder, the extents) take masks in
+# blocks of about this many runs, so their int64 temporaries, a few per run,
+# stay small for any file.
+_BLOCK_RUNS = 1 << 14
+
+
+def _run_blocks(masks: list[BinaryMask]):
+    """``(lo, hi)`` of consecutive slices of ``masks`` of about
+    ``_BLOCK_RUNS`` runs, one mask at least."""
+    lo = 0
+    while lo < len(masks):
+        hi, runs = lo, 0
+        while hi < len(masks) and runs < _BLOCK_RUNS:
+            runs += len(masks[hi].counts)
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+# The largest magnitude a value of k characters holds, for k = 1 .. 12: it
+# has 5k bits, the top one its sign (the magnitude of a negative x is ~x).
+_CHAR_LIMITS = np.left_shift(1, 5 * np.arange(1, 13, dtype=np.int64) - 1) - 1
+
+
+def rle_to_strings(masks: list[BinaryMask]) -> list[str]:
+    """``rle_to_string(m)`` for every mask, encoded together in a few numpy
+    passes over blocks of the masks' cached run ends.
+
+    The counts and their deltas come from the run ends, each value's
+    character count from its magnitude, and one ``repeat`` spreads every
+    value over its characters. :func:`rle_to_string` stays the authority: a
+    mask past 2**40 pixels goes through it.
+    """
+    batch = [m for m in masks if m.height * m.width <= _BATCH_AREA]
+    encoded: list[str] = []
+    for lo, hi in _run_blocks(batch):
+        ends = [m.run_ends for m in batch[lo:hi]]
+        runs = np.fromiter(map(len, ends), dtype=np.int64, count=len(ends))
+        first = np.cumsum(runs) - runs
+        flat = np.concatenate(ends)
+        counts = np.diff(flat, prepend=0)
+        counts[first] = flat[first]
+        # each count from a mask's fourth on is written less the count two back
+        values = counts.copy()
+        values[2:] -= counts[:-2]
+        lead = (first[:, None] + np.arange(3))[np.arange(3) < runs[:, None]]
+        values[lead] = counts[lead]
+        magnitude = np.where(values < 0, ~values, values)
+        chars = np.searchsorted(_CHAR_LIMITS, magnitude) + 1
+        last = np.cumsum(chars) - 1  # each value's last character
+        # character j of a value carries its bits 5j .. 5j+4, and all but the
+        # last set the continuation bit
+        shift = np.arange(last[-1] + 1) - np.repeat(last + 1 - chars, chars)
+        shift *= 5
+        text = np.repeat(values, chars)
+        text >>= shift
+        text &= 31
+        text += 48 + 32
+        text[last] -= 32
+        text = text.astype(np.uint8).tobytes().decode("ascii")
+        stops = (last[first + runs - 1] + 1).tolist()
+        encoded += map(text.__getitem__, map(slice, [0, *stops[:-1]], stops))
+    if len(batch) == len(masks):
+        return encoded
+    tokens = iter(encoded)
+    return [next(tokens) if m.height * m.width <= _BATCH_AREA else rle_to_string(m) for m in masks]
+
+
 def fill_caches(masks: list[BinaryMask]) -> None:
     """Fill the ``extent`` cache of many masks at once, with what each mask
     computes on first use.
 
-    The extents come from the :func:`foreground_intervals` of all the masks,
-    read in one pass over their cached run ends. A mask of more pixels than
-    int64 holds is left to fill its own.
+    The extents come from the :func:`foreground_intervals` of the masks,
+    read in one pass over the cached run ends of each block of about
+    ``_BLOCK_RUNS`` runs. A mask of more pixels than int64 holds is left to
+    fill its own.
     """
     masks = [m for m in masks if m.height * m.width <= _INT64_MAX]
-    if not masks:
-        return
+    for lo, hi in _run_blocks(masks):
+        _fill_extents(masks[lo:hi])
+
+
+def _fill_extents(masks: list[BinaryMask]) -> None:
     starts, stops, owner = foreground_intervals(masks, np.arange(len(masks)))
     h = np.array([m.height for m in masks], dtype=np.int64)[owner]
     col_first, row_first = np.divmod(starts, h)
@@ -685,6 +767,116 @@ def overlapping_masks(table: IntervalTable) -> np.ndarray:
     Both neighbours of such a pair lie in one slot.
     """
     return table.owner[1:][table.starts[1:] < table.stops[:-1]]
+
+
+def paint_by_rank(
+    masks: list[BinaryMask], slots: list[int]
+) -> tuple[list[BinaryMask], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each mask less the pixels held by an earlier mask of its slot, and
+    the pieces painted where masks met.
+
+    The masks go into one :func:`interval_table`, with the limits it sets.
+    An interval that starts before the running maximum of the earlier stops
+    overlaps an earlier one, so one ``np.maximum.accumulate`` splits the
+    table into groups of intervals that chain by overlap. Inside the groups
+    of two or more, the table is cut at every start and stop (a sort and a
+    neighbour compare), and each segment goes to the earliest mask that
+    covers it. A mask that loses no pixel, such as one with no interval in
+    such a group, comes back as the same object. One that lost pixels is
+    rebuilt from the segments it keeps and its other intervals, touching
+    neighbours merged, with its ``run_ends`` and ``area`` caches filled; it
+    is empty when it kept nothing.
+
+    The pieces are ``(starts, stops, owner)`` of every segment kept inside
+    a group, sorted by start, on the table's axis: disjoint, unless the
+    painting went wrong. Outside the groups no interval meets another.
+    """
+    table = interval_table(masks, slots)
+    starts, stops, owner = table.starts, table.stops, table.owner
+    # opens[k]: interval k starts a group (the last entry closes the last group)
+    opens = np.ones(starts.size + 1, dtype=bool)
+    np.greater_equal(starts[1:], np.maximum.accumulate(stops)[:-1], out=opens[1:-1])
+    contested = ~(opens[:-1] & opens[1:])
+    if not contested.any():
+        empty = np.zeros(0, dtype=np.int64)
+        return list(masks), (empty, empty, empty)
+    c_starts, c_stops, c_owner = starts[contested], stops[contested], owner[contested]
+    # the cuts: every start and stop in the groups, sorted, each kept once
+    cuts = np.concatenate((c_starts, c_stops))
+    cuts.sort()
+    keep = np.empty(cuts.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(cuts[1:], cuts[:-1], out=keep[1:])
+    cuts = cuts[keep]
+    # interval k covers segments lo[k] .. lo[k] + span[k] - 1, segment s
+    # being [cuts[s], cuts[s + 1])
+    lo = np.searchsorted(cuts, c_starts)
+    span = np.searchsorted(cuts, c_stops) - lo
+    seg = np.repeat(lo - (np.cumsum(span) - span), span) + np.arange(span.sum())
+    who = np.repeat(c_owner, span)
+    winner = np.full(cuts.size, len(masks), dtype=np.int64)
+    np.minimum.at(winner, seg, who)
+    won = who == winner[seg]
+    lost = np.zeros(len(masks), dtype=bool)
+    lost[who[~won]] = True
+    seg, who = seg[won], who[won]
+    order = np.argsort(seg, kind="stable")
+    seg, who = seg[order], who[order]
+    pieces = cuts[seg], cuts[seg + 1], who
+    # each mask that lost pixels: its kept segments and its uncontested intervals
+    other = ~contested & lost[owner]
+    mine = lost[who]
+    p_starts = np.concatenate((starts[other], pieces[0][mine]))
+    p_stops = np.concatenate((stops[other], pieces[1][mine]))
+    p_owner = np.concatenate((owner[other], who[mine]))
+    order = np.lexsort((p_starts, p_owner))
+    painted = list(masks)
+    h, w = masks[0].height, masks[0].width
+    offset = np.asarray(slots, dtype=np.int64)[p_owner[order]] * (h * w)
+    which = np.flatnonzero(lost)
+    rebuilt = _from_intervals(h, w, p_starts[order] - offset, p_stops[order] - offset, p_owner[order], which)
+    for k, mask in zip(which.tolist(), rebuilt):
+        painted[k] = mask
+    return painted, pieces
+
+
+def _from_intervals(
+    height: int, width: int, starts: np.ndarray, stops: np.ndarray, owner: np.ndarray, which: np.ndarray
+) -> list[BinaryMask]:
+    """The mask of each owner in ``which`` (ascending) from its foreground
+    intervals ``[starts[k], stops[k])``, which lie in its frame, are sorted
+    by ``(owner, start)``, never empty and never overlap; touching ones are
+    merged here. An owner with no interval gets an empty mask. Each mask
+    comes with its ``run_ends`` (read-only views of one array) and ``area``
+    caches filled."""
+    size = height * width
+    # a run starts wherever the owner changes or the previous interval stops short
+    new = np.ones(starts.size + 1, dtype=bool)
+    np.not_equal(owner[1:], owner[:-1], out=new[1:-1])
+    new[1:-1] |= starts[1:] != stops[:-1]
+    starts, stops, owner = starts[new[:-1]], stops[new[1:]], owner[new[:-1]]
+    lo, hi = np.searchsorted(owner, which), np.searchsorted(owner, which, side="right")
+    fg = np.concatenate(([0], np.cumsum(stops - starts)))
+    area = fg[hi] - fg[lo]
+    # each owner's run ends: its starts and stops in turn, then the frame's
+    # end, unless its last interval reaches it
+    room = 2 * (hi - lo) + 1
+    base = np.cumsum(room) - room
+    ends = np.empty(room.sum(), dtype=np.int64)
+    at = np.repeat(base - 2 * lo, hi - lo) + 2 * np.arange(starts.size)
+    ends[at] = starts
+    ends[at + 1] = stops
+    tail = base + room - 1
+    ends[tail] = size
+    stop = tail + 1 - ((hi > lo) & (ends[tail - 1] == size))
+    counts = np.diff(ends, prepend=0)
+    counts[base] = ends[base]
+    rows = counts.tolist()
+    ends.flags.writeable = False
+    return [
+        _proven_mask(height, width, dict(counts=tuple(rows[a:b]), run_ends=ends[a:b], area=n))
+        for a, b, n in zip(base.tolist(), stop.tolist(), area.tolist())
+    ]
 
 
 def table_intersections(

@@ -2,10 +2,11 @@ import base64
 import json
 import os
 import tempfile
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from helpers import (
@@ -22,7 +23,7 @@ from helpers import (
 
 from masktrack import formats, geometry
 from masktrack.embedding import FeatureBank, bank_update, instance_aware_pool, spatial_attention
-from masktrack.errors import MaskTrackError, ParseError, ShapeMismatch
+from masktrack.errors import MaskTrackError, OverlapAfterResolution, ParseError, ShapeMismatch
 from masktrack.formats import (
     ResultRecord,
     SequenceMeta,
@@ -39,6 +40,7 @@ from masktrack.geometry import (
     BBox,
     BinaryMask,
     mask_intersection_area,
+    mask_merge,
     rle_decode,
     rect_mask,
     rle_encode,
@@ -885,46 +887,143 @@ class TestDecodeOnce:
         assert len(render_overlays(records, str(tmp_path / "overlays"))) == 3
 
 
+def run_mask(h, w, *runs):
+    """The h x w mask whose foreground is the column-major pixel ranges ``runs``."""
+    flat = np.zeros(h * w, dtype=bool)
+    for lo, hi in runs:
+        flat[lo:hi] = True
+    return rle_encode(flat.reshape((h, w), order="F"))
+
+
 @st.composite
 def overlapping_frames(draw):
-    """Per-frame (track_id, class_id, mask) entries on one small image:
-    rectangles and random blobs that often overlap, ids in random order."""
+    """Per-frame (track_id, class_id, mask) entries on one small image, ids
+    in any order: rectangles, random blobs, empty and full masks, and
+    column-major runs, which nest, chain and often start or stop at a
+    column's edge, so that neighbours touch across a column wrap."""
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    size = h * w
+    edge = st.integers(0, size) | st.sampled_from(range(0, size + 1, h))
     per_frame = {}
     for frame in draw(st.sets(st.integers(1, 9), min_size=1, max_size=3)):
         ids = draw(st.lists(st.integers(1, 99), min_size=1, max_size=6, unique=True))
         entries = []
         for track_id in ids:
-            if draw(st.booleans()):
-                grid = draw(arrays(np.bool_, (h, w), elements=st.booleans()))
-            else:
+            kind = draw(st.sampled_from(["blob", "rect", "runs", "runs", "empty", "full"]))
+            if kind == "blob":
+                mask = rle_encode(draw(arrays(np.bool_, (h, w), elements=st.booleans())))
+            elif kind == "rect":
                 grid = np.zeros((h, w), dtype=bool)
                 x0, y0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
                 grid[y0 : y0 + draw(st.integers(1, h)), x0 : x0 + draw(st.integers(1, w))] = True
-            entries.append((track_id, draw(st.sampled_from([1, 2])), rle_encode(grid)))
+                mask = rle_encode(grid)
+            elif kind == "runs":
+                runs = [sorted(draw(st.tuples(edge, edge))) for _ in range(draw(st.integers(1, 3)))]
+                mask = run_mask(h, w, *runs)
+            else:
+                mask = run_mask(h, w, (0, size if kind == "full" else 0))
+            entries.append((track_id, draw(st.sampled_from([1, 2])), mask))
         per_frame[frame] = entries
     return h, w, per_frame
 
 
+def pixel_reference(h, w, per_frame):
+    """Records of ``per_frame`` painted one pixel grid at a time: the oracle
+    for ``resolve_records``."""
+    expected = []
+    for frame in sorted(per_frame):
+        taken = np.zeros((h, w), dtype=bool)
+        for track_id, class_id, mask in sorted(per_frame[frame], key=lambda e: e[0]):
+            own = rle_decode(mask).astype(bool) & ~taken
+            taken |= own
+            if own.any():
+                token = rle_to_string(rle_encode(own))
+                expected.append(ResultRecord(frame, track_id, class_id, h, w, token))
+    return expected
+
+
 class TestResolveRecords:
     @given(overlapping_frames())
+    # A spans B and C, and B stops before C starts; once losing, once winning
+    @example((4, 3, {1: [(5, 1, run_mask(4, 3, (1, 11))), (1, 1, run_mask(4, 3, (2, 4))),
+                         (3, 2, run_mask(4, 3, (6, 9)))],
+                     2: [(1, 1, run_mask(4, 3, (1, 11))), (5, 1, run_mask(4, 3, (2, 4))),
+                         (3, 2, run_mask(4, 3, (6, 9)))]}))
+    # a chain of four, each meeting the next, ids falling along it
+    @example((3, 4, {7: [(4, 1, run_mask(3, 4, (0, 4))), (3, 1, run_mask(3, 4, (3, 7))),
+                         (2, 1, run_mask(3, 4, (6, 10))), (1, 1, run_mask(3, 4, (9, 12)))]}))
+    # two runs touching across a column wrap, a third across both, a full and an empty mask
+    @example((3, 3, {2: [(2, 1, run_mask(3, 3, (0, 3))), (1, 2, run_mask(3, 3, (3, 6))),
+                         (3, 1, run_mask(3, 3, (2, 4))), (9, 1, run_mask(3, 3, (0, 9))),
+                         (4, 2, run_mask(3, 3))]}))
     def test_matches_pixel_reference(self, drawn):
-        """Pixels go to the lowest id that claims them; emptied masks are dropped."""
+        """Pixels go to the lowest id that claims them; emptied masks are
+        dropped. A mask that loses no pixel comes back as the same object; a
+        rebuilt one holds read-only run ends and its area, as a decoded one."""
         h, w, per_frame = drawn
-        expected = []
-        for frame in sorted(per_frame):
-            taken = np.zeros((h, w), dtype=bool)
-            for track_id, class_id, mask in sorted(per_frame[frame], key=lambda e: e[0]):
-                own = rle_decode(mask).astype(bool) & ~taken
-                taken |= own
-                if own.any():
-                    token = rle_to_string(rle_encode(own))
-                    expected.append(ResultRecord(frame, track_id, class_id, h, w, token))
         meta = SequenceMeta("resolve", 25.0, h, w, "static")
         records = resolve_records(per_frame, meta)
-        assert records == expected
+        assert records == pixel_reference(h, w, per_frame)
         # each record carries the mask its token encodes
         assert [r.mask() for r in records] == [rle_from_string(r.rle, h, w) for r in records]
+        given_masks = {(f, t): m for f, entries in per_frame.items() for t, _, m in entries}
+        for r in records:
+            mask = given_masks[r.frame, r.track_id]
+            if r.decoded.counts == mask.counts:
+                assert r.decoded is mask
+            else:
+                cache = r.decoded.__dict__
+                assert cache["run_ends"].tolist() == np.cumsum(r.decoded.counts).tolist()
+                assert not cache["run_ends"].flags.writeable
+                assert cache["area"] == sum(r.decoded.counts[1::2]) and type(cache["area"]) is int
+                assert all(type(c) is int for c in r.decoded.counts)
+
+    @given(overlapping_frames(), st.sampled_from([1, 3, 40]))
+    def test_blocks_of_any_size_give_the_same_records(self, drawn, budget):
+        """Frames painted a few at a time, in blocks under a small interval
+        budget, give the records of one block."""
+        h, w, per_frame = drawn
+        meta = SequenceMeta("resolve", 25.0, h, w, "static")
+        with patch.object(formats, "_BLOCK_INTERVALS", budget):
+            assert resolve_records(per_frame, meta) == pixel_reference(h, w, per_frame)
+
+    def test_paints_without_a_pair_merge(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a mask pair was merged")
+
+        monkeypatch.setattr(formats, "mask_merge", refuse)
+        monkeypatch.setattr(geometry, "mask_merge", refuse)
+        per_frame = {1: [(2, 1, run_mask(4, 4, (0, 8))), (1, 1, run_mask(4, 4, (4, 12)))]}
+        records = resolve_records(per_frame, SequenceMeta("resolve", 25.0, 4, 4, "static"))
+        assert [(r.track_id, r.decoded.counts) for r in records] == [(1, (4, 8, 4)), (2, (0, 4, 12))]
+
+    def test_frames_of_2_62_pixels_each_fill_a_table(self):
+        """A 2**31 x 2**31 frame fills an interval table alone, so each frame
+        is painted in a block of its own; ``mask_merge`` is the oracle."""
+        h = w = 1 << 31
+        n = h * w
+        a, b = BinaryMask(h, w, (5, n - 5)), BinaryMask(h, w, (0, 10, n - 10))
+        c = BinaryMask(h, w, (n - 7, 7))
+        per_frame = {1: [(2, 1, a), (1, 1, b)], 2: [(3, 2, c), (4, 2, a)]}
+        records = resolve_records(per_frame, SequenceMeta("huge", 25.0, h, w, "static"))
+        expected = [(1, 1, b), (1, 2, mask_merge(a, b, "subtract")), (2, 3, c), (2, 4, mask_merge(a, c, "subtract"))]
+        assert [(r.frame, r.track_id, r.decoded) for r in records] == expected
+        assert [r.rle for r in records] == [rle_to_string(m) for _, _, m in expected]
+
+    def test_frames_past_int64_refused_naming_frame_and_track(self):
+        h, w = 1 << 40, 1 << 30
+        per_frame = {4: [(9, 1, BinaryMask(h, w, (1, h * w - 1))), (3, 1, BinaryMask(h, w, (h * w,)))]}
+        with pytest.raises(ShapeMismatch, match=rf"^frame 4: track 3 mask is {h}x{w}, more pixels than int64"):
+            resolve_records(per_frame, SequenceMeta("huge", 25.0, h, w, "static"))
+
+    def test_overlap_check_names_the_frame_and_both_tracks(self):
+        mask = run_mask(2, 2, (0, 2))
+        entries = [(6, 3, 1, mask), (6, 8, 2, mask), (7, 1, 1, mask)]
+        pieces = np.array([0, 4, 6]), np.array([2, 6, 7]), np.array([0, 1, 2])
+        formats._check_disjoint(pieces, entries)  # touching pieces do not overlap
+        pieces = np.array([0, 1, 6]), np.array([2, 6, 7]), np.array([0, 1, 2])
+        with pytest.raises(OverlapAfterResolution, match=r"^frame 6: tracks 3 and 8 overlap after resolution$"):
+            formats._check_disjoint(pieces, entries)
 
 
 class TestOverlays:

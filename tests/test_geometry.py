@@ -31,6 +31,7 @@ from masktrack.geometry import (
     rle_from_string,
     rle_from_strings,
     rle_to_string,
+    rle_to_strings,
     slot_capacity,
     table_intersections,
 )
@@ -350,6 +351,26 @@ def per_token(tokens, heights, widths):
     return masks, None
 
 
+class TestBatchEncode:
+    @given(st.lists(BATCH_COUNTS, max_size=10), st.sampled_from([1, 5, 64, geometry._BLOCK_RUNS]), st.booleans())
+    @example([[0, 2**40], [2**40], [3, 2**64 + 5, 7], [6], [1, 2**40 - 1]], 5, True)
+    def test_matches_the_per_character_oracle(self, runs, block, decode):
+        """Blocks of any size encode what the per-character oracle writes,
+        from run ends the masks cached or the batch decoder filled; a frame
+        past 2**40 pixels goes through ``rle_to_string``."""
+        masks = [BinaryMask(1, sum(c), c) for c in runs]
+        if decode:
+            batch = [m for m in masks if m.width <= 2**40]
+            decoded = iter(rle_from_strings([counts_token(m.counts) for m in batch], [1] * len(batch),
+                                            [m.width for m in batch]))
+            masks = [next(decoded) if m.width <= 2**40 else m for m in masks]
+        with patch.object(geometry, "_BLOCK_RUNS", block):
+            assert rle_to_strings(masks) == [counts_token(c) for c in runs]
+
+    def test_an_empty_list(self):
+        assert rle_to_strings([]) == []
+
+
 class TestBatchDecode:
     @given(token_batches(), st.sampled_from([1, 2, 5, 16, 64, geometry._BLOCK_CHARS]))
     @example((["04", "P04", "0}4", "o01"], [2, 2, 2, 4], [2, 2, 2, 8]), 2)
@@ -454,9 +475,11 @@ def mask_lists(draw):
 
 
 class TestFillCaches:
-    @given(mask_lists())
-    def test_fills_the_extent_each_mask_computes(self, masks):
-        fill_caches(masks)
+    @given(mask_lists(), st.sampled_from([1, 5, geometry._BLOCK_RUNS]))
+    def test_fills_the_extent_each_mask_computes(self, masks, block):
+        """In blocks of any number of runs."""
+        with patch.object(geometry, "_BLOCK_RUNS", block):
+            fill_caches(masks)
         for m in masks:
             assert m.__dict__["extent"] == BinaryMask(m.height, m.width, m.counts).extent
 

@@ -107,6 +107,9 @@ BENCHMARK_ONLY = {
     # and for reid.bank_cross_similarity: candidate_pairs compares each
     # tracklet with its whole window in one bank_cross_similarities call
     ("reid", "bank_cross_similarity"),
+    # and for formats.mask_merge: resolve_records paints every frame's masks
+    # by rank over one interval table (geometry.paint_by_rank)
+    ("formats", "mask_merge"),
 }
 
 
