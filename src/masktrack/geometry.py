@@ -3,20 +3,15 @@
 Masks are immutable. The run list always starts with a background run
 (possibly of length zero), alternates background/foreground, and sums to
 ``height * width``. Each mask caches its cumulative run ends, and every
-operation reads the mask through them. A single pair (intersection area,
-the set operations) goes through one run cut, :func:`_cut`, so its cost
-scales with the number of runs rather than the number of pixels. IOU is
-the intersection area over the two cached areas less it. A run list
-computed from segments is brought to canonical form by :func:`_from_segments`;
-many at once, from foreground intervals, by :func:`_from_intervals`.
+operation reads the mask through them, so its cost scales with the number
+of runs rather than the number of pixels.
 
-Most mask pairs a tracker or an evaluator meets lie far apart. Each mask
+Most mask pairs a tracker or a post-filter meets lie far apart. Each mask
 also caches its foreground extent (the columns and rows it spans), and
-:func:`cannot_overlap` compares two extents: when they are disjoint, or a
-mask is empty, the masks share no pixel, so IOU and intersection area are
-zero without a cut. The test is exact; it never rules out a pair that
-touches. :func:`may_overlap` is the same test over two lists of masks at
-once, one broadcast over their extent arrays.
+:func:`may_overlap` compares the extents of a list of mask pairs at once:
+when they are disjoint, or a mask is empty, the masks share no pixel, so
+their intersection is zero without touching their runs. The test is exact;
+it never rules out a pair that touches.
 
 Many masks at once go through one function, :func:`foreground_intervals`,
 which reads their foreground intervals from the cached run ends, each mask
@@ -28,8 +23,12 @@ sorted by start. Neighbouring intervals show whether a slot's masks overlap
 into the exact intersection area of every pair that shares pixels
 (:func:`table_intersections`). A list of chosen pairs, such as a tracker's
 candidate matches, goes through the same merge (:func:`pair_intersections`),
-each pair in a slot of its own. :func:`paint_by_rank` makes a table's
-masks disjoint, each segment where they meet going to the earliest mask.
+each pair in a slot of its own: the one intersection kernel. IOU is the
+intersection area over the two cached areas less it. :func:`paint_by_rank`
+makes a table's masks disjoint, each segment where they meet going to the
+earliest mask. One builder, :func:`_from_intervals`, gives every computed
+run list its canonical form. A single pair (:func:`mask_iou`,
+:func:`mask_merge`) is a one-item case of these kernels.
 :func:`fill_caches` takes many masks' extents from the intervals too.
 
 Building a mask coerces its fields with ``operator.index`` (a float or a
@@ -202,10 +201,11 @@ def rle_encode(grid: np.ndarray) -> BinaryMask:
     if grid.ndim != 2:
         raise ShapeMismatch(f"grid must be 2-D, got shape {grid.shape}")
     h, w = grid.shape
-    flat = grid.ravel(order="F") != 0
-    # one segment per run of equal pixels, not per pixel
-    starts = np.flatnonzero(np.diff(flat, prepend=~flat[:1]))
-    return _from_segments(h, w, flat[starts], np.diff(starts, append=flat.size))
+    if h <= 0 or w <= 0:
+        raise ShapeMismatch(f"mask dims must be positive, got {h}x{w}")
+    # the foreground edges: every even one starts an interval, every odd one stops it
+    edges = np.flatnonzero(np.diff(grid.ravel(order="F") != 0, prepend=False, append=False))
+    return _one_mask(h, w, edges[0::2], edges[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +552,7 @@ def _fill_extents(masks: list[BinaryMask]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# run-level set operations
+# mask pairs
 # ---------------------------------------------------------------------------
 
 def _check_dims(a: BinaryMask, b: BinaryMask):
@@ -562,23 +562,17 @@ def _check_dims(a: BinaryMask, b: BinaryMask):
         )
 
 
-def cannot_overlap(a: BinaryMask, b: BinaryMask) -> bool:
-    """True when ``a`` and ``b`` certainly share no pixel.
-
-    That is when either mask is empty or their extents are disjoint. A
-    False answer promises nothing: the masks may still be disjoint. Raises
-    ShapeMismatch for masks of different dimensions, empty ones included.
-    """
-    _check_dims(a, b)
-    ea, eb = a.extent, b.extent
-    return (
-        ea is None
-        or eb is None
-        or ea[1] < eb[0]
-        or eb[1] < ea[0]
-        or ea[3] < eb[2]
-        or eb[3] < ea[2]
-    )
+def _check_pair_dims(a: list[BinaryMask], b: list[BinaryMask], ia: np.ndarray, ib: np.ndarray) -> set:
+    """The ``(height, width)`` set of ``a`` and ``b``; when it holds two or
+    more, the first pair ``(a[ia[p]], b[ib[p]])`` of different dims raises."""
+    dims = {(m.height, m.width) for m in chain(a, b)}
+    if len(dims) > 1:
+        dims_a, dims_b = (np.array([(m.height, m.width) for m in side]).reshape(-1, 2) for side in (a, b))
+        differ = (dims_a[ia] != dims_b[ib]).any(axis=1)
+        if differ.any():
+            p = int(np.argmax(differ))
+            _check_dims(a[ia[p]], b[ib[p]])
+    return dims
 
 
 # the extent row of an empty mask: its first column and row lie past every last one
@@ -586,87 +580,25 @@ _NO_EXTENT = (np.inf, -np.inf, np.inf, -np.inf)
 
 
 def _extent_rows(masks: list[BinaryMask]) -> np.ndarray:
-    return np.array([m.extent or _NO_EXTENT for m in masks], dtype=float).reshape(-1, 4)
+    rows = chain.from_iterable([m.extent or _NO_EXTENT for m in masks])
+    return np.fromiter(rows, dtype=float, count=4 * len(masks)).reshape(-1, 4)
 
 
-def _dims(masks: list[BinaryMask]) -> np.ndarray:
-    return np.array([(m.height, m.width) for m in masks]).reshape(-1, 2)
+def may_overlap(a: list[BinaryMask], b: list[BinaryMask], ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """For every pair ``p``, False when ``a[ia[p]]`` and ``b[ib[p]]`` certainly
+    share no pixel: a mask is empty or their extents are disjoint.
 
-
-def may_overlap(a: list[BinaryMask], b: list[BinaryMask], pairs: np.ndarray) -> np.ndarray:
-    """``not cannot_overlap(a[i], b[j])`` for every pair asked about, by broadcast.
-
-    ``pairs`` is a ``(len(a), len(b))`` boolean array of the pairs asked
-    about; the result is False outside it. Raises ShapeMismatch when a pair
-    asked about has masks of different dimensions, empty ones included, as
-    :func:`cannot_overlap` does.
+    One broadcast over the pairs' extent rows; a True answer promises
+    nothing. Raises ShapeMismatch naming the first pair of masks of
+    different dimensions, empty ones included.
     """
-    dims_a, dims_b = _dims(a), _dims(b)
-    differ = pairs & (dims_a[:, None, :] != dims_b[None, :, :]).any(axis=-1)
-    if differ.any():
-        i, j = np.argwhere(differ)[0]
-        _check_dims(a[i], b[j])
-    ea = _extent_rows(a).T[:, :, None]  # (4, len(a), 1): one plane per bound
-    eb = _extent_rows(b).T[:, None, :]
-    return pairs & (eb[0] <= ea[1]) & (ea[0] <= eb[1]) & (eb[2] <= ea[3]) & (ea[2] <= eb[3])
-
-
-def _cut(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cut two run lists of equal dimensions at each other's boundaries.
-
-    Every resulting segment has one value per mask, so intersection, union
-    and the set operations reduce to integer sums or boolean ops over
-    segments. Returns ``(lengths, in_a, in_b)``: the segment lengths (a
-    leading one may be empty) and, for each segment, whether it is
-    foreground in ``a`` and in ``b``.
-    """
-    ends_a, ends_b = a.run_ends, b.run_ends
-    # both are strictly increasing: merge them, then drop the ends they share
-    ends = np.concatenate((ends_a, ends_b))
-    ends.sort(kind="stable")  # timsort finds the two sorted runs and merges them
-    keep = np.empty(ends.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(ends[1:], ends[:-1], out=keep[1:])
-    ends = ends[keep]
-    lengths = np.diff(ends, prepend=0)
-    # index of the run covering each segment; odd runs are foreground
-    in_a = (np.searchsorted(ends_a, ends, side="left") & 1).astype(bool)
-    in_b = (np.searchsorted(ends_b, ends, side="left") & 1).astype(bool)
-    return lengths, in_a, in_b
-
-
-def _from_segments(height: int, width: int, fg: np.ndarray, lengths: np.ndarray) -> BinaryMask:
-    """Canonical mask from consecutive segments and their foreground flags.
-
-    Empty segments are dropped and equal neighbours merged. A zero-length
-    background segment goes in front, so the run list starts with a
-    background run, empty when the first pixel is foreground.
-    """
-    keep = lengths > 0
-    fg = np.concatenate(([False], fg[keep]))
-    lengths = np.concatenate(([0], lengths[keep]))
-    starts = np.concatenate(([0], np.flatnonzero(fg[1:] != fg[:-1]) + 1))
-    return BinaryMask(height, width, np.add.reduceat(lengths, starts).tolist())
-
-
-def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
-    """Intersection over union of two masks, computed on the runs.
-
-    The union is the two cached areas less the intersection. Returns 0.0
-    when the masks share no pixel, so also when the union is empty.
-    """
-    inter = mask_intersection_area(a, b)
-    if inter == 0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
-
-
-def mask_intersection_area(a: BinaryMask, b: BinaryMask) -> int:
-    """Number of pixels set in both masks."""
-    if cannot_overlap(a, b):
-        return 0
-    lengths, in_a, in_b = _cut(a, b)
-    return int(lengths[in_a & in_b].sum())
+    ia = np.asarray(ia, dtype=np.int64)
+    ib = np.asarray(ib, dtype=np.int64)
+    _check_pair_dims(a, b, ia, ib)
+    rows = _extent_rows(a)
+    ea = rows[ia].T  # (4, pairs): one row per bound
+    eb = (rows if b is a else _extent_rows(b))[ib].T
+    return (eb[0] <= ea[1]) & (ea[0] <= eb[1]) & (eb[2] <= ea[3]) & (ea[2] <= eb[3])
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +672,8 @@ def interval_table(masks: list[BinaryMask], slots: list[int]) -> IntervalTable:
     if not masks:
         empty = np.zeros(0, dtype=np.int64)
         return IntervalTable(empty, empty, empty, empty)
-    for m in masks:
-        _check_dims(masks[0], m)
+    every = np.arange(len(masks))
+    _check_pair_dims(masks[:1], masks, np.zeros_like(every), every)
     h, w = masks[0].height, masks[0].width
     slots = np.asarray(slots, dtype=np.int64)
     capacity = slot_capacity(h, w)
@@ -750,7 +682,7 @@ def interval_table(masks: list[BinaryMask], slots: list[int]) -> IntervalTable:
             f"slots {slots.min()}..{slots.max()} outside the {capacity} frames of "
             f"{h}x{w} pixels that int64 positions hold"
         )
-    starts, stops, owner = foreground_intervals(masks, np.arange(len(masks)))
+    starts, stops, owner = foreground_intervals(masks, every)
     offset = slots[owner] * (h * w)
     starts += offset
     stops += offset
@@ -879,12 +811,18 @@ def _from_intervals(
     ]
 
 
+def _one_mask(height: int, width: int, starts: np.ndarray, stops: np.ndarray) -> BinaryMask:
+    """The mask whose foreground is the sorted intervals ``[starts[k], stops[k])``."""
+    owner = np.zeros(starts.size, dtype=np.int64)
+    return _from_intervals(height, width, starts, stops, owner, np.zeros(1, dtype=np.int64))[0]
+
+
 def table_intersections(
     a: IntervalTable, b: IntervalTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(i, j, area)`` for every mask ``i`` of ``a`` and ``j`` of ``b`` that share pixels.
 
-    ``area`` is the exact pixel count ``mask_intersection_area`` gives; rows
+    ``area`` is the exact number of pixels the two masks share; rows
     are sorted by ``(i, j)``. Both tables must be disjoint (no
     :func:`overlapping_masks`): then their stops are sorted too, and the
     intervals of ``b`` meeting one interval of ``a`` are a contiguous range
@@ -920,7 +858,7 @@ def table_intersections(
 def pair_intersections(
     a: list[BinaryMask], b: list[BinaryMask], ia: np.ndarray, ib: np.ndarray
 ) -> np.ndarray:
-    """``mask_intersection_area(a[ia[p]], b[ib[p]])`` for every pair ``p``, in int64.
+    """The intersection area of ``a[ia[p]]`` and ``b[ib[p]]`` for every pair ``p``, in int64.
 
     Each pair gets a slot of its own on one position axis, as wide as the
     largest frame among the masks, so each side's table holds one mask per
@@ -936,13 +874,7 @@ def pair_intersections(
     if ia.size == 0:
         return np.zeros(0, dtype=np.int64)
     masks, n = a + b, ia.size
-    dims = {(m.height, m.width) for m in masks}
-    if len(dims) > 1:
-        differ = (_dims(a)[ia] != _dims(b)[ib]).any(axis=1)
-        if differ.any():
-            p = int(np.argmax(differ))
-            _check_dims(a[ia[p]], b[ib[p]])
-    slot = max(h * w for h, w in dims)
+    slot = max(h * w for h, w in _check_pair_dims(a, b, ia, ib))
     if n > _INT64_MAX // slot:
         raise ShapeMismatch(f"{n} slots of {slot} pixels overflow int64 positions")
     which = np.concatenate((ia, ib + len(a)))
@@ -962,20 +894,45 @@ def pair_intersections(
     return out
 
 
-_MERGE_OPS = {
-    "union": lambda x, y: x | y,
-    "intersect": lambda x, y: x & y,
-    "subtract": lambda x, y: x & ~y,
-}
+# ---------------------------------------------------------------------------
+# one mask pair: the one-item cases of the batch kernels
+# ---------------------------------------------------------------------------
+
+def mask_intersection_area(a: BinaryMask, b: BinaryMask) -> int:
+    """Number of pixels set in both masks: one :func:`pair_intersections` pair."""
+    return int(pair_intersections([a], [b], [0], [0])[0])
+
+
+def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
+    """Intersection over union of two masks, computed on the runs.
+
+    The union is the two cached areas less the intersection. Returns 0.0
+    when the masks share no pixel, so also when the union is empty.
+    """
+    inter = mask_intersection_area(a, b)
+    if inter == 0:
+        return 0.0
+    return inter / (a.area + b.area - inter)
 
 
 def mask_merge(a: BinaryMask, b: BinaryMask, op: str) -> BinaryMask:
-    """Combine two masks; ``op`` is one of 'union', 'intersect', 'subtract'."""
+    """Combine two masks; ``op`` is one of 'union', 'intersect', 'subtract'.
+
+    ``a`` less ``b`` is ``a`` painted under ``b`` (:func:`paint_by_rank`),
+    ``a`` and ``b`` is ``a`` painted under that, and the union is the
+    intervals of ``a`` and of ``b`` painted under ``a``, in one run list.
+    """
     _check_dims(a, b)
-    if op not in _MERGE_OPS:
+    if op not in ("union", "intersect", "subtract"):
         raise ValueError(f"unknown op {op!r}")
-    lengths, in_a, in_b = _cut(a, b)
-    return _from_segments(a.height, a.width, _MERGE_OPS[op](in_a, in_b), lengths)
+    if op == "union":
+        starts, stops, _ = foreground_intervals([a, paint_by_rank([a, b], [0, 0])[0][1]], np.arange(2))
+        order = np.argsort(starts)
+        return _one_mask(a.height, a.width, starts[order], stops[order])
+    rest = paint_by_rank([b, a], [0, 0])[0][1]
+    if op == "intersect":
+        return paint_by_rank([rest, a], [0, 0])[0][1]
+    return rest
 
 
 def bbox_iou(a: BBox, b: BBox) -> float:
@@ -999,7 +956,7 @@ def rect_mask(height: int, width: int, box: BBox) -> BinaryMask:
     if x1 <= x0 or y1 <= y0:
         return BinaryMask(height, width, (height * width,))
     # Canonical counts written directly (synth rasterizes every box, and a
-    # pass through _from_segments costs more than the rest of this function):
+    # pass through _from_intervals costs more than the rest of this function):
     # one foreground run per column with the rows outside the box between
     # them, fused into one run when the box spans the full height; the last
     # gap becomes the trailing background run, dropped when it is empty.

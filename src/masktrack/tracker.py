@@ -206,7 +206,9 @@ def assignment_cost(tracks: list[Track], detections: list[Detection]) -> np.ndar
     same = t_cls[:, None] == d_cls[None, :]
     last = [t.observations[-1].mask for t in tracks]
     masks = [d.mask for d in detections]
-    ti, dj = np.nonzero(may_overlap(last, masks, same))
+    ti, dj = np.nonzero(same)
+    meet = may_overlap(last, masks, ti, dj)
+    ti, dj = ti[meet], dj[meet]
     inter = pair_intersections(last, masks, ti, dj)
     # mask_iou's formula on the same integers, so the same bits; may_overlap
     # passes no empty mask, so no union is 0

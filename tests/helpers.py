@@ -22,9 +22,8 @@ from masktrack.formats import (
 )
 from masktrack.geometry import (
     BBox,
+    BinaryMask,
     IntervalTable,
-    mask_intersection_area,
-    mask_iou,
     rect_mask,
     rle_decode,
     rle_from_string,
@@ -138,6 +137,105 @@ def reference_interval_table(masks, slots) -> IntervalTable:
     pairs = pairs[np.argsort(starts[pairs], kind="stable")]
     owner = np.searchsorted(first // 2, pairs, side="right") - 1
     return IntervalTable(starts[pairs], stops[pairs], owner, area)
+
+
+def reference_cannot_overlap(a, b) -> bool:
+    """True when ``a`` or ``b`` is empty or their extents are disjoint, so
+    they certainly share no pixel: the oracle for ``geometry.may_overlap``,
+    which is its negation. Raises ShapeMismatch for masks of different
+    dimensions, empty ones included."""
+    if (a.height, a.width) != (b.height, b.width):
+        raise ShapeMismatch(f"mask dims differ: {a.height}x{a.width} vs {b.height}x{b.width}")
+    ea, eb = a.extent, b.extent
+    return ea is None or eb is None or ea[1] < eb[0] or eb[1] < ea[0] or ea[3] < eb[2] or eb[3] < ea[2]
+
+
+def reference_cut(a, b):
+    """``(lengths, in_a, in_b)``: two run lists of one frame cut at each
+    other's run ends, each segment with its value in ``a`` and in ``b`` (a
+    leading segment may be empty)."""
+    ends_a, ends_b = a.run_ends, b.run_ends
+    # both are strictly increasing: merge them, then drop the ends they share
+    ends = np.concatenate((ends_a, ends_b))
+    ends.sort(kind="stable")
+    keep = np.empty(ends.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ends[1:], ends[:-1], out=keep[1:])
+    ends = ends[keep]
+    lengths = np.diff(ends, prepend=0)
+    # index of the run covering each segment; odd runs are foreground
+    in_a = (np.searchsorted(ends_a, ends, side="left") & 1).astype(bool)
+    in_b = (np.searchsorted(ends_b, ends, side="left") & 1).astype(bool)
+    return lengths, in_a, in_b
+
+
+def reference_intersection_area(a, b) -> int:
+    """The pixels set in both masks, zero past the extent test, else summed
+    over the run cut: the oracle for ``geometry.mask_intersection_area``."""
+    if reference_cannot_overlap(a, b):
+        return 0
+    lengths, in_a, in_b = reference_cut(a, b)
+    return int(lengths[in_a & in_b].sum())
+
+
+def reference_mask_iou(a, b) -> float:
+    """``mask_iou``'s formula over ``reference_intersection_area``."""
+    inter = reference_intersection_area(a, b)
+    if inter == 0:
+        return 0.0
+    return inter / (a.area + b.area - inter)
+
+
+REFERENCE_MERGE_OPS = {
+    "union": lambda x, y: x | y,
+    "intersect": lambda x, y: x & y,
+    "subtract": lambda x, y: x & ~y,
+}
+
+
+def reference_mask_merge(a, b, op):
+    """A set operation on the segments of the run cut, brought to canonical
+    form (empty segments dropped, equal neighbours merged, a background run
+    first): the oracle for ``geometry.mask_merge``."""
+    lengths, in_a, in_b = reference_cut(a, b)
+    keep = lengths > 0
+    fg = np.concatenate(([False], REFERENCE_MERGE_OPS[op](in_a, in_b)[keep]))
+    lengths = np.concatenate(([0], lengths[keep]))
+    starts = np.concatenate(([0], np.flatnonzero(fg[1:] != fg[:-1]) + 1))
+    return BinaryMask(a.height, a.width, np.add.reduceat(lengths, starts).tolist())
+
+
+def reference_trajectory_iou(a, b) -> float:
+    """The mean of ``reference_mask_iou`` over the frames both tracks cover,
+    one frame at a time, in frame order; 0 if none: the oracle for
+    ``postfilter.trajectory_iou``."""
+    masks_b = {o.frame: o.mask for o in b.observations}
+    ious = [reference_mask_iou(o.mask, masks_b[o.frame]) for o in a.observations if o.frame in masks_b]
+    if not ious:
+        return 0.0
+    return sum(ious) / len(ious)
+
+
+def reference_dedup_tracks(tracks, cfg):
+    """Every same-class pair scored by ``reference_trajectory_iou`` in one
+    sweep, the shorter of each pair above the threshold dropped (on a tie,
+    the higher id): the oracle for ``postfilter.dedup_tracks``."""
+    alive = sorted(tracks, key=lambda t: t.id)
+    doomed = set()
+    for i, a in enumerate(alive):
+        for b in alive[i + 1 :]:
+            if a.class_id != b.class_id:
+                continue
+            if reference_trajectory_iou(a, b) <= cfg.traj_iou_threshold:
+                continue
+            if len(a) < len(b):
+                loser = a
+            elif len(b) < len(a):
+                loser = b
+            else:
+                loser = a if a.id > b.id else b
+            doomed.add(loser.id)
+    return [t for t in alive if t.id not in doomed]
 
 
 def attention_by_decode(mask, box, grid_h, grid_w):
@@ -293,7 +391,7 @@ def _reference_index(records, label):
     for frame, entries in by_frame.items():
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
-                if mask_intersection_area(entries[i][1], entries[j][1]) > 0:
+                if reference_intersection_area(entries[i][1], entries[j][1]) > 0:
                     rec = entries[j][0]
                     raise OverlappingMasksInInput(
                         f"{rec.source or label}: frame {frame} masks "
@@ -304,7 +402,7 @@ def _reference_index(records, label):
 
 def reference_evaluate(results, ground_truth):
     """Every same-frame mask pair checked and scored one at a time with
-    ``mask_intersection_area`` and ``mask_iou``: the oracle for
+    ``reference_intersection_area`` and ``reference_mask_iou``: the oracle for
     ``metrics.evaluate``, raising its errors for overlaps and mixed dims."""
     records = results + ground_truth
     dims = (records[0].img_h, records[0].img_w) if records else None
@@ -331,7 +429,7 @@ def reference_evaluate(results, ground_truth):
             matched_h, matched_g = set(), set()
             for gi, (gt_rec, gt_mask) in enumerate(g):
                 for hi, (hyp_rec, hyp_mask) in enumerate(h):
-                    iou = mask_iou(gt_mask, hyp_mask)
+                    iou = reference_mask_iou(gt_mask, hyp_mask)
                     if iou <= 0.5:
                         continue
                     # disjointness makes >0.5 partners unique; verify it

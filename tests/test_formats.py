@@ -18,6 +18,7 @@ from helpers import (
     make_tracklet,
     packed,
     reference_load_detections,
+    reference_mask_merge,
     unit,
 )
 
@@ -40,7 +41,6 @@ from masktrack.geometry import (
     BBox,
     BinaryMask,
     mask_intersection_area,
-    mask_merge,
     rle_decode,
     rect_mask,
     rle_encode,
@@ -999,14 +999,19 @@ class TestResolveRecords:
 
     def test_frames_of_2_62_pixels_each_fill_a_table(self):
         """A 2**31 x 2**31 frame fills an interval table alone, so each frame
-        is painted in a block of its own; ``mask_merge`` is the oracle."""
+        is painted in a block of its own; the run-cut merge is the oracle."""
         h = w = 1 << 31
         n = h * w
         a, b = BinaryMask(h, w, (5, n - 5)), BinaryMask(h, w, (0, 10, n - 10))
         c = BinaryMask(h, w, (n - 7, 7))
         per_frame = {1: [(2, 1, a), (1, 1, b)], 2: [(3, 2, c), (4, 2, a)]}
         records = resolve_records(per_frame, SequenceMeta("huge", 25.0, h, w, "static"))
-        expected = [(1, 1, b), (1, 2, mask_merge(a, b, "subtract")), (2, 3, c), (2, 4, mask_merge(a, c, "subtract"))]
+        expected = [
+            (1, 1, b),
+            (1, 2, reference_mask_merge(a, b, "subtract")),
+            (2, 3, c),
+            (2, 4, reference_mask_merge(a, c, "subtract")),
+        ]
         assert [(r.frame, r.track_id, r.decoded) for r in records] == expected
         assert [r.rle for r in records] == [rle_to_string(m) for _, _, m in expected]
 

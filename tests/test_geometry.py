@@ -3,7 +3,15 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from helpers import attention_by_decode, counts_token, reference_interval_table, token_counts
+from helpers import (
+    attention_by_decode,
+    counts_token,
+    reference_cannot_overlap,
+    reference_cut,
+    reference_interval_table,
+    reference_mask_merge,
+    token_counts,
+)
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,9 +22,7 @@ from masktrack.errors import MaskTrackError, ParseError, ShapeMismatch
 from masktrack.geometry import (
     BBox,
     BinaryMask,
-    _cut,
     bbox_iou,
-    cannot_overlap,
     fill_caches,
     interval_table,
     mask_intersection_area,
@@ -195,6 +201,27 @@ class TestEncode:
             assert (rle_decode(mask) == grid).all()
             # re-encoding the decoded grid reproduces the canonical counts
             assert rle_encode(rle_decode(mask)) == mask
+
+    @given(grid_pairs())
+    def test_builds_the_checked_mask_with_its_caches(self, pair):
+        """The mask passes the constructor's checks, and its run ends and
+        area come filled with what it would compute on first use."""
+        grid = pair[0]
+        mask = rle_encode(grid)
+        assert BinaryMask(*grid.shape, mask.counts) == mask
+        assert all(type(c) is int for c in mask.counts)
+        assert mask.__dict__["run_ends"].tolist() == np.cumsum(mask.counts).tolist()
+        assert mask.__dict__["area"] == int(grid.sum())
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_dims_refused(self, shape):
+        h, w = shape
+        with pytest.raises(ShapeMismatch, match=f"^mask dims must be positive, got {h}x{w}$"):
+            rle_encode(np.zeros(shape))
+
+    def test_grid_not_2d_refused(self):
+        with pytest.raises(ShapeMismatch, match="grid must be 2-D"):
+            rle_encode(np.zeros(4))
 
 
 class TestStringCodec:
@@ -579,7 +606,7 @@ class TestMaskIou:
             # an empty mask passes the extent gate, but not the dims check
             (BinaryMask(4, 4, (16,)), BinaryMask(5, 5, (0, 25))),
         ]
-        for op in (mask_iou, mask_intersection_area, cannot_overlap):
+        for op in (mask_iou, mask_intersection_area):
             for a, b in pairs:
                 with pytest.raises(ShapeMismatch):
                     op(a, b)
@@ -594,7 +621,7 @@ class TestMaskIou:
         assert got == (inter / union if union else 0.0)
         assert mask_intersection_area(m1, m2) == inter
         # the gate never rules out a pair that shares a pixel
-        assert not (cannot_overlap(m1, m2) and inter)
+        assert not (reference_cannot_overlap(m1, m2) and inter)
         # symmetry
         assert got == mask_iou(m2, m1)
         assert mask_intersection_area(m2, m1) == inter
@@ -617,7 +644,7 @@ class TestCut:
         """The merged run ends are the sorted union of both masks' run ends,
         as ``np.union1d`` gives it, and each segment carries both masks' values."""
         a, b = (rle_encode(g) for g in pair)
-        lengths, in_a, in_b = _cut(a, b)
+        lengths, in_a, in_b = reference_cut(a, b)
         np.testing.assert_array_equal(np.cumsum(lengths), np.union1d(a.run_ends, b.run_ends))
         for grid, flags in zip(pair, (in_a, in_b)):
             pixels = np.repeat(flags, lengths)
@@ -639,19 +666,23 @@ class TestMayOverlap:
     @given(mask_list_pairs(), st.data())
     def test_agrees_with_cannot_overlap_on_every_pair(self, lists, data):
         a, b = lists
-        expected = np.array([[not cannot_overlap(x, y) for y in b] for x in a], dtype=bool)
-        expected = expected.reshape(len(a), len(b))
-        assert np.array_equal(may_overlap(a, b, np.ones_like(expected)), expected)
-        pairs = data.draw(arrays(np.bool_, expected.shape))
-        assert np.array_equal(may_overlap(a, b, pairs), expected & pairs)
+        every = [(i, j) for i in range(len(a)) for j in range(len(b))]
+        pairs = data.draw(st.lists(st.sampled_from(every), max_size=12)) if every else []
+        ia, ib = [i for i, _ in pairs], [j for _, j in pairs]
+        expected = [not reference_cannot_overlap(a[i], b[j]) for i, j in pairs]
+        assert may_overlap(a, b, ia, ib).tolist() == expected
+        # one list on both sides, as dedup passes it
+        both = [(i, j) for i in range(len(b)) for j in range(len(b))]
+        expected = [not reference_cannot_overlap(b[i], b[j]) for i, j in both]
+        assert may_overlap(b, b, *zip(*both)).tolist() == expected
 
     def test_dims_checked_only_on_the_pairs_asked_about(self):
         a = [BinaryMask(4, 4, (16,)), BinaryMask(4, 4, (0, 16))]
         b = [BinaryMask(4, 4, (0, 16)), BinaryMask(5, 5, (0, 25))]
         with pytest.raises(ShapeMismatch, match="4x4 vs 5x5"):
-            may_overlap(a, b, np.ones((2, 2), dtype=bool))
-        pairs = np.array([[True, False], [True, False]])
-        assert may_overlap(a, b, pairs).tolist() == [[False, False], [True, False]]
+            may_overlap(a, b, [0, 1, 1], [0, 0, 1])
+        assert may_overlap(a, b, [0, 1], [0, 0]).tolist() == [False, True]
+        assert may_overlap(a, b, [], []).tolist() == []
 
 
 @st.composite
@@ -742,6 +773,11 @@ class TestIntervalTable:
         with pytest.raises(ShapeMismatch):
             interval_table([BinaryMask(2, 2, (4,)), BinaryMask(1, 4, (4,))], [0, 1])
 
+    def test_mixed_dims_error_names_the_first_mask_that_differs(self):
+        masks = [BinaryMask(2, 2, (4,)), BinaryMask(2, 2, (0, 4)), BinaryMask(1, 4, (4,)), BinaryMask(3, 3, (9,))]
+        with pytest.raises(ShapeMismatch, match="^mask dims differ: 2x2 vs 1x4$"):
+            interval_table(masks, [0, 1, 2, 3])
+
     def test_lists_of_unequal_length_refused(self):
         mask = BinaryMask(2, 2, (1, 3))
         with pytest.raises(ShapeMismatch, match="^3 masks but 2 slots$"):
@@ -813,6 +849,51 @@ class TestMaskMerge:
         assert mask_intersection_area(m1, m2) == mask_merge(m1, m2, "intersect").area
         with pytest.raises(ValueError):
             mask_merge(m1, m2, "xor")
+
+    @given(run_mask_pairs())
+    def test_equals_the_run_cut_reference(self, pair):
+        """On masks made from run lists, each op gives the run cut's
+        canonical mask, with its run ends and area as the mask computes them."""
+        a, b = pair
+        for op in ("union", "intersect", "subtract"):
+            got = mask_merge(a, b, op)
+            assert got == reference_mask_merge(a, b, op), op
+            assert got.run_ends.tolist() == np.cumsum(got.counts).tolist(), op
+            assert got.area == sum(got.counts[1::2]), op
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="^mask dims differ: 2x2 vs 2x3$"):
+            mask_merge(BinaryMask(2, 2, (4,)), BinaryMask(2, 3, (6,)), "union")
+
+
+class TestFramesPastInt64:
+    """A frame of more pixels than int64 positions hold is refused by the
+    one-pair operations, as by every batch kernel they are cases of."""
+
+    H, W = 1 << 40, 1 << 30
+
+    def masks(self):
+        n = self.H * self.W
+        return BinaryMask(self.H, self.W, (1, n - 1)), BinaryMask(self.H, self.W, (0, 2, n - 2))
+
+    def test_mask_iou_refuses(self):
+        for op in (mask_iou, mask_intersection_area):
+            with pytest.raises(ShapeMismatch, match="int64"):
+                op(*self.masks())
+
+    @pytest.mark.parametrize("op", ["union", "intersect", "subtract"])
+    def test_mask_merge_refuses(self, op):
+        with pytest.raises(ShapeMismatch, match="int64"):
+            mask_merge(*self.masks(), op)
+
+    def test_the_largest_frame_int64_holds_is_merged(self):
+        """A 2**31 x 2**31 frame still fits: one slot of 2**62 positions."""
+        h = w = 1 << 31
+        n = h * w
+        a, b = BinaryMask(h, w, (3, 5, n - 8)), BinaryMask(h, w, (5, 10, n - 15))
+        assert mask_iou(a, b) == 3 / 12
+        for op in ("union", "intersect", "subtract"):
+            assert mask_merge(a, b, op) == reference_mask_merge(a, b, op), op
 
 
 class TestExtent:

@@ -110,6 +110,9 @@ BENCHMARK_ONLY = {
     # and for formats.mask_merge: resolve_records paints every frame's masks
     # by rank over one interval table (geometry.paint_by_rank)
     ("formats", "mask_merge"),
+    # and for postfilter.mask_iou: dedup_tracks takes every shared frame's
+    # intersection area from one pair-table merge (geometry.pair_intersections)
+    ("postfilter", "mask_iou"),
 }
 
 

@@ -1,6 +1,13 @@
 import numpy as np
-from helpers import make_det, make_tracklet, unit
+import pytest
+from helpers import make_det, make_tracklet, reference_dedup_tracks, reference_trajectory_iou, unit
+from hypothesis import given
+from hypothesis import strategies as st
 
+from masktrack import geometry, postfilter
+from masktrack.embedding import FeatureBank
+from masktrack.errors import ShapeMismatch
+from masktrack.geometry import BBox, BinaryMask
 from masktrack.postfilter import (
     FilterConfig,
     dedup_tracks,
@@ -8,7 +15,7 @@ from masktrack.postfilter import (
     prune_tracks,
     trajectory_iou,
 )
-from masktrack.tracker import CAR
+from masktrack.tracker import CAR, PEDESTRIAN, Detection, Tracklet
 
 
 class TestFilterDetections:
@@ -168,3 +175,128 @@ class TestDedupTracks:
         ]
         once = dedup_tracks(tracks, self.cfg)
         assert dedup_tracks(once, self.cfg) == once
+
+
+def tracklet_of(track_id, class_id, masks_by_frame):
+    """A tracklet whose observation at each frame carries the given mask."""
+    obs = [
+        Detection(frame, class_id, 0.9, BBox(0, 0, 1, 1), mask, unit(0))
+        for frame, mask in sorted(masks_by_frame.items())
+    ]
+    return Tracklet(track_id, class_id, obs, FeatureBank(5))
+
+
+def run_mask(h, w, starts_stops):
+    """The mask of foreground intervals ``[start, stop)``, sorted and apart."""
+    counts, at = [], 0
+    for start, stop in starts_stops:
+        counts += [start - at, stop - start]
+        at = stop
+    if at < h * w:
+        counts.append(h * w - at)
+    return BinaryMask(h, w, counts)
+
+
+@st.composite
+def frame_masks(draw, h, w):
+    """The masks a frame offers its tracks: a run and the run that touches
+    it where it stops (often across a column wrap, so their extents are
+    apart), a run list drawn at random (often overlapping both), a single
+    corner pixel, and an empty mask."""
+    n = h * w
+    if w > 1 and draw(st.booleans()):
+        cut = h * draw(st.integers(1, w - 1))  # on a column edge
+    else:
+        cut = draw(st.integers(1, n - 1))
+    cuts = sorted(draw(st.sets(st.integers(0, n), min_size=2, max_size=8)))
+    drawn = run_mask(h, w, [(a, b) for a, b in zip(cuts[0::2], cuts[1::2]) if a < b])
+    return [
+        run_mask(h, w, [(draw(st.integers(0, cut - 1)), cut)]),
+        run_mask(h, w, [(cut, draw(st.integers(cut + 1, n)))]),
+        drawn,
+        run_mask(h, w, [(0, 1)]),
+        BinaryMask(h, w, (n,)),
+    ]
+
+
+@st.composite
+def dedup_scenes(draw):
+    """Tracklets of two classes over up to 8 frames, whose frame ranges are
+    apart, nested or partly shared, often of equal length, with masks drawn
+    from each frame's offer: mostly one kind per tracklet, so that some
+    pairs are near duplicates and some identical."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    offers = [draw(frame_masks(h, w)) for _ in range(8)]
+    tracks = []
+    for k in range(draw(st.integers(2, 6))):
+        start = draw(st.integers(0, 6))
+        stop = draw(st.integers(start + 1, 8))
+        frames = draw(st.sets(st.integers(start, stop - 1), min_size=1)) if draw(st.booleans()) else range(start, stop)
+        kind = draw(st.integers(0, 4))
+        masks = {f: offers[f][draw(st.integers(0, 4)) if draw(st.integers(0, 4)) == 0 else kind] for f in frames}
+        tracks.append(tracklet_of(2001 + k, draw(st.sampled_from([CAR, PEDESTRIAN])), masks))
+    return draw(st.permutations(tracks))
+
+
+class TestBatchDedup:
+    @given(dedup_scenes(), st.sampled_from([0.0, 0.3, 0.5, 0.75, 0.9]))
+    def test_equals_the_per_frame_reference(self, tracks, threshold):
+        """Every trajectory IOU is the per-frame loop's, bit for bit, and
+        the kept tracklets are the reference sweep's."""
+        for a in tracks:
+            for b in tracks:
+                got, expected = trajectory_iou(a, b), reference_trajectory_iou(a, b)
+                assert got.hex() == expected.hex(), (a.id, b.id)
+        cfg = FilterConfig(traj_iou_threshold=threshold)
+        kept = dedup_tracks(tracks, cfg)
+        expected = reference_dedup_tracks(tracks, cfg)
+        assert [t.id for t in kept] == [t.id for t in expected]
+        assert all(x is y for x, y in zip(kept, expected))
+
+    def test_sums_left_to_right_as_the_per_frame_loop(self):
+        """IOUs whose left-to-right float sum is not the exactly rounded
+        one, with a frame where the masks are apart in between: the mean is
+        the builtin sum's over the frames in order, zeros included."""
+        line = {1: (3, 1), 2: (5, 0), 3: (36, 1), 4: (26, 22), 5: (15, 7)}  # frame: (union, intersection)
+        a = tracklet_of(2001, CAR, {f: run_mask(1, 40, [(0, u)]) for f, (u, _) in line.items()})
+        b = tracklet_of(2002, CAR, {f: run_mask(1, 40, [(0, i)] if i else []) for f, (_, i) in line.items()})
+        expected = sum([1 / 3, 0.0, 1 / 36, 22 / 26, 7 / 15]) / 5
+        assert trajectory_iou(a, b) == reference_trajectory_iou(a, b) == expected
+
+    def test_scores_without_a_per_frame_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a mask pair was scored on its own")
+
+        monkeypatch.setattr(postfilter, "mask_iou", refuse)
+        monkeypatch.setattr(geometry, "mask_iou", refuse)
+        monkeypatch.setattr(geometry, "mask_intersection_area", refuse)
+        long = make_tracklet(2001, [(f, 10, 10) for f in range(1, 8)], unit(0))
+        short = make_tracklet(2002, [(f, 10, 10) for f in range(1, 5)], unit(0))
+        assert [t.id for t in dedup_tracks([long, short], FilterConfig())] == [2001]
+
+    def test_two_shared_frames_of_2_62_pixels_each(self):
+        """A 2**31 x 2**31 frame fills the position axis alone, so the
+        shared frames are scored one pair per block."""
+        h = w = 1 << 31
+        n = h * w
+        tail = run_mask(h, w, [(n - 10, n)])
+        a = tracklet_of(2001, CAR, {1: run_mask(h, w, [(0, 10)]), 2: tail, 3: run_mask(h, w, [(0, 1)])})
+        b = tracklet_of(2002, CAR, {1: run_mask(h, w, [(1, 10)]), 2: tail})
+        assert trajectory_iou(a, b) == reference_trajectory_iou(a, b) == (0.9 + 1.0) / 2
+        cfg = FilterConfig()
+        kept = dedup_tracks([b, a], cfg)
+        assert [t.id for t in kept] == [t.id for t in reference_dedup_tracks([b, a], cfg)] == [2001]
+
+    def test_mixed_dims_name_the_first_pair_of_the_sweep(self):
+        """As the per-frame loop, the first same-class pair in id order, and in
+        it the first shared frame, whose masks differ in dims is named."""
+        small, big = BinaryMask(2, 2, (4,)), BinaryMask(3, 3, (9,))
+        tracks = [
+            tracklet_of(2001, CAR, {1: small, 2: small}),
+            tracklet_of(2002, CAR, {1: small, 2: BinaryMask(2, 3, (6,))}),
+            tracklet_of(2003, CAR, {1: big}),
+        ]
+        with pytest.raises(ShapeMismatch) as expected:
+            reference_dedup_tracks(tracks, FilterConfig())
+        with pytest.raises(ShapeMismatch, match=f"^{expected.value}$"):
+            dedup_tracks(tracks, FilterConfig())
