@@ -40,7 +40,7 @@ def spatial_attention(
     Each grid cell takes the mask value at its centre by nearest-neighbor
     lookup: foreground cells weigh 1.0, background cells 0.5. Cells whose
     centre falls outside the image count as background. A cell's pixel is
-    looked up in the mask's cached run ends, so the frame is never decoded.
+    looked up in the mask's run ends, so the frame is never decoded.
     The one-mask case of :func:`spatial_attentions`.
 
     Args:
@@ -67,8 +67,8 @@ def spatial_attentions(
     mask ``k``'s shifted by the pixels of the masks before it, and one
     ``searchsorted`` finds the interval that may hold each cell. The
     masks go in blocks of :func:`slot_capacity` of the largest frame, so
-    every shifted position fits in int64. Lists of unequal length raise
-    ShapeMismatch.
+    every shifted position fits in int64. Lists of unequal length, and a
+    frame of more pixels than int64 positions hold, raise ShapeMismatch.
     """
     if len(masks) != len(boxes):
         raise ShapeMismatch(f"{len(masks)} masks but {len(boxes)} boxes")
@@ -80,7 +80,11 @@ def spatial_attentions(
     if not masks:
         return np.zeros((0, grid_h, grid_w))
     largest = max(masks, key=lambda m: m.height * m.width)
-    block = max(1, slot_capacity(largest.height, largest.width))
+    block = slot_capacity(largest.height, largest.width)
+    if not block:
+        raise ShapeMismatch(
+            f"a {largest.height}x{largest.width} mask has more pixels than int64 positions hold"
+        )
     return np.concatenate([
         _attention_block(masks[lo : lo + block], boxes[lo : lo + block], grid_h, grid_w)
         for lo in range(0, len(masks), block)

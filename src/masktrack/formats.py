@@ -467,7 +467,7 @@ def _frame_blocks(entries: list[tuple], capacity: int):
         while hi < len(entries) and intervals < _BLOCK_INTERVALS and rank < capacity:
             frame = entries[hi][0]
             while hi < len(entries) and entries[hi][0] == frame:
-                intervals += len(entries[hi][3].counts) // 2
+                intervals += len(entries[hi][3].run_ends) // 2
                 slots.append(rank)
                 hi += 1
             rank += 1

@@ -2,9 +2,12 @@
 
 Masks are immutable. The run list always starts with a background run
 (possibly of length zero), alternates background/foreground, and sums to
-``height * width``. Each mask caches its cumulative run ends, and every
-operation reads the mask through them, so its cost scales with the number
-of runs rather than the number of pixels.
+``height * width``. A mask stores one form of it, the cumulative run ends
+(int64, or Python ints for a frame past int64), with its area; the run
+lengths, ``counts``, are derived from the run ends when asked for, and only
+the mask itself and the per-mask encoder :func:`rle_to_string` ask. Every
+operation reads the mask through its run ends, so its cost scales with the
+number of runs rather than the number of pixels.
 
 Most mask pairs a tracker or a post-filter meets lie far apart. Each mask
 also caches its foreground extent (the columns and rows it spans), and
@@ -14,7 +17,7 @@ their intersection is zero without touching their runs. The test is exact;
 it never rules out a pair that touches.
 
 Many masks at once go through one function, :func:`foreground_intervals`,
-which reads their foreground intervals from the cached run ends, each mask
+which reads their foreground intervals from the stored run ends, each mask
 once however many entries name it; each caller places the intervals on its
 own axis. An :class:`IntervalTable` holds the intervals of a list of masks,
 each mask placed in the block of pixel positions of its slot (its frame),
@@ -24,7 +27,7 @@ into the exact intersection area of every pair that shares pixels
 (:func:`table_intersections`). A list of chosen pairs, such as a tracker's
 candidate matches, goes through the same merge (:func:`pair_intersections`),
 each pair in a slot of its own: the one intersection kernel. IOU is the
-intersection area over the two cached areas less it. :func:`paint_by_rank`
+intersection area over the two stored areas less it. :func:`paint_by_rank`
 makes a table's masks disjoint, each segment where they meet going to the
 earliest mask. One builder, :func:`_from_intervals`, gives every computed
 run list its canonical form. A single pair (:func:`mask_iou`,
@@ -47,12 +50,13 @@ of a few thousand characters: one byte array, the values summed from their
 chunks with ``np.add.reduceat``, and the delta chains undone with cumulative
 sums restarted at each token; one more such sum gives the run ends. A mask
 it has proven is built without the constructor's checks and holds a
-read-only view of its run ends, and its area. A token it cannot prove
-valid, such as a bad one, goes through :func:`rle_from_string`, so both
-accept the same tokens and raise the same first error.
+read-only view of those run ends, and its area; no run-length tuple is
+built. A token it cannot prove valid, such as a bad one, goes through
+:func:`rle_from_string`, so both accept the same tokens and raise the same
+first error.
 
 A file's masks are encoded together by :func:`rle_to_strings`, in blocks of
-a few thousand runs: the counts and their deltas from the cached run ends,
+a few thousand runs: the counts and their deltas from the stored run ends,
 each value's character count from its magnitude, and one ``repeat`` that
 spreads each value over its characters, whose bits are then shifted out in
 place. A mask past 2**40 pixels goes through :func:`rle_to_string`, which
@@ -65,7 +69,7 @@ import math
 import operator
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from typing import NamedTuple
@@ -73,6 +77,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, ShapeMismatch
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _integer(value, what: str) -> int:
@@ -83,30 +90,32 @@ def _integer(value, what: str) -> int:
         raise ShapeMismatch(f"{what} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
 class BinaryMask:
     """Run-length encoded binary mask.
+
+    A mask holds its dims, its cumulative run ends and its area; the run
+    lengths are derived from the run ends when asked for. Masks are
+    immutable, and equal, hash and print as ``(height, width, counts)``.
 
     Attributes:
         height: Image height in pixels.
         width: Image width in pixels.
+        run_ends: Cumulative run ends, read-only: run ``i`` covers the
+            pixels up to ``run_ends[i]``. int64, or Python ints in an object
+            array for a frame of more pixels than int64 holds.
+        area: Number of foreground pixels.
         counts: Run lengths in column-major pixel order, background first.
     """
 
-    height: int
-    width: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "height", _integer(self.height, "mask height"))
-        object.__setattr__(self, "width", _integer(self.width, "mask width"))
-        if self.height <= 0 or self.width <= 0:
-            raise ShapeMismatch(f"mask dims must be positive, got {self.height}x{self.width}")
+    def __init__(self, height: int, width: int, counts: tuple[int, ...]):
+        height = _integer(height, "mask height")
+        width = _integer(width, "mask width")
+        if height <= 0 or width <= 0:
+            raise ShapeMismatch(f"mask dims must be positive, got {height}x{width}")
         try:
-            counts = tuple(map(operator.index, self.counts))
+            counts = tuple(map(operator.index, counts))
         except TypeError:  # name the first run that is not an integer
-            counts = tuple(_integer(c, f"run length at index {i}") for i, c in enumerate(self.counts))
-        object.__setattr__(self, "counts", counts)
+            counts = tuple(_integer(c, f"run length at index {i}") for i, c in enumerate(counts))
         if min(counts, default=0) < 0 or 0 in counts[1:]:
             # name the first bad run
             for i, c in enumerate(counts):
@@ -114,24 +123,42 @@ class BinaryMask:
                     raise ShapeMismatch(f"negative run length {c} at index {i}")
                 if c == 0 and i > 0:
                     raise ShapeMismatch(f"zero-length run at index {i} (non-canonical)")
-        total = sum(counts)
-        if total != self.height * self.width:
-            raise ShapeMismatch(f"counts sum {total} != {self.height}*{self.width}")
+        ends = list(accumulate(counts))
+        total = ends[-1] if ends else 0
+        if total != height * width:
+            raise ShapeMismatch(f"counts sum {total} != {height}*{width}")
+        # exact past int64 too: such a frame's run ends stay Python ints
+        ends = np.array(ends, dtype=np.int64 if total <= _INT64_MAX else object)
+        ends.flags.writeable = False
+        # the checked tuple is kept as the counts cache
+        self.__dict__.update(
+            height=height, width=width, run_ends=ends, area=sum(counts[1::2]), counts=counts
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # equal run ends are equal counts, so no counts are derived
+        same_dims = (self.height, self.width) == (other.height, other.width)
+        return same_dims and np.array_equal(self.run_ends, other.run_ends)
+
+    def __hash__(self):
+        return hash((self.height, self.width, self.counts))
+
+    def __repr__(self):
+        return f"BinaryMask(height={self.height!r}, width={self.width!r}, counts={self.counts!r})"
 
     @cached_property
-    def area(self) -> int:
-        """Number of foreground pixels; cached like :attr:`run_ends`."""
-        return sum(self.counts[1::2])
-
-    @cached_property
-    def run_ends(self) -> np.ndarray:
-        """Cumulative run ends: run ``i`` covers pixels up to ``run_ends[i]``.
-
-        Cached on first use, or filled by :func:`rle_from_strings` when it
-        decodes the mask: a read-only view of the run ends of the masks
-        decoded with it. The mask is frozen, so the cache cannot go stale.
-        """
-        return np.cumsum(self.counts)
+    def counts(self) -> tuple[int, ...]:
+        """Run lengths, derived from :attr:`run_ends` on first use and cached."""
+        ends = self.run_ends.tolist()
+        return tuple(map(operator.sub, ends, [0, *ends[:-1]]))
 
     @cached_property
     def extent(self) -> tuple[int, int, int, int] | None:
@@ -187,8 +214,9 @@ class BBox:
 
 def rle_decode(mask: BinaryMask) -> np.ndarray:
     """Expand a mask to a dense height x width uint8 grid."""
-    values = np.arange(len(mask.counts), dtype=np.uint8) & 1
-    flat = np.repeat(values, mask.counts)
+    counts = np.diff(mask.run_ends, prepend=0)
+    values = np.arange(counts.size, dtype=np.uint8) & 1
+    flat = np.repeat(values, counts)
     return flat.reshape((mask.height, mask.width), order="F")
 
 
@@ -318,12 +346,12 @@ def _batch_area(token: str, height, width) -> int:
     return h * w
 
 
-def _decode_block(tokens: list[str], areas: list[int]) -> list[dict | None]:
-    """The ``counts``, ``run_ends`` and ``area`` fields of each token that
-    decodes to a valid mask of ``areas[k]`` pixels, or None: a bad
-    character, a truncated token, a value longer than ``_VALUE_CHARS``
-    characters, or a run list ``BinaryMask`` refuses. ``run_ends`` is a
-    read-only view of the block's run ends.
+def _decode_block(tokens: list[str], areas: list[int]) -> list[tuple[np.ndarray, int] | None]:
+    """``(run_ends, area)`` of each token that decodes to a valid mask of
+    ``areas[k]`` pixels, or None: a bad character, a truncated token, a
+    value longer than ``_VALUE_CHARS`` characters, or a run list
+    ``BinaryMask`` refuses. ``run_ends`` is a read-only view of the block's
+    run ends.
 
     Every token is non-empty ASCII. The tokens are read as one byte array;
     each value is the sum of its 5-bit chunks, and each delta chain is one
@@ -384,7 +412,6 @@ def _decode_block(tokens: list[str], areas: list[int]) -> list[dict | None]:
     odd = np.concatenate(([0], np.cumsum(counts[1::2])))
     fg = odd[(first + nv) // 2] - odd[first // 2]
     fg = np.where(first & 1, area - fg, fg)
-    rows = counts.tolist()
     # the run ends: one cumulative sum, restarted at each token by taking the
     # token before it off its first run (exact, as int64 wraps)
     counts[first[1:]] -= total[:-1]
@@ -392,19 +419,18 @@ def _decode_block(tokens: list[str], areas: list[int]) -> list[dict | None]:
     ends.flags.writeable = False
     ranges = zip(first.tolist(), (first + nv).tolist())
     return [
-        None if b else dict(counts=tuple(rows[lo:hi]), run_ends=ends[lo:hi], area=a)
+        None if b else (ends[lo:hi], a)
         for b, (lo, hi), a in zip(bad.tolist(), ranges, fg.tolist())
     ]
 
 
-def _proven_mask(height: int, width: int, fields: dict) -> BinaryMask:
-    """A mask built without ``BinaryMask``'s checks, for a run list
+def _proven_mask(height: int, width: int, run_ends: np.ndarray, area: int) -> BinaryMask:
+    """A mask built without ``BinaryMask``'s checks, for run ends
     :func:`_decode_block` has proven or :func:`_from_intervals` has built:
-    ints, non-negative, no empty run after the first, summing to ``height *
-    width``. Its ``run_ends`` and ``area`` caches come filled, from
-    ``fields``."""
+    read-only int64, the first non-negative, each later one above the one
+    before it, the last ``height * width``; ``area`` is the foreground."""
     mask = object.__new__(BinaryMask)
-    mask.__dict__.update(fields, height=height, width=width)
+    mask.__dict__.update(height=height, width=width, run_ends=run_ends, area=area)
     return mask
 
 
@@ -417,9 +443,9 @@ def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -
     not positive, a value longer than 12 characters, a frame past 2**40
     pixels) goes through it, in order. So the masks, and the first error
     raised, are the ones the per-token loop gives; the error carries the
-    token's position as its ``index`` attribute. A proven mask comes with
-    its ``run_ends`` and ``area`` caches filled. Lists of unequal length
-    raise ShapeMismatch.
+    token's position as its ``index`` attribute. A proven mask holds a
+    read-only view of the block's run ends. Lists of unequal length raise
+    ShapeMismatch.
     """
     if not len(tokens) == len(heights) == len(widths):
         raise ShapeMismatch(f"{len(tokens)} tokens, {len(heights)} heights, {len(widths)} widths")
@@ -440,7 +466,7 @@ def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -
             proven = runs.get(i)
             if proven is not None:
                 h, w = operator.index(heights[i]), operator.index(widths[i])
-                masks.append(_proven_mask(h, w, proven))
+                masks.append(_proven_mask(h, w, *proven))
                 continue
             try:
                 masks.append(rle_from_string(tokens[i], heights[i], widths[i]))
@@ -464,7 +490,7 @@ def _run_blocks(masks: list[BinaryMask]):
     while lo < len(masks):
         hi, runs = lo, 0
         while hi < len(masks) and runs < _BLOCK_RUNS:
-            runs += len(masks[hi].counts)
+            runs += len(masks[hi].run_ends)
             hi += 1
         yield lo, hi
         lo = hi
@@ -477,7 +503,7 @@ _CHAR_LIMITS = np.left_shift(1, 5 * np.arange(1, 13, dtype=np.int64) - 1) - 1
 
 def rle_to_strings(masks: list[BinaryMask]) -> list[str]:
     """``rle_to_string(m)`` for every mask, encoded together in a few numpy
-    passes over blocks of the masks' cached run ends.
+    passes over blocks of the masks' run ends.
 
     The counts and their deltas come from the run ends, each value's
     character count from its magnitude, and one ``repeat`` spreads every
@@ -524,7 +550,7 @@ def fill_caches(masks: list[BinaryMask]) -> None:
     computes on first use.
 
     The extents come from the :func:`foreground_intervals` of the masks,
-    read in one pass over the cached run ends of each block of about
+    read in one pass over the run ends of each block of about
     ``_BLOCK_RUNS`` runs. A mask of more pixels than int64 holds is left to
     fill its own.
     """
@@ -605,9 +631,6 @@ def may_overlap(a: list[BinaryMask], b: list[BinaryMask], ia: np.ndarray, ib: np
 # many-mask interval tables
 # ---------------------------------------------------------------------------
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
 def slot_capacity(height: int, width: int) -> int:
     """How many ``height x width`` frames an interval table can hold.
 
@@ -640,7 +663,7 @@ def foreground_intervals(
 
     Interval ``k`` covers the pixels ``[starts[k], stops[k])`` of its mask's
     frame and belongs to entry ``entry[k]``; a mask's intervals are sorted
-    and never empty. They are read in one pass over the masks' cached run
+    and never empty. They are read in one pass over the masks' stored run
     ends, each mask once however many entries name it: foreground run
     ``2i+1`` of a mask covers ``[run_ends[2i], run_ends[2i+1])``. Each
     caller places the intervals on its own axis.
@@ -716,8 +739,8 @@ def paint_by_rank(
     covers it. A mask that loses no pixel, such as one with no interval in
     such a group, comes back as the same object. One that lost pixels is
     rebuilt from the segments it keeps and its other intervals, touching
-    neighbours merged, with its ``run_ends`` and ``area`` caches filled; it
-    is empty when it kept nothing.
+    neighbours merged, by :func:`_from_intervals`; it is empty when it kept
+    nothing.
 
     The pieces are ``(starts, stops, owner)`` of every segment kept inside
     a group, sorted by start, on the table's axis: disjoint, unless the
@@ -779,8 +802,7 @@ def _from_intervals(
     intervals ``[starts[k], stops[k])``, which lie in its frame, are sorted
     by ``(owner, start)``, never empty and never overlap; touching ones are
     merged here. An owner with no interval gets an empty mask. Each mask
-    comes with its ``run_ends`` (read-only views of one array) and ``area``
-    caches filled."""
+    holds a read-only view of one array of run ends, and its area."""
     size = height * width
     # a run starts wherever the owner changes or the previous interval stops short
     new = np.ones(starts.size + 1, dtype=bool)
@@ -801,12 +823,9 @@ def _from_intervals(
     tail = base + room - 1
     ends[tail] = size
     stop = tail + 1 - ((hi > lo) & (ends[tail - 1] == size))
-    counts = np.diff(ends, prepend=0)
-    counts[base] = ends[base]
-    rows = counts.tolist()
     ends.flags.writeable = False
     return [
-        _proven_mask(height, width, dict(counts=tuple(rows[a:b]), run_ends=ends[a:b], area=n))
+        _proven_mask(height, width, ends[a:b], n)
         for a, b, n in zip(base.tolist(), stop.tolist(), area.tolist())
     ]
 
@@ -906,7 +925,7 @@ def mask_intersection_area(a: BinaryMask, b: BinaryMask) -> int:
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     """Intersection over union of two masks, computed on the runs.
 
-    The union is the two cached areas less the intersection. Returns 0.0
+    The union is the two stored areas less the intersection. Returns 0.0
     when the masks share no pixel, so also when the union is empty.
     """
     inter = mask_intersection_area(a, b)

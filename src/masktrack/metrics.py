@@ -18,14 +18,18 @@ checks that a side's same-frame masks are disjoint, and a merge of the two
 tables gives the intersection area of every gt/hyp pair that shares pixels.
 IOU is ``mask_iou``'s formula on those integers, and frames, classes and
 gt records are walked in the order a pairwise evaluator walks them, so
-every count and the summed IOUs come out the same, bit for bit. A pair
-loop runs only to name the first overlapping pair of an input that has one.
-``mask_iou`` stays imported for the benchmark, which patches it by name.
+every count and the summed IOUs come out the same, bit for bit. An input
+whose masks overlap has its first overlapping pair named by one
+``geometry.pair_intersections`` pass over every pair of its first such frame.
+``mask_iou`` and ``mask_intersection_area`` stay imported for the
+benchmark, which patches them by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import OverlappingMasksInInput, ShapeMismatch
 from .formats import ResultRecord
@@ -35,6 +39,7 @@ from .geometry import (
     mask_intersection_area,
     mask_iou,
     overlapping_masks,
+    pair_intersections,
     slot_capacity,
     table_intersections,
 )
@@ -74,21 +79,29 @@ def _table(records: list[ResultRecord], slot: dict[int, int], label: str) -> Int
 
     Raises OverlappingMasksInInput naming the first frame, in record order,
     whose masks overlap, and in it the first pair ``(i, j)``, ``i < j`` in
-    record order: the table finds the frames, a pair loop names the pair.
+    record order: the table finds the frames, and :func:`pair_intersections`
+    takes every pair of that frame at once (in blocks of
+    :func:`slot_capacity` pairs, so one block unless a frame fills most of
+    int64) to name the pair.
     """
     masks = [rec.mask() for rec in records]
     table = interval_table(masks, [slot[rec.frame] for rec in records])
     clashes = {records[k].frame for k in overlapping_masks(table).tolist()}
     if clashes:
         frame = next(rec.frame for rec in records if rec.frame in clashes)
-        entries = [(rec, m) for rec, m in zip(records, masks) if rec.frame == frame]
-        for i, (first, mask) in enumerate(entries):
-            for rec, other in entries[i + 1 :]:
-                if mask_intersection_area(mask, other) > 0:
-                    raise OverlappingMasksInInput(
-                        f"{rec.source or label}: frame {frame} masks "
-                        f"{first.track_id} and {rec.track_id} overlap"
-                    )
+        recs = [rec for rec in records if rec.frame == frame]
+        frame_masks = [m for rec, m in zip(records, masks) if rec.frame == frame]
+        ii, jj = np.triu_indices(len(recs), 1)  # every pair i < j, in record order
+        block = slot_capacity(recs[0].img_h, recs[0].img_w)
+        for lo in range(0, ii.size, block):
+            i, j = ii[lo : lo + block], jj[lo : lo + block]
+            hit = np.flatnonzero(pair_intersections(frame_masks, frame_masks, i, j))
+            if hit.size:
+                first, rec = recs[i[hit[0]]], recs[j[hit[0]]]
+                raise OverlappingMasksInInput(
+                    f"{rec.source or label}: frame {frame} masks "
+                    f"{first.track_id} and {rec.track_id} overlap"
+                )
     return table
 
 

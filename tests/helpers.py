@@ -4,7 +4,7 @@ import base64
 import json
 import math
 from functools import reduce
-from itertools import chain, permutations
+from itertools import accumulate, chain, permutations
 
 import numpy as np
 
@@ -300,6 +300,23 @@ def token_counts(token: str) -> list[int]:
             x += counts[-2]
         counts.append(x)
     return counts
+
+
+def assert_holds_its_runs(mask, counts):
+    """``mask`` holds read-only run ends, the exact running sums of
+    ``counts`` (int64, or Python ints for a frame past int64), and its area,
+    gives ``counts`` back as ints, and equals, hashes and prints as the mask
+    the constructor builds from ``counts``."""
+    counts = tuple(counts)
+    cache = mask.__dict__
+    dtype = np.int64 if mask.height * mask.width <= np.iinfo(np.int64).max else object
+    assert cache["run_ends"].dtype == dtype
+    assert cache["run_ends"].tolist() == list(accumulate(counts))
+    assert not cache["run_ends"].flags.writeable
+    assert cache["area"] == sum(counts[1::2]) and type(cache["area"]) is int
+    assert mask.counts == counts and all(type(c) is int for c in mask.counts)
+    rebuilt = BinaryMask(mask.height, mask.width, counts)
+    assert mask == rebuilt and hash(mask) == hash(rebuilt) and repr(mask) == repr(rebuilt)
 
 
 def counts_token(counts) -> str:

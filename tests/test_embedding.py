@@ -126,6 +126,19 @@ class TestSpatialAttentions:
             assert attn.tobytes() == spatial_attention(mask, box, 2, 2).tobytes()
         np.testing.assert_array_equal(attns[:, :, 0], [[0.5, 1.0], [1.0, 0.5], [0.5, 0.5]])
 
+    def test_a_frame_past_int64_positions_is_refused(self):
+        """As the interval kernels refuse it: its pixel positions would wrap.
+        Rows 0-9 of the mask's last column are foreground, the whole box."""
+        h, w = 1 << 32, (1 << 32) + 1
+        mask, box = BinaryMask(h, w, (h * (w - 1), 10, h - 10)), BBox(w - 1, 0, 1, 10)
+        small = BinaryMask(4, 4, (16,))
+        message = f"^a {h}x{w} mask has more pixels than int64 positions hold$"
+        for masks in ([mask], [small, mask]):
+            with pytest.raises(ShapeMismatch, match=message):
+                spatial_attentions(masks, [box] * len(masks), 2, 1)
+        with pytest.raises(ShapeMismatch, match=message):
+            spatial_attention(mask, box, 2, 1)
+
     def test_no_masks_and_bad_inputs(self):
         assert spatial_attentions([], [], 2, 3).shape == (0, 2, 3)
         mask = BinaryMask(4, 4, (16,))

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import (
     IMG_H,
     IMG_W,
+    assert_holds_its_runs,
     counts_token,
     make_det,
     make_meta,
@@ -19,6 +20,7 @@ from helpers import (
     packed,
     reference_load_detections,
     reference_mask_merge,
+    token_counts,
     unit,
 )
 
@@ -81,6 +83,17 @@ class TestLoadDetections:
         meta, by_frame = load_detections(str(path))
         assert meta.name == "seq" and meta.fps == 25.0
         assert by_frame == {}
+
+    def test_a_feature_map_on_a_frame_past_int64_positions_is_refused(self, tmp_path):
+        """Its attention would read wrapped pixel positions."""
+        h, w = 1 << 32, (1 << 32) + 1
+        mask = {"h": h, "w": w, "counts": counts_token([h * (w - 1), 10, h - 10])}
+        fmap = {"gh": 2, "gw": 1, "c": 2, "values": [1.0, 0.0, 1.0, 0.0]}
+        line = det_line(bbox=(w - 1, 0, 1, 10), mask=mask, embedding=None, feature_map=fmap)
+        path = tmp_path / "dets.jsonl"
+        path.write_text(header_line(img_h=h, img_w=w) + "\n" + line + "\n")
+        with pytest.raises(ShapeMismatch, match="more pixels than int64 positions hold"):
+            load_detections(str(path))
 
     def test_frames_sorted(self, tmp_path):
         path = tmp_path / "dets.jsonl"
@@ -922,6 +935,8 @@ def overlapping_frames(draw):
                 mask = run_mask(h, w, *runs)
             else:
                 mask = run_mask(h, w, (0, size if kind == "full" else 0))
+            if draw(st.booleans()):  # the same mask, built by the constructor
+                mask = BinaryMask(h, w, mask.counts)
             entries.append((track_id, draw(st.sampled_from([1, 2])), mask))
         per_frame[frame] = entries
     return h, w, per_frame
@@ -958,25 +973,23 @@ class TestResolveRecords:
                          (4, 2, run_mask(3, 3))]}))
     def test_matches_pixel_reference(self, drawn):
         """Pixels go to the lowest id that claims them; emptied masks are
-        dropped. A mask that loses no pixel comes back as the same object; a
-        rebuilt one holds read-only run ends and its area, as a decoded one."""
+        dropped. A mask that loses no pixel comes back as the same object.
+        Every record's mask, given (built by ``rle_encode`` or the
+        constructor) or rebuilt, holds read-only run ends and its area, as a
+        decoded one, and equals, hashes and prints as its counts rebuilt."""
         h, w, per_frame = drawn
         meta = SequenceMeta("resolve", 25.0, h, w, "static")
         records = resolve_records(per_frame, meta)
-        assert records == pixel_reference(h, w, per_frame)
+        expected = pixel_reference(h, w, per_frame)
+        assert records == expected
         # each record carries the mask its token encodes
         assert [r.mask() for r in records] == [rle_from_string(r.rle, h, w) for r in records]
         given_masks = {(f, t): m for f, entries in per_frame.items() for t, _, m in entries}
-        for r in records:
+        for r, ref in zip(records, expected):
             mask = given_masks[r.frame, r.track_id]
-            if r.decoded.counts == mask.counts:
+            if r.decoded == mask:
                 assert r.decoded is mask
-            else:
-                cache = r.decoded.__dict__
-                assert cache["run_ends"].tolist() == np.cumsum(r.decoded.counts).tolist()
-                assert not cache["run_ends"].flags.writeable
-                assert cache["area"] == sum(r.decoded.counts[1::2]) and type(cache["area"]) is int
-                assert all(type(c) is int for c in r.decoded.counts)
+            assert_holds_its_runs(r.decoded, token_counts(ref.rle))
 
     @given(overlapping_frames(), st.sampled_from([1, 3, 40]))
     def test_blocks_of_any_size_give_the_same_records(self, drawn, budget):

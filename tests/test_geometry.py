@@ -1,9 +1,10 @@
-import re
+from dataclasses import FrozenInstanceError
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from helpers import (
+    assert_holds_its_runs,
     attention_by_decode,
     counts_token,
     reference_cannot_overlap,
@@ -173,6 +174,20 @@ class TestDecode:
     def test_non_integral_dims_rejected(self, dims, field):
         with pytest.raises(ShapeMismatch, match=f"mask {field} must be an integer"):
             BinaryMask(*dims, (4,))
+
+    def test_a_mask_is_its_dims_and_counts(self):
+        """Equal, hashed, printed and frozen as ``(height, width, counts)``:
+        the same runs on other dims are another mask."""
+        mask = BinaryMask(2, 3, (1, 2, 3))
+        assert mask == BinaryMask(2, 3, [1, 2, 3]) and hash(mask) == hash((2, 3, (1, 2, 3)))
+        assert mask != BinaryMask(3, 2, (1, 2, 3)) and mask != BinaryMask(2, 3, (1, 3, 2))
+        assert mask != (2, 3, (1, 2, 3))
+        assert repr(mask) == "BinaryMask(height=2, width=3, counts=(1, 2, 3))"
+        for name in ("height", "run_ends", "counts"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(mask, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            del mask.area
 
     def test_numpy_integers_become_ints(self):
         mask = BinaryMask(np.int64(2), np.int32(2), np.array([1, 3]))
@@ -421,28 +436,19 @@ class TestBatchDecode:
     @given(token_batches(), st.sampled_from([1, 5, 64, geometry._BLOCK_CHARS]))
     @example(([counts_token([3, 2**41 - 3])], [2**41], [1]), 64)
     def test_proven_masks_hold_their_run_ends_and_area(self, batch, block):
-        """A mask the batch proves holds a read-only view of its run ends,
-        ``np.cumsum`` of its counts, and its area; a mask left to
-        ``rle_from_string`` (a frame past 2**40 pixels, a value past 12
-        characters) holds neither and computes its own."""
+        """Every mask, whether the batch proves it or the constructor builds
+        it through ``rle_from_string`` (a frame past 2**40 pixels, a value
+        past 12 characters), holds read-only run ends, the exact running
+        sums of the token's counts, and its area, and equals, hashes and
+        prints as the mask rebuilt from those counts."""
         tokens, heights, widths = batch
         with patch.object(geometry, "_BLOCK_CHARS", block):
             try:
                 masks = rle_from_strings(tokens, heights, widths)
             except MaskTrackError:
                 return
-        long_value = re.compile("[P-o]{%d}" % geometry._VALUE_CHARS)
-        for m, token, h, w in zip(masks, tokens, heights, widths):
-            cache, ends = m.__dict__, np.cumsum(m.counts)
-            if geometry._batch_area(token, h, w) and not long_value.search(token):
-                assert cache["run_ends"].dtype == ends.dtype
-                np.testing.assert_array_equal(cache["run_ends"], ends)
-                assert not cache["run_ends"].flags.writeable
-                assert cache["area"] == sum(m.counts[1::2]) and type(cache["area"]) is int
-            else:
-                assert "run_ends" not in cache and "area" not in cache
-                np.testing.assert_array_equal(m.run_ends, ends)
-                assert m.area == sum(m.counts[1::2])
+        for m, token in zip(masks, tokens):
+            assert_holds_its_runs(m, token_counts(token))
 
     def test_an_empty_batch(self):
         assert rle_from_strings([], [], []) == []
@@ -469,13 +475,13 @@ class TestBatchDecode:
         tokens = [counts_token(c) for c in counts]
         heights, widths = [np.int64(4)] * 4, [8] * 4
         checks = []
-        original = BinaryMask.__post_init__
+        original = BinaryMask.__init__
 
-        def counted(mask):
+        def counted(mask, *args):
             checks.append(mask)
-            original(mask)
+            original(mask, *args)
 
-        with patch.object(BinaryMask, "__post_init__", counted):
+        with patch.object(BinaryMask, "__init__", counted):
             masks = rle_from_strings(tokens, heights, widths)
             assert checks == []
             with pytest.raises(ShapeMismatch, match=r"^counts sum 33 != 4\*8$"):
@@ -885,6 +891,18 @@ class TestFramesPastInt64:
     def test_mask_merge_refuses(self, op):
         with pytest.raises(ShapeMismatch, match="int64"):
             mask_merge(*self.masks(), op)
+
+    def test_run_ends_are_exact_python_ints(self):
+        """Run ends past int64 are neither rounded nor wrapped, and the
+        extent read from them is exact."""
+        wide = BinaryMask(1, 2**64 + 2, (2**64 - 20, 10, 12))
+        assert wide.extent == (2**64 - 20, 2**64 - 11, 0, 0)
+        assert_holds_its_runs(wide, (2**64 - 20, 10, 12))
+        tall = BinaryMask(2**32, 2**31, (2**62, 2**62))
+        assert tall.run_ends[-1] == 2**63 and tall.extent == (2**30, 2**31 - 1, 0, 2**32 - 1)
+        assert_holds_its_runs(tall, (2**62, 2**62))
+        # the largest frame int64 holds keeps int64 run ends
+        assert_holds_its_runs(BinaryMask(1, 2**63 - 1, (5, 2**63 - 6)), (5, 2**63 - 6))
 
     def test_the_largest_frame_int64_holds_is_merged(self):
         """A 2**31 x 2**31 frame still fits: one slot of 2**62 positions."""

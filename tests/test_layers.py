@@ -113,6 +113,9 @@ BENCHMARK_ONLY = {
     # and for postfilter.mask_iou: dedup_tracks takes every shared frame's
     # intersection area from one pair-table merge (geometry.pair_intersections)
     ("postfilter", "mask_iou"),
+    # and for metrics.mask_intersection_area: an overlapping input's first
+    # pair is named from one pair-table merge (geometry.pair_intersections)
+    ("metrics", "mask_intersection_area"),
 }
 
 
@@ -123,6 +126,25 @@ def test_every_imported_name_is_used(name):
     used |= {bound for module, bound in BENCHMARK_ONLY if module == name}
     dead = [f"{bound} (line {line})" for bound, line in imported_names(tree) if bound not in used]
     assert not dead, f"{name} imports names it never uses: {', '.join(dead)}"
+
+
+# A mask stores its run ends and derives its run lengths, ``counts``, on
+# first use: a reader of ``.counts`` anywhere else would rebuild the tuple of
+# Python ints that storing only the run ends saves.
+COUNTS_READERS = {"geometry": {"BinaryMask", "rle_to_string"}}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_only_the_mask_and_the_token_encoder_read_counts(name):
+    allowed = COUNTS_READERS.get(name, set())
+    reads = [
+        node.lineno
+        for top in MODULES[name].body
+        if getattr(top, "name", None) not in allowed
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "counts"
+    ]
+    assert not reads, f"{name} reads .counts at lines {reads}"
 
 
 def test_import_graph_is_acyclic():

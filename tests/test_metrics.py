@@ -333,6 +333,38 @@ class TestOverlapErrors:
             evaluate(results, [])
         assert outcome(results, [], evaluate) == outcome(results, [], reference_evaluate)
 
+    def test_the_pair_is_named_by_one_pair_kernel_call(self, monkeypatch):
+        """No per-pair intersection: every pair of the frame goes to one
+        ``pair_intersections`` call."""
+        def refuse(*args):
+            raise AssertionError("a per-pair kernel was called")
+
+        calls = []
+        kernel = metrics.pair_intersections
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(metrics, "mask_intersection_area", refuse)
+        monkeypatch.setattr(metrics, "pair_intersections", counted)
+        results = sourced([record(1, 3500 + k, row_mask(12, lo, hi))
+                           for k, (lo, hi) in enumerate([(0, 2), (2, 4), (4, 7), (6, 8), (8, 12)])], "res.txt")
+        with pytest.raises(OverlappingMasksInInput, match=r"^res\.txt:4: frame 1 masks 3502 and 3503 overlap$"):
+            evaluate(results, [])
+        assert len(calls) == 1
+
+    def test_pairs_go_in_blocks_of_the_frames_a_table_holds(self):
+        """A 2**31 x 2**31 frame fills one table slot: its pairs go one per
+        block, and the first overlapping one is still named."""
+        side = 2**31
+        n = side * side
+        results = [ResultRecord(1, track_id, PEDESTRIAN, side, side, rle_to_string(BinaryMask(side, side, counts)),
+                                f"res.txt:{track_id}")
+                   for track_id, counts in [(1, (0, 5, n - 5)), (2, (5, 5, n - 10)), (3, (3, 4, n - 7))]]
+        with pytest.raises(OverlappingMasksInInput, match=r"^res\.txt:3: frame 1 masks 1 and 3 overlap$"):
+            evaluate(results, [])
+
     def test_results_are_checked_before_ground_truth(self):
         overlapping = [record(1, 3501, row_mask(10, 0, 6)), record(1, 3502, row_mask(10, 4, 10))]
         results, gt = sourced(overlapping, "res.txt"), sourced(overlapping, "gt.txt")
