@@ -162,9 +162,11 @@ def _set(cfg: PipelineConfig, path: tuple, value):
 def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
     """Parse key=value lines into a validated configuration.
 
-    Lines end at ``\\n`` only, as in :func:`formats.text_lines`, so a form
-    feed or ``\\x85`` does not start a line. A bad line raises ConfigError
-    naming ``source`` and the line.
+    ``text`` is split at ``\\n`` only, so a form feed or ``\\x85`` does not
+    start a line. :func:`load_config` reads a file through
+    :func:`formats.text_lines`, whose universal newlines end a line at
+    ``\\r\\n`` or a lone ``\\r`` too, so there a lone ``\\r`` also starts a
+    line. A bad line raises ConfigError naming ``source`` and the line.
     """
     cfg = PipelineConfig()
     for lineno, rawline in enumerate(text.split("\n"), start=1):

@@ -24,6 +24,7 @@ import colorsys
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -165,7 +166,7 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
             # the line's token is checked before its features, as if decoded here
             mask_rows.append((meta.img_h, meta.img_w, token, where))
             embedding, feature_map = _parse_features(obj, where)
-            box = _parse_box(bbox, frame, embedding, feature_map, where)
+            box = _parse_box(bbox, frame, embedding, feature_map, meta, where)
             dim = embedding.size if embedding is not None else feature_map.shape[2]
             if channels is None:
                 channels = dim
@@ -193,7 +194,10 @@ def load_detections(path: str) -> tuple[SequenceMeta, dict[int, list[Detection]]
 def text_lines(path: str, encoding: str):
     """Yield (line number, text) for each line of a file in ``encoding``.
 
-    A byte that is not ``encoding`` text raises ParseError naming its line.
+    The file is read with universal newlines: a line ends at ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``, each read as ``\\n``. A form feed,
+    ``\\x1c``-``\\x1e`` or ``\\x85`` does not end a line. A byte that is not
+    ``encoding`` text raises ParseError naming its line.
     """
     with open(path, "r", encoding=encoding, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -308,9 +312,10 @@ def _parse_features(obj, where: str) -> tuple[np.ndarray | None, np.ndarray | No
     return None, None
 
 
-def _parse_box(bbox, frame, embedding, feature_map, where: str) -> BBox:
+def _parse_box(bbox, frame, embedding, feature_map, meta: SequenceMeta, where: str) -> BBox:
     """The detection's box, once it is known that the detection has features
-    and that a feature map has a box with an area to pool under."""
+    and that a feature map has a box with an area to pool under, on a frame
+    whose pixel positions int64 holds (its attention looks them up)."""
     try:
         box = BBox(*bbox)
     except ValueError as exc:
@@ -321,6 +326,10 @@ def _parse_box(bbox, frame, embedding, feature_map, where: str) -> BBox:
         )
     if feature_map is not None and box.empty:
         raise ParseError(f"{where}: cannot sample attention under a zero-area box: {box}")
+    if feature_map is not None and not slot_capacity(meta.img_h, meta.img_w):
+        raise ShapeMismatch(
+            f"{where}: a {meta.img_h}x{meta.img_w} mask has more pixels than int64 positions hold"
+        )
     return box
 
 
@@ -515,44 +524,73 @@ def write_results(
     return records
 
 
+# A record line in its plain form: five fields of at most 18 digits, so
+# each is below 2**63 and int() takes it, one space apart, the class a known
+# id, and a token of printable ASCII. A line it matches is read to the row
+# :func:`_checked_row` would give, without its checks.
+_RESULT_LINE = re.compile(
+    r"([0-9]{1,18}) ([0-9]{1,18}) (%s) ([0-9]{1,18}) ([0-9]{1,18}) ([!-~]+)\n?"
+    % "|".join(map(str, sorted(CLASS_NAMES)))
+).fullmatch
+
+
 def read_results(path: str) -> list[ResultRecord]:
     """Parse a result file; validates decodability and (frame, id) uniqueness.
 
     The five integer fields are plain decimal digits and the class id is a
     known class; anything else raises ParseError naming the file and line.
-    The file's mask tokens are decoded together once every line is read, by
-    :func:`rle_from_strings`, and each record carries its mask. A bad token
-    raises ParseError or ShapeMismatch naming its line, before any fault of
-    a later line.
+    Each line ``_RESULT_LINE`` matches whole is read from the match; any
+    other line that is not blank or a ``#`` comment is read by
+    :func:`_checked_row`, whose checks raise every field error. A repeated
+    (frame, track_id) is refused either way. The file's mask tokens are
+    decoded together once every line is read, by :func:`rle_from_strings`,
+    and each record carries its mask. A bad token raises ParseError or
+    ShapeMismatch naming its line, before any fault of a later line.
     """
     rows: list[tuple] = []  # each record's fields, its mask not yet decoded
     seen: set[tuple[int, int]] = set()
     try:
         for lineno, raw in text_lines(path, "ascii"):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(" ")
-            if len(parts) != 6:
-                raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            # the line is ASCII, so isdigit admits 0-9 only: no sign, no '_'
-            if not all(p.isdigit() for p in parts[:5]):
-                raise ParseError(f"{path}:{lineno}: non-integer field")
-            try:
-                frame, track_id, class_id, img_h, img_w = (int(p) for p in parts[:5])
-            except ValueError:  # more digits than int() converts
-                raise ParseError(f"{path}:{lineno}: integer field too long") from None
-            if class_id not in CLASS_NAMES:
-                raise ParseError(f"{path}:{lineno}: unknown class_id {class_id}")
-            key = (frame, track_id)
+            where = f"{path}:{lineno}"
+            match = _RESULT_LINE(raw)
+            if match is not None:
+                frame, track_id, class_id, img_h, img_w, token = match.groups()
+                row = (int(frame), int(track_id), int(class_id), int(img_h), int(img_w),
+                       token, where)
+            else:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                row = _checked_row(line, where)
+            key = row[:2]
             if key in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate (frame, track_id) {key}")
+                raise ParseError(f"{where}: duplicate (frame, track_id) {key}")
             seen.add(key)
-            rows.append((frame, track_id, class_id, img_h, img_w, parts[5], f"{path}:{lineno}"))
+            rows.append(row)
     except ParseError:
         _decode(rows)  # a bad token on an earlier line is named first
         raise
+    del seen  # freed before the masks are decoded, the reader's peak
     return [ResultRecord(*row, decoded=mask) for row, mask in zip(rows, _decode(rows))]
+
+
+def _checked_row(line: str, where: str) -> tuple:
+    """The row of a stripped record line that ``_RESULT_LINE`` does not
+    match, its fields checked one by one; a bad field raises ParseError
+    naming ``where``."""
+    parts = line.split(" ")
+    if len(parts) != 6:
+        raise ParseError(f"{where}: expected 6 fields, got {len(parts)}")
+    # the line is ASCII, so isdigit admits 0-9 only: no sign, no '_'
+    if not all(p.isdigit() for p in parts[:5]):
+        raise ParseError(f"{where}: non-integer field")
+    try:
+        frame, track_id, class_id, img_h, img_w = (int(p) for p in parts[:5])
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{where}: integer field too long") from None
+    if class_id not in CLASS_NAMES:
+        raise ParseError(f"{where}: unknown class_id {class_id}")
+    return frame, track_id, class_id, img_h, img_w, parts[5], where
 
 
 def _decode(rows: list[tuple]) -> list[BinaryMask]:

@@ -12,6 +12,7 @@ from masktrack.embedding import FeatureBank, bank_cross_similarity, bank_update,
 from masktrack.errors import DegenerateInput, OverlappingMasksInInput, ParseError, ShapeMismatch
 from masktrack.formats import (
     DEFAULT_FEATURE_CHANNELS,
+    ResultRecord,
     SequenceMeta,
     _floats,
     _parse_meta,
@@ -568,3 +569,39 @@ def _reference_detection(obj, meta, where):
         return Detection(frame, class_id, score, BBox(bx, by, bw, bh), mask, embedding, feature_map)
     except (ValueError, DegenerateInput) as exc:
         raise ParseError(f"{where}: {exc}") from None
+    except ShapeMismatch as exc:  # a frame whose positions int64 cannot hold
+        raise ShapeMismatch(f"{where}: {exc}") from None
+
+
+def reference_read_results(path):
+    """A result file read one line at a time: each line's fields checked,
+    its token decoded by ``rle_from_string`` and its record built by
+    ``ResultRecord`` as the line is read. The oracle for
+    ``formats.read_results``, raising its errors."""
+    records = []
+    seen = set()
+    for lineno, raw in text_lines(path, "ascii"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        parts = line.split(" ")
+        if len(parts) != 6:
+            raise ParseError(f"{where}: expected 6 fields, got {len(parts)}")
+        if not all(p.isdigit() for p in parts[:5]):
+            raise ParseError(f"{where}: non-integer field")
+        try:
+            frame, track_id, class_id, img_h, img_w = (int(p) for p in parts[:5])
+        except ValueError:
+            raise ParseError(f"{where}: integer field too long") from None
+        if class_id not in CLASS_NAMES:
+            raise ParseError(f"{where}: unknown class_id {class_id}")
+        if (frame, track_id) in seen:
+            raise ParseError(f"{where}: duplicate (frame, track_id) {(frame, track_id)}")
+        seen.add((frame, track_id))
+        try:
+            mask = rle_from_string(parts[5], img_h, img_w)
+        except (ParseError, ShapeMismatch) as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+        records.append(ResultRecord(frame, track_id, class_id, img_h, img_w, parts[5], where, mask))
+    return records

@@ -140,6 +140,15 @@ class TestValidation:
     def test_crlf_lines_still_parse(self):
         assert parse_config_text("reid.beta1=0.25\r\nreid.beta2=0.5\r\n").reid.beta2 == 0.5
 
+    def test_a_file_read_ends_lines_at_a_lone_cr_too(self, tmp_path):
+        # load_config reads with universal newlines: a lone CR starts line 2
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"reid.beta1=0.25\rreid.beta3=x\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: reid\.beta3: expected a number"):
+            load_config(str(path))
+        path.write_bytes(b"reid.beta1=0.25\rreid.beta2=0.5\r")
+        assert load_config(str(path)).reid.beta2 == 0.5
+
 
 class TestRoundTrip:
     def test_dump_parse_identity_on_defaults(self):

@@ -20,6 +20,7 @@ from helpers import (
     packed,
     reference_load_detections,
     reference_mask_merge,
+    reference_read_results,
     token_counts,
     unit,
 )
@@ -91,9 +92,13 @@ class TestLoadDetections:
         fmap = {"gh": 2, "gw": 1, "c": 2, "values": [1.0, 0.0, 1.0, 0.0]}
         line = det_line(bbox=(w - 1, 0, 1, 10), mask=mask, embedding=None, feature_map=fmap)
         path = tmp_path / "dets.jsonl"
-        path.write_text(header_line(img_h=h, img_w=w) + "\n" + line + "\n")
-        with pytest.raises(ShapeMismatch, match="more pixels than int64 positions hold"):
-            load_detections(str(path))
+        named = rf"dets\.jsonl:2: a {h}x{w} mask has more pixels than int64 positions hold$"
+        # named as its line is read, before a fault of a later line
+        for tail in ("", "{not json\n"):
+            path.write_text(header_line(img_h=h, img_w=w) + "\n" + line + "\n" + tail)
+            for load in (load_detections, reference_load_detections):
+                with pytest.raises(ShapeMismatch, match=named):
+                    load(str(path))
 
     def test_frames_sorted(self, tmp_path):
         path = tmp_path / "dets.jsonl"
@@ -615,8 +620,8 @@ def detection_files(draw):
 
 
 def load_outcome(load, path):
-    """``(meta, by_frame)`` and no error, or no result and the error's
-    ``(class, message)``."""
+    """What ``load(path)`` returns and no error, or no result and the
+    error's ``(class, message)``."""
     try:
         return load(path), None
     except MaskTrackError as exc:
@@ -876,6 +881,132 @@ class TestResults:
             ResultRecord(1, 2001, 2, 3, 2, "04", decoded=mask)
         # the mask is a cache of the token: it takes no part in equality
         assert ResultRecord(1, 2001, 2, 2, 2, "04", decoded=mask) == ResultRecord(1, 2001, 2, 2, 2, "04")
+
+
+# Pieces a fuzzed result file is cut from. Each is one the per-line reader
+# takes differently from a plain record, or refuses.
+FIELD_GAPS = ["", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\r", "\xa0"]
+LINE_EDGES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r", " \t "]
+ODD_FIELDS = ["+1", "-1", "1_0", "9" * 18, "1" + "0" * 18, "9" * 19, "1" + "0" * 19, "02", "0",
+              "3", "x", "\xe9", "\xc3\xa9", ""]
+RESULT_FAULTS = ["token", "field", "gap", "edge", "count", "duplicate", "comment", "blank",
+                 "crlf", "cr"]
+
+
+@st.composite
+def result_files(draw):
+    """The bytes of a small result file on one small image: records of
+    empty, full or random masks, blank lines and comments. Half of the files
+    are bent once or twice, each time by one of ``RESULT_FAULTS`` on a
+    random line: an odd field (a sign, ``_``, 18 and 19 digits, a non-ASCII
+    byte), a bad or wrong-sum token, no gap or one other than one space,
+    whitespace around the line, a field too few or too many, a repeated key,
+    a comment after whitespace or holding a CR or a non-ASCII byte, a line
+    of whitespace, or a line ending in CRLF or a lone CR. The last line may
+    have no end."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lines = []  # each a [lead, fields, gaps, trail, end]
+    for frame in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(["", ["# frame track_id"], [], "", "\n"])
+        cuts = sorted(draw(st.sets(st.integers(1, h * w - 1), max_size=5))) if h * w > 1 else []
+        counts = np.diff([0, *cuts, h * w]).tolist()
+        counts = [0, *counts] if draw(st.booleans()) else counts
+        fields = [str(frame), str(draw(st.integers(2001, 2003))),
+                  str(draw(st.sampled_from([1, 2]))), str(h), str(w), counts_token(counts)]
+        lines.append(["", fields, [" "] * 5, "", "\n"])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if lines else 0):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        fault = draw(st.sampled_from(RESULT_FAULTS))
+        fields = line[1]
+        if fault == "field" and len(fields) > 1:
+            fields[draw(st.integers(0, min(4, len(fields) - 1)))] = draw(st.sampled_from(ODD_FIELDS))
+        elif fault == "token" and fields:
+            fields[-1] = draw(st.sampled_from(["0{4", "0o", "\xe9", counts_token([h * w + 1])]))
+        elif fault == "gap" and line[2]:
+            line[2][draw(st.integers(0, len(line[2]) - 1))] = draw(st.sampled_from(FIELD_GAPS))
+        elif fault == "edge":
+            line[0], line[3] = draw(st.sampled_from(LINE_EDGES)), draw(st.sampled_from(LINE_EDGES))
+        elif fault == "count":
+            line[1] = fields[: draw(st.integers(1, 5))] if draw(st.booleans()) else fields + ["04"]
+            line[2] = [" "] * (len(line[1]) - 1)
+        elif fault == "duplicate":
+            lines.append(["", list(fields), list(line[2]), "", "\n"])
+        elif fault == "comment":
+            text = draw(st.sampled_from(["note", "caf\xe9", "a\rb", "1 2001 2 2 2 04"]))
+            lines.insert(lines.index(line), [draw(st.sampled_from(LINE_EDGES)), ["#" + text], [], "", "\n"])
+        elif fault == "blank":
+            lines.insert(lines.index(line), [draw(st.sampled_from(LINE_EDGES)), [], [], "", "\n"])
+        elif fault in ("crlf", "cr"):
+            line[4] = "\r\n" if fault == "crlf" else "\r"
+    text = "".join(
+        lead + "".join(f + g for f, g in zip(fields, gaps + [""])) + trail + end
+        for lead, fields, gaps, trail, end in lines
+    )
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    return text.encode("latin-1")
+
+
+class TestMatchedRead:
+    @settings(max_examples=150)
+    @given(result_files())
+    @example(b"")
+    @example(b"# frame track_id class_id img_h img_w rle\n1 2001 2 2 2 04\n2 2001 1 2 2 04")
+    @example(b"1 2001 2 2 2 04\r\n1 2002 2 2 2 04\r\n")
+    @example(b"1 2001 2 2 2 04\n  # note\r1 2002 2 2 2 04\n")
+    @example(b"1 2001 2 2 2 04\n1 2001 2 2 2 04\n")
+    @example(b"1 2001 2 2 2 05\n1 2001 2 2 2 04\n")
+    @example(b"1 2001 2 2 2 04\n2 2001 2 2 2 05\n3 2001 2 2 2 0{4\n")
+    @example(b"1 2001 2 2 2 04\n2 2001 2 0 2 04\n")
+    @example(b"1 2001 2 2 2 04\n2 2001 3 2 2 04\n3 2001 0 2 2 04\n")
+    @example(b"1 2001 2 2 2 04\n12001 2 2 2 04\n")
+    @example(b"1 2001 2 2 2 04\n2 2001 2 2 204\n")
+    @example(b"1 2001 2 999999999999999999 2 04\n")
+    @example(b"9999999999999999999 2001 2 2 2 04\n")
+    def test_matches_the_per_line_reader(self, data):
+        """Lines read from the pattern's match or through the field checks
+        give what the one-line-at-a-time oracle reads: the same records,
+        sources and masks; or the reader raises its first error, naming the
+        same line."""
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "r.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            expected, error = load_outcome(reference_read_results, path)
+            records, read_error = load_outcome(read_results, path)
+        assert read_error == error
+        if error:
+            return
+        assert records == expected
+        assert [r.source for r in records] == [r.source for r in expected]
+        for rec, ref in zip(records, expected):
+            assert rec.decoded == ref.decoded
+            assert rec.mask() is rec.decoded
+            np.testing.assert_array_equal(rec.decoded.run_ends, ref.decoded.run_ends)
+            assert rec.decoded.area == ref.decoded.area
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_a_clean_file_never_reaches_the_field_checks(self, tmp_path, monkeypatch, end):
+        """Every record line of a written file, with LF or CRLF ends, is read
+        from the pattern's match: a pattern that stopped matching would
+        lose the fast case unseen."""
+        tracks = [make_tracklet(2001, [(1, 10, 10), (2, 12, 10)], unit(0)),
+                  make_tracklet(2002, [(1, 15, 10)], unit(1))]
+        path = tmp_path / "r.txt"
+        written = write_results(tracks, make_meta(), str(path))
+        text = path.read_text(encoding="ascii") + "\n  # a comment after spaces\n\t\n"
+        path.write_bytes(text.replace("\n", end).encode("ascii"))
+        expected = reference_read_results(str(path))
+
+        def refuse(line, where):
+            raise AssertionError(f"{where} reached the field checks")
+
+        monkeypatch.setattr(formats, "_checked_row", refuse)
+        records = read_results(str(path))
+        assert records == written == expected
+        assert [r.source for r in records] == [r.source for r in expected]
+        assert [r.decoded for r in records] == [r.decoded for r in expected]
 
 
 class TestDecodeOnce:
