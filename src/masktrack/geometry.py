@@ -426,9 +426,10 @@ def _decode_block(tokens: list[str], areas: list[int]) -> list[tuple[np.ndarray,
 
 def _proven_mask(height: int, width: int, run_ends: np.ndarray, area: int) -> BinaryMask:
     """A mask built without ``BinaryMask``'s checks, for run ends
-    :func:`_decode_block` has proven or :func:`_from_intervals` has built:
-    read-only int64, the first non-negative, each later one above the one
-    before it, the last ``height * width``; ``area`` is the foreground."""
+    :func:`_decode_block` has proven or :func:`_from_intervals` or
+    :func:`rect_mask` has built: read-only int64 (Python ints past int64),
+    the first non-negative, each later one above the one before it, the last
+    ``height * width``; ``area`` is the foreground."""
     mask = object.__new__(BinaryMask)
     mask.__dict__.update(height=height, width=width, run_ends=run_ends, area=area)
     return mask
@@ -968,24 +969,29 @@ def bbox_iou(a: BBox, b: BBox) -> float:
 
 def rect_mask(height: int, width: int, box: BBox) -> BinaryMask:
     """Rasterize an axis-aligned rectangle, clipped to the image."""
+    height = _integer(height, "mask height")
+    width = _integer(width, "mask width")
     x0 = max(0, int(round(box.x)))
     y0 = max(0, int(round(box.y)))
     x1 = min(width, int(round(box.x + box.w)))
     y1 = min(height, int(round(box.y + box.h)))
     if x1 <= x0 or y1 <= y0:
         return BinaryMask(height, width, (height * width,))
-    # Canonical counts written directly (synth rasterizes every box, and a
+    # Canonical run ends written directly (synth rasterizes every box, and a
     # pass through _from_intervals costs more than the rest of this function):
-    # one foreground run per column with the rows outside the box between
-    # them, fused into one run when the box spans the full height; the last
-    # gap becomes the trailing background run, dropped when it is empty.
-    run_h = y1 - y0
-    if run_h == height:
-        counts = [x0 * height, (x1 - x0) * height]
+    # each column's foreground run starts at row y0 and stops at row y1, the
+    # runs fused into one when the box spans the full height; the frame's
+    # end closes the trailing background run, dropped when it is empty.
+    size = height * width
+    dtype = np.int64 if size <= _INT64_MAX else object
+    if y1 - y0 == height:
+        ends = np.array((x0 * height, x1 * height, size), dtype=dtype)
     else:
-        counts = [x0 * height + y0] + [run_h, height - run_h] * (x1 - x0)
-        counts.pop()
-    tail = (width - x1) * height + height - y1
-    if tail:
-        counts.append(tail)
-    return BinaryMask(height, width, counts)
+        ends = np.full(2 * (x1 - x0) + 1, size, dtype=dtype)
+        cols = np.arange(x0 * height, x1 * height, height, dtype=dtype)
+        np.add(cols, y0, out=ends[0:-1:2])
+        np.add(cols, y1, out=ends[1:-1:2])
+    if ends[-2] == size:
+        ends = ends[:-1]
+    ends.flags.writeable = False
+    return _proven_mask(height, width, ends, (x1 - x0) * (y1 - y0))

@@ -998,3 +998,22 @@ class TestRectMask:
         got = rect_mask(h, w, box)
         assert got.counts == rle_encode(ref).counts
         assert (rle_decode(got) == ref).all()
+
+    @given(clipped_rects())
+    def test_equals_the_checked_constructor(self, rect):
+        h, w, box = rect
+        got = rect_mask(h, w, box)
+        built = BinaryMask(h, w, rle_encode(rle_decode(got)).counts)
+        assert got == built and hash(got) == hash(built)
+        assert got.area == built.area and rle_to_string(got) == rle_to_string(built)
+        assert got.run_ends.dtype == np.int64 and not got.run_ends.flags.writeable
+
+    def test_a_frame_past_int64_keeps_exact_run_ends(self):
+        side = 2**33
+        got = rect_mask(side, side, BBox(3, 5, 2, 7))
+        assert got == BinaryMask(side, side, (3 * side + 5, 7, side - 7, 7, side * side - 4 * side - 12))
+        assert got.area == 14
+
+    def test_dims_must_be_integers(self):
+        with pytest.raises(ShapeMismatch):
+            rect_mask(10.0, 12, BBox(1, 1, 2, 2))
