@@ -20,12 +20,28 @@ def run_pipeline(
     camera mode left on 'auto' picks up the sequence's declared mode.
     """
     cfg = resolve_for_sequence(cfg, meta.fps, meta.camera_mode)
-    tracker = MaskTracker(cfg.tracker)
-    for frame in sorted(dets_by_frame):
-        tracker.step(frame, filter_detections(dets_by_frame[frame], cfg.filters))
-    tracklets = tracker.finalize()
+    tracklets = _track(dets_by_frame, cfg)
     if cfg.reid.enabled:
         tracklets = merge_pass(tracklets, cfg.reid, cfg.tracker)
     tracklets = prune_tracks(tracklets, cfg.filters)
     tracklets = dedup_tracks(tracklets, cfg.filters)
     return tracklets, cfg
+
+
+def _track(dets_by_frame: dict[int, list[Detection]], cfg: PipelineConfig) -> list[Tracklet]:
+    """The online tracker's tracklets, one step per frame.
+
+    Every frame is filtered first, and the tracker scores the IOU half of
+    every step's cost matrix before the first step
+    (:meth:`MaskTracker.prescore`). The tracker and the filtered lists go
+    once the tracklets are out.
+    """
+    tracker = MaskTracker(cfg.tracker)
+    steps = [
+        (frame, filter_detections(dets_by_frame[frame], cfg.filters))
+        for frame in sorted(dets_by_frame)
+    ]
+    tracker.prescore(steps)
+    for frame, dets in steps:
+        tracker.step(frame, dets)
+    return tracker.finalize()

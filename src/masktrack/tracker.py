@@ -2,14 +2,19 @@
 
 Each step matches the frame's detections against tracks seen in the previous
 frame with a cost of ``2 - mask_iou - feature_similarity``, solved as a
-minimum-cost assignment and gated. The cost matrix is built once per step
-by a fixed number of array operations, however many tracks and pairs the
-frame has: class ids and mask extents are compared by broadcast, the pairs
+minimum-cost assignment and gated. The tracks seen in the previous frame are
+one per detection of that frame, so the IOU half of a step's matrix is the
+IOU of the previous frame's detections with this frame's. One kernel,
+:func:`frame_pair_ious`, scores such pairs of detection lists: the cells
 whose classes agree and extents meet have their intersection areas taken in
-one merge of two interval tables, and the banks of each class are stacked
-and compared with all of that class's detections in one cosine call. The gate
-applies after the solve: a pair the solve picked whose cost exceeds the gate
-is dropped, and its track is not offered another detection that frame.
+one merge of two interval tables, for a block of consecutive frame pairs at
+once, and every other IOU is 0.0. A tracker told the whole sequence before
+its first step (:meth:`MaskTracker.prescore`) scores every step's IOU there,
+in a few blocks; a step it was not told scores its own, one pair. The banks
+of each class are stacked and compared with all of that class's detections
+in one cosine call. The gate applies after the solve: a pair the solve
+picked whose cost exceeds the gate is dropped, and its track is not offered
+another detection that frame.
 Tracks that missed the previous frame get a second chance through short-term
 retrieval: their box is extrapolated by robust regression and matched against
 leftover detections within a distance gate of twice the object width. Tracks
@@ -191,31 +196,109 @@ def _stack(embeddings: list[np.ndarray]) -> np.ndarray:
     return np.array(embeddings, dtype=float)
 
 
+# Consecutive frame pairs are scored in blocks of about this weight: a
+# pair weighs its cells and the intervals its merge would hold if every cell
+# met, so the temporaries of a block's cells and merge stay small for any
+# sequence, and a merge of many crowded frames is split.
+_BLOCK_BUDGET = 1 << 17
+
+
+def _pair_weight(a: list[Detection], b: list[Detection]) -> int:
+    """The weight of scoring ``a`` against ``b``: its cells, and the
+    intervals its merge would hold if every cell met, each mask's intervals
+    once for each mask of the other side."""
+    fg_a = sum(len(d.mask.run_ends) // 2 for d in a)
+    fg_b = sum(len(d.mask.run_ends) // 2 for d in b)
+    return len(a) * len(b) + fg_a * len(b) + fg_b * len(a)
+
+
+def _pair_blocks(pairs: list[tuple[list[Detection], list[Detection]]]):
+    """``(lo, hi)`` of consecutive slices of ``pairs`` of about
+    ``_BLOCK_BUDGET`` weight (:func:`_pair_weight`), one pair at least."""
+    lo = 0
+    while lo < len(pairs):
+        hi, weight = lo + 1, 0
+        while hi < len(pairs):
+            weight += _pair_weight(*pairs[hi - 1])
+            if weight >= _BLOCK_BUDGET:
+                break
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+def frame_pair_ious(
+    pairs: list[tuple[list[Detection], list[Detection]]]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The mask IOU of every pair ``(a, b)`` of detection lists, as
+    ``(i, j, iou)``: each cell whose classes agree and whose mask extents
+    meet, and the IOU of ``a[i]`` and ``b[j]``. Every other cell's IOU is 0.0.
+
+    Every pair's same-class cells are taken row by row (:func:`_same_class_cells`)
+    and go through one :func:`may_overlap` and one :func:`pair_intersections`
+    call. The IOU is :func:`mask_iou`'s formula on the same integers, so the
+    same bits; ``may_overlap`` passes no empty mask, so no union is 0. Raises
+    ShapeMismatch naming the first same-class cell of masks of different
+    dimensions.
+    """
+    a = [d for side, _ in pairs for d in side]
+    b = [d for _, side in pairs for d in side]
+    ia, ib, pair, off_a, off_b = _same_class_cells(pairs, a, b)
+    masks_a, masks_b = [d.mask for d in a], [d.mask for d in b]
+    meet = may_overlap(masks_a, masks_b, ia, ib)
+    ia, ib, pair = ia[meet], ib[meet], pair[meet]
+    inter = pair_intersections(masks_a, masks_b, ia, ib)
+    area_a = np.fromiter((m.area for m in masks_a), dtype=np.int64, count=len(a))
+    area_b = np.fromiter((m.area for m in masks_b), dtype=np.int64, count=len(b))
+    iou = inter / (area_a[ia] + area_b[ib] - inter)
+    ia -= off_a[pair]
+    ib -= off_b[pair]
+    cut = np.searchsorted(pair, np.arange(len(pairs) + 1)).tolist()
+    return [(ia[lo:hi], ib[lo:hi], iou[lo:hi]) for lo, hi in zip(cut, cut[1:])]
+
+
+def _same_class_cells(pairs, a: list[Detection], b: list[Detection]):
+    """``(ia, ib, pair, off_a, off_b)``: every cell of every pair whose
+    classes agree, as indices into ``a`` and ``b``, the pairs' detections
+    laid end to end, in pair order and row by row within a pair; then each
+    cell's pair and each pair's first index into ``a`` and into ``b``."""
+    cls_a = np.array([d.class_id for d in a])
+    cls_b = np.array([d.class_id for d in b])
+    n_a = np.fromiter((len(side) for side, _ in pairs), dtype=np.int64, count=len(pairs))
+    n_b = np.fromiter((len(side) for _, side in pairs), dtype=np.int64, count=len(pairs))
+    off_a, off_b, cells = np.cumsum(n_a) - n_a, np.cumsum(n_b) - n_b, n_a * n_b
+    pair = np.repeat(np.arange(len(pairs)), cells)
+    i, j = np.divmod(np.arange(pair.size) - np.repeat(np.cumsum(cells) - cells, cells), n_b[pair])
+    ia, ib = off_a[pair] + i, off_b[pair] + j
+    same = cls_a[ia] == cls_b[ib]
+    return ia[same], ib[same], pair[same], off_a, off_b
+
+
 def assignment_cost(tracks: list[Track], detections: list[Detection]) -> np.ndarray:
     """The ``(tracks, detections)`` cost matrix ``2 - mask IOU - bank similarity``.
 
-    Cross-class cells are infeasible. A fixed number of array operations
-    builds it, however many tracks and pairs there are: the pairs of a
-    track's last mask and a same-class detection mask whose extents meet go
-    through one :func:`pair_intersections` merge, and every other IOU is
-    0.0; each class's banks are stacked and meet its detections in one
+    Cross-class cells are infeasible. The IOU is :func:`frame_pair_ious` of
+    one pair, the tracks' last observations and the detections; the rest is
+    :func:`_cost_from_ious`.
+    """
+    last = [t.observations[-1] for t in tracks]
+    (i, j, ious), = frame_pair_ious([(last, detections)])
+    iou = np.zeros((len(tracks), len(detections)))
+    iou[i, j] = ious
+    return _cost_from_ious(tracks, detections, iou)
+
+
+def _cost_from_ious(
+    tracks: list[Track], detections: list[Detection], iou: np.ndarray
+) -> np.ndarray:
+    """``2 - iou - bank similarity``, cross-class cells infeasible.
+
+    Each class's banks are stacked and meet its detections in one
     :func:`bank_similarities` call.
     """
     t_cls = np.array([t.class_id for t in tracks])
     d_cls = np.array([d.class_id for d in detections])
     same = t_cls[:, None] == d_cls[None, :]
-    last = [t.observations[-1].mask for t in tracks]
-    masks = [d.mask for d in detections]
-    ti, dj = np.nonzero(same)
-    meet = may_overlap(last, masks, ti, dj)
-    ti, dj = ti[meet], dj[meet]
-    inter = pair_intersections(last, masks, ti, dj)
-    # mask_iou's formula on the same integers, so the same bits; may_overlap
-    # passes no empty mask, so no union is 0
-    area_t = np.fromiter((m.area for m in last), dtype=np.int64, count=len(last))
-    area_d = np.fromiter((m.area for m in masks), dtype=np.int64, count=len(masks))
-    iou = np.zeros(same.shape)
-    iou[ti, dj] = inter / (area_t[ti] + area_d[dj] - inter)
     sim = np.zeros(same.shape)
     for class_id in sorted({t.class_id for t in tracks}):
         cols = np.flatnonzero(d_cls == class_id)
@@ -348,7 +431,12 @@ def str_match(
 # ---------------------------------------------------------------------------
 
 class MaskTracker:
-    """Sequential tracker; feed frames in increasing order, then finalize."""
+    """Sequential tracker; feed frames in increasing order, then finalize.
+
+    A caller that knows the whole sequence can hand it to :meth:`prescore`
+    before the first step; the steps then read the IOU half of their cost
+    matrices from that table instead of scoring it one frame at a time.
+    """
 
     def __init__(self, config: TrackerConfig):
         self.cfg = config
@@ -356,6 +444,38 @@ class MaskTracker:
         self._live: list[Track] = []  # the tracks not yet terminated, in spawn order
         self._serials: dict[int, int] = {}
         self._last_frame: int | None = None
+        # frame -> (previous frame's detections, its detections, i, j, iou): see prescore
+        self._ious: dict[int, tuple] = {}
+
+    def prescore(self, steps: list[tuple[int, list[Detection]]]):
+        """Score the IOU half of the cost matrix of every step to come.
+
+        ``steps`` are the ``(frame, detections)`` the steps will be fed, in
+        order. The active tracks of step ``f`` are the tracks whose last
+        observation is one of the detections of step ``f - 1``, one for
+        each, so that step's IOU is the IOU of the two frames' detections.
+        Every pair of frames ``f - 1`` and ``f``, neither of them empty, is
+        scored by :func:`frame_pair_ious` in blocks (:func:`_pair_blocks`),
+        and the table keeps the cells whose extents meet. A step takes its
+        entry only when it was built for this step's very list, by identity,
+        and every active track's last observation is, by identity, one of the
+        entry's previous detections; it drops the entry once read. A block
+        that cannot be scored (masks of different dimensions in a compared
+        cell, say) is left to its steps, which then raise as they would have
+        without the table.
+        """
+        pairs, frames = [], []
+        for (f0, prev), (f1, dets) in zip(steps, steps[1:]):
+            if f1 == f0 + 1 and prev and dets:
+                pairs.append((prev, dets))
+                frames.append(f1)
+        for lo, hi in _pair_blocks(pairs):
+            try:
+                cells = frame_pair_ious(pairs[lo:hi])
+            except ShapeMismatch:
+                continue
+            for frame, pair, ious in zip(frames[lo:hi], pairs[lo:hi], cells):
+                self._ious[frame] = (*pair, *ious)
 
     def step(self, frame: int, detections: list[Detection]) -> dict[int, Detection]:
         """Process one frame; returns {track_id: detection} for this frame."""
@@ -369,11 +489,17 @@ class MaskTracker:
         self._refresh_states(frame)
         active = [t for t in self._live if t.state is TrackState.ACTIVE]
         lost = [t for t in self._live if t.state is TrackState.LOST]
+        prescored = self._ious.pop(frame, None)
 
         assigned: dict[int, Detection] = {}
         pairs = []
         if active and detections:
-            pairs = _gated_solve(assignment_cost(active, detections), active, self.cfg)
+            iou = self._prescored_ious(prescored, active, detections)
+            if iou is None:
+                costs = assignment_cost(active, detections)
+            else:
+                costs = _cost_from_ious(active, detections, iou)
+            pairs = _gated_solve(costs, active, self.cfg)
         # an active track left unpaired, by the solve or by its gate, is lost from now on
         leftovers = _link(active, detections, pairs, assigned)
         if self.cfg.str_enabled and lost and leftovers:
@@ -386,6 +512,26 @@ class MaskTracker:
 
         self._last_frame = frame
         return assigned
+
+    def _prescored_ious(
+        self, entry, active: list[Track], detections: list[Detection]
+    ) -> np.ndarray | None:
+        """The IOU of ``active`` against ``detections`` from a :meth:`prescore`
+        entry, or None when it was not built for this step's list or a track's
+        last observation is not among its previous detections. Each track's
+        row is the row of its last observation."""
+        if entry is None:
+            return None
+        prev, dets, i, j, ious = entry
+        if dets is not detections:
+            return None
+        at = {id(d): k for k, d in enumerate(prev)}
+        rows = [at.get(id(t.observations[-1])) for t in active]
+        if None in rows:
+            return None
+        iou = np.zeros((len(prev), len(dets)))
+        iou[i, j] = ious
+        return iou[rows]
 
     def finalize(self) -> list[Tracklet]:
         """Every track ever spawned, sorted by id."""

@@ -1,6 +1,8 @@
 import os
 import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -14,3 +16,15 @@ settings.register_profile(
     "masktrack", max_examples=200, deadline=None, derandomize=True, database=None
 )
 settings.load_profile("masktrack")
+
+
+HERE = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    """A RuntimeWarning (an overflow, a division by zero, an invalid value)
+    fails every test under ``tests/``: the package's numpy arithmetic is
+    exact or raises its own errors, so such a warning marks a fault."""
+    for item in items:
+        if HERE in Path(item.path).resolve().parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))

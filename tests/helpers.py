@@ -65,17 +65,19 @@ def brute_force(costs):
     costs = np.asarray(costs, dtype=float)
     n, m = costs.shape
     best = None
-    # enumerate injections of the smaller side into the larger
-    if n <= m:
-        for perm in permutations(range(m), n):
-            pairs = [(i, perm[i]) for i in range(n) if np.isfinite(costs[i, perm[i]])]
-            key = (-len(pairs), sum(costs[r, c] for r, c in pairs))
-            best = key if best is None or key < best else best
-    else:
-        for perm in permutations(range(n), m):
-            pairs = [(perm[j], j) for j in range(m) if np.isfinite(costs[perm[j], j])]
-            key = (-len(pairs), sum(costs[r, c] for r, c in pairs))
-            best = key if best is None or key < best else best
+    # a sum of 1e308 costs overflows to inf, which still ranks as the largest total
+    with np.errstate(over="ignore"):
+        # enumerate injections of the smaller side into the larger
+        if n <= m:
+            for perm in permutations(range(m), n):
+                pairs = [(i, perm[i]) for i in range(n) if np.isfinite(costs[i, perm[i]])]
+                key = (-len(pairs), sum(costs[r, c] for r, c in pairs))
+                best = key if best is None or key < best else best
+        else:
+            for perm in permutations(range(n), m):
+                pairs = [(perm[j], j) for j in range(m) if np.isfinite(costs[perm[j], j])]
+                key = (-len(pairs), sum(costs[r, c] for r, c in pairs))
+                best = key if best is None or key < best else best
     return -best[0], best[1]
 
 

@@ -101,8 +101,9 @@ BENCHMARK_ONLY = {
     # perfbench's piece clock and tracer patch metrics.mask_iou by name; the
     # evaluator takes IOU from the interval table's intersection areas
     ("metrics", "mask_iou"),
-    # the same for tracker.mask_iou: assignment_cost takes IOU from one
-    # pair-table merge (geometry.pair_intersections)
+    # the same for tracker.mask_iou: every step's IOU comes from
+    # frame_pair_ious, a pair-table merge (geometry.pair_intersections) over a
+    # block of frame pairs, scored before the first step in run_pipeline
     ("tracker", "mask_iou"),
     # and for reid.bank_cross_similarity: candidate_pairs compares each
     # tracklet with its whole window in one bank_cross_similarities call

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,12 +8,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from helpers import brute_force, make_det, make_meta, unit
 
-from masktrack import cli, tracker
+from masktrack import cli, pipeline, tracker
 from masktrack.assignment import INFEASIBLE, hungarian_solve
+from masktrack.config import PipelineConfig, resolve_for_sequence
 from masktrack.embedding import FeatureBank, bank_similarity, bank_update
 from masktrack.errors import ConfigError, OutOfOrderFrame, ShapeMismatch
 from masktrack.formats import write_results
-from masktrack.geometry import BBox, mask_iou, rect_mask
+from masktrack.geometry import BBox, mask_iou, rect_mask, rle_encode
+from masktrack.postfilter import filter_detections
+from masktrack.synth import (
+    generate,
+    scenario_clean,
+    scenario_detector_gaps,
+    scenario_long_occlusions,
+)
 from masktrack.tracker import (
     CAR,
     PEDESTRIAN,
@@ -25,6 +34,7 @@ from masktrack.tracker import (
     _gated_solve,
     assignment_cost,
     extrapolate_track,
+    frame_pair_ious,
     seconds_to_frames,
     serial_id,
     str_match,
@@ -626,3 +636,176 @@ class TestSerialId:
         path = tmp_path / "seq.txt"
         write_results(tracker.finalize(), make_meta(), str(path))
         assert cli.main(["eval", str(path), str(path)]) == 0, capsys.readouterr().err
+
+
+@st.composite
+def detection_list_pairs(draw):
+    """1-6 pairs of detection lists of 0-4 detections of either class. Each
+    pair has its own dims, so one block mixes frame sizes; the masks are
+    random grids, empty ones and runs that wrap past a column included."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        h, w = draw(st.sampled_from([(4, 5), (6, 3), (1, 7)]))
+        sides = []
+        for _ in range(2):
+            side = []
+            for _ in range(draw(st.integers(0, 4))):
+                grid = draw(arrays(bool, (h, w)))
+                class_id = draw(st.sampled_from([CAR, PEDESTRIAN]))
+                mask = rle_encode(grid)
+                side.append(Detection(1, class_id, 0.9, BBox(0, 0, w, h), mask, unit(0)))
+            sides.append(side)
+        pairs.append(tuple(sides))
+    return pairs
+
+
+class TestFramePairIous:
+    @given(detection_list_pairs(), st.integers(1, 200))
+    def test_each_cell_is_mask_iou_bit_for_bit(self, pairs, budget):
+        # the pre-pass's blocks under a small budget, so block boundaries
+        # fall between the pairs
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(tracker, "_BLOCK_BUDGET", budget)
+            blocks = list(tracker._pair_blocks(pairs))
+        cells = [c for lo, hi in blocks for c in frame_pair_ious(pairs[lo:hi])]
+        assert len(cells) == len(pairs)
+        for (a, b), (rows, cols, iou) in zip(pairs, cells):
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == len(iou)  # each cell once
+            matrix = np.zeros((len(a), len(b)))
+            matrix[rows, cols] = iou
+            for i, da in enumerate(a):
+                for j, db in enumerate(b):
+                    want = mask_iou(da.mask, db.mask) if da.class_id == db.class_id else 0.0
+                    assert float(matrix[i, j]).hex() == want.hex()
+
+    def test_blocks_split_under_the_budget(self, monkeypatch):
+        pairs = [
+            ([make_det(f, 20, 30, unit(0))], [make_det(f + 1, 22, 30, unit(0))])
+            for f in range(1, 6)
+        ]
+        whole = frame_pair_ious(pairs)
+        assert list(tracker._pair_blocks(pairs)) == [(0, 5)]
+        monkeypatch.setattr(tracker, "_BLOCK_BUDGET", 1)  # one pair a block
+        assert list(tracker._pair_blocks(pairs)) == [(k, k + 1) for k in range(5)]
+        split = [frame_pair_ious([p])[0] for p in pairs]
+        assert all(iou.size == 1 and iou[0] > 0 for _, _, iou in whole)
+        for x, y in zip(split, whole):
+            assert all(np.array_equal(u, v) for u, v in zip(x, y))
+
+
+def spy_trackers(monkeypatch):
+    """Every MaskTracker the pipeline makes, and the number of assignment_cost calls."""
+    made, calls = [], []
+
+    class Spy(MaskTracker):
+        def __init__(self, config):
+            super().__init__(config)
+            made.append(self)
+
+    real_cost = tracker.assignment_cost
+
+    def counted(tracks, dets):
+        calls.append(1)
+        return real_cost(tracks, dets)
+
+    monkeypatch.setattr(pipeline, "MaskTracker", Spy)
+    monkeypatch.setattr(tracker, "assignment_cost", counted)
+    return made, calls
+
+
+def step_loop(meta, dets_by_frame):
+    """The online tracker of run_pipeline as a plain step loop over the same
+    filtered frames, with no table."""
+    cfg = resolve_for_sequence(PipelineConfig(), meta.fps, meta.camera_mode)
+    plain = MaskTracker(cfg.tracker)
+    for frame in sorted(dets_by_frame):
+        plain.step(frame, filter_detections(dets_by_frame[frame], cfg.filters))
+    return plain.finalize()
+
+
+def assert_same_tracks(got, want):
+    assert [t.id for t in got] == [t.id for t in want]
+    for g, w in zip(got, want):
+        assert len(g.observations) == len(w.observations)
+        assert all(a is b for a, b in zip(g.observations, w.observations))
+        assert g.state is w.state
+
+
+class TestPrescore:
+    @pytest.mark.parametrize("spec", [
+        scenario_clean(),
+        scenario_detector_gaps(),
+        scenario_long_occlusions("static"),
+        scenario_long_occlusions("moving"),
+    ], ids=["clean", "gaps", "occlusions_static", "occlusions_moving"])
+    def test_pipeline_tracks_as_a_plain_step_loop(self, monkeypatch, spec):
+        meta, dets, _ = generate(spec)
+        made, calls = spy_trackers(monkeypatch)
+        pipeline.run_pipeline(meta, dets, PipelineConfig())
+        assert calls == []  # every step read the table
+        assert_same_tracks(made[0].finalize(), step_loop(meta, dets))
+
+    @settings(max_examples=100)
+    @given(frame_streams(), st.data())
+    def test_pipeline_tracks_as_a_plain_step_loop_with_gaps(self, stream, data):
+        # some detections fall to the score filter, so kept lists differ from the input
+        dets = {
+            frame: [replace(d, score=0.3) if data.draw(st.booleans()) else d for d in frame_dets]
+            for frame, frame_dets in stream
+        }
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            made, calls = spy_trackers(monkeypatch)
+            pipeline.run_pipeline(make_meta(), dets, PipelineConfig())
+        assert calls == []
+        assert_same_tracks(made[0].finalize(), step_loop(make_meta(), dets))
+
+    def test_a_step_on_other_lists_ignores_the_table(self, monkeypatch):
+        frames = [[make_det(f, 20 + 2 * f, 30, unit(0)), make_det(f, 60 - 2 * f, 30, unit(1))]
+                  for f in range(1, 5)]
+        with_table, without = MaskTracker(track_cfg()), MaskTracker(track_cfg())
+        with_table.prescore(list(enumerate(frames, start=1)))
+        calls = []
+        real_cost = tracker.assignment_cost
+
+        def counted(tracks, dets):
+            calls.append(dets[0].frame)
+            return real_cost(tracks, dets)
+
+        monkeypatch.setattr(tracker, "assignment_cost", counted)
+        # frame 2 gets a copy of its list, so it scores its own IOU; frame
+        # 3's entry was built against the original list of frame 2, whose
+        # detections are the same objects, so frames 3 and 4 read the table
+        fed = [frames[0], list(frames[1]), frames[2], frames[3]]
+        outputs = [with_table.step(frame, dets) for frame, dets in enumerate(fed, start=1)]
+        assert calls == [2]
+        assert outputs == [without.step(frame, dets) for frame, dets in enumerate(fed, start=1)]
+        assert_same_tracks(with_table.finalize(), without.finalize())
+
+    @pytest.mark.parametrize(
+        "other", [{1}, {2}, {1, 2}], ids=["previous_frame", "this_frame", "both_frames"]
+    )
+    def test_a_step_next_to_other_detections_scores_its_own(self, other):
+        # the frames in ``other`` are fed another list than the table was
+        # built for, whose one detection is far off and unlike the rest: with
+        # the table's IOU of 0.8, frame 2's cost would pass the gate
+        built = [(1, [make_det(1, 20, 30, unit(0))]), (2, [make_det(2, 22, 30, unit(0))])]
+        fed = [(f, [make_det(f, 90, 30, unit(1))] if f in other else dets) for f, dets in built]
+        with_table, without = MaskTracker(track_cfg()), MaskTracker(track_cfg())
+        with_table.prescore(built)
+        for frame, dets in fed:
+            assert with_table.step(frame, dets) == without.step(frame, dets)
+        assert_same_tracks(with_table.finalize(), without.finalize())
+
+    def test_mixed_dims_raise_at_their_step_as_without_the_table(self, monkeypatch):
+        box = BBox(20, 30, 10, 20)
+        dets = {f: [make_det(f, 20, 30, unit(0))] for f in (1, 2, 3)}
+        dets[3].append(Detection(3, PEDESTRIAN, 0.9, box, rect_mask(240, 200, box), unit(1)))
+        with pytest.raises(ShapeMismatch) as plain:
+            step_loop(make_meta(), dets)
+        made, calls = spy_trackers(monkeypatch)
+        with pytest.raises(ShapeMismatch) as piped:
+            pipeline.run_pipeline(make_meta(), dets, PipelineConfig())
+        assert str(piped.value) == str(plain.value) == "mask dims differ: 120x200 vs 240x200"
+        assert [t.last_frame for t in made[0].tracks] == [2]  # frames 1 and 2 were tracked
+        assert len(calls) == 2  # the failed block's steps scored their own IOU
+
