@@ -27,6 +27,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import OverlapAfterResolution, ParseError, ShapeMismatch
 from .geometry import (
     BBox,
     BinaryMask,
+    blocks,
     fill_caches,
     mask_merge,
     paint_by_rank,
@@ -413,11 +415,6 @@ def write_detections(
 # results
 # ---------------------------------------------------------------------------
 
-# resolve_records paints whole frames in blocks of about this many
-# intervals, so the table's temporaries stay small for any sequence
-_BLOCK_INTERVALS = 1 << 14
-
-
 def resolve_records(
     per_frame: dict[int, list[tuple[int, int, BinaryMask]]], meta: SequenceMeta
 ) -> list[ResultRecord]:
@@ -426,11 +423,13 @@ def resolve_records(
     Where masks overlap, pixels stay with the lower track id; masks emptied
     by the resolution are dropped. Output is sorted by (frame, track_id).
     The entries, sorted so, are painted by :func:`paint_by_rank` in blocks
-    of whole frames, each frame a slot of its block's interval table: a
-    mask that meets no other keeps its mask object, and only the masks that
-    lose pixels are rebuilt. The pieces painted where masks met are checked
-    to be disjoint (:func:`_check_disjoint`), and every kept mask is encoded
-    by one :func:`rle_to_strings` call. A mask whose dimensions are not the
+    of whole frames (:func:`blocks`: each frame weighs its foreground
+    intervals, and a block holds at most the frames a table holds), each
+    frame a slot of its block's interval table: a mask that meets no other
+    keeps its mask object, and only the masks that lose pixels are rebuilt.
+    The pieces painted where masks met are checked to be disjoint
+    (:func:`_check_disjoint`), and every kept mask is encoded by one
+    :func:`rle_to_strings` call. A mask whose dimensions are not the
     sequence's raises ShapeMismatch naming its frame and track, since its
     record could not be read back; so does a frame of more pixels than
     int64 positions hold.
@@ -453,8 +452,12 @@ def resolve_records(
         raise ShapeMismatch(
             f"frame {frame}: track {track_id} mask is {h}x{w}, more pixels than int64 positions hold"
         )
+    frames = [list(group) for _, group in groupby(entries, key=lambda e: e[0])]
+    intervals = [sum(len(e[3].run_ends) // 2 for e in group) for group in frames]
     kept: list[tuple[tuple, BinaryMask]] = []
-    for block, slots in _frame_blocks(entries, capacity):
+    for lo, hi in blocks(intervals, cap=capacity):
+        block = [e for group in frames[lo:hi] for e in group]
+        slots = [rank for rank, group in enumerate(frames[lo:hi]) for _ in group]
         painted, pieces = paint_by_rank([e[3] for e in block], slots)
         _check_disjoint(pieces, block)
         kept += [(e, m) for e, m in zip(block, painted) if m.area]
@@ -463,25 +466,6 @@ def resolve_records(
         ResultRecord(frame, track_id, class_id, h, w, token, decoded=mask)
         for ((frame, track_id, class_id, _), mask), token in zip(kept, tokens)
     ]
-
-
-def _frame_blocks(entries: list[tuple], capacity: int):
-    """``(block, slots)`` for consecutive slices of ``entries``, sorted by
-    frame, each of whole frames: at most ``capacity`` frames and about
-    ``_BLOCK_INTERVALS`` foreground intervals. ``slots`` gives each entry of
-    the block its frame's rank in it."""
-    lo = 0
-    while lo < len(entries):
-        hi, slots, rank, intervals = lo, [], 0, 0
-        while hi < len(entries) and intervals < _BLOCK_INTERVALS and rank < capacity:
-            frame = entries[hi][0]
-            while hi < len(entries) and entries[hi][0] == frame:
-                intervals += len(entries[hi][3].run_ends) // 2
-                slots.append(rank)
-                hi += 1
-            rank += 1
-        yield entries[lo:hi], slots
-        lo = hi
 
 
 def _check_disjoint(pieces: tuple[np.ndarray, np.ndarray, np.ndarray], entries: list[tuple]):

@@ -46,7 +46,7 @@ up in a table. Non-canonical tokens, with needless continuation characters,
 decode as the shortest form would.
 
 A file's tokens are decoded together by :func:`rle_from_strings`, in blocks
-of a few thousand characters: one byte array, the values summed from their
+of about 16 K characters: one byte array, the values summed from their
 chunks with ``np.add.reduceat``, and the delta chains undone with cumulative
 sums restarted at each token; one more such sum gives the run ends. A mask
 it has proven is built without the constructor's checks and holds a
@@ -56,11 +56,15 @@ built. A token it cannot prove valid, such as a bad one, goes through
 first error.
 
 A file's masks are encoded together by :func:`rle_to_strings`, in blocks of
-a few thousand runs: the counts and their deltas from the stored run ends,
+about 16 K run ends: the counts and their deltas from the stored run ends,
 each value's character count from its magnitude, and one ``repeat`` that
 spreads each value over its characters, whose bits are then shifted out in
 place. A mask past 2**40 pixels goes through :func:`rle_to_string`, which
 stays the authority.
+
+Every many-item kernel that cuts its batch under a weight budget takes its
+slices from one rule, :func:`blocks`: a slice takes items until the weight
+taken reaches the budget, optionally capped at a number of items.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ import math
 import operator
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import accumulate, chain
@@ -321,9 +326,31 @@ def rle_from_string(token: str, height: int, width: int) -> BinaryMask:
     return BinaryMask(height, width, counts)
 
 
-# The batch decoder reads tokens in blocks of about this many characters, so
-# its int64 temporaries, a few per character, stay small for any file.
-_BLOCK_CHARS = 1 << 14
+# The many-mask kernels take their items in blocks (:func:`blocks`) of about
+# this weight: characters to decode, run ends to encode or read, foreground
+# intervals to paint. Each unit makes a few int64 temporaries, so they stay
+# small for any file.
+_WEIGHT_BUDGET = 1 << 14
+
+
+def blocks(weights: list[int], budget: int | None = None, cap: int | None = None) -> list[tuple[int, int]]:
+    """``(lo, hi)`` of consecutive slices of the items ``weights`` weighs,
+    covering them all. A slice takes its first item, then the next while the
+    weight it has taken is under ``budget`` (``_WEIGHT_BUDGET``, as it is at
+    the call, when None) and it holds fewer than ``cap`` items (any number
+    when None). Weights are non-negative."""
+    if budget is None:
+        budget = _WEIGHT_BUDGET
+    taken = list(accumulate(weights, initial=0))  # taken[k]: the weight of the first k items
+    n, cuts = len(taken) - 1, [0]
+    while cuts[-1] < n:
+        lo = cuts[-1]
+        stop = n if cap is None else min(n, lo + cap)
+        # the first end past lo whose slice weighs the budget, else stop
+        cuts.append(bisect_left(taken, taken[lo] + budget, lo + 1, stop))
+    return list(zip(cuts, cuts[1:]))
+
+
 # A token goes through rle_from_string instead when its frame holds more
 # pixels, it is longer, or one of its values has more characters. Within
 # these, a value has at most 60 bits, and a token's counts, each at most
@@ -452,12 +479,7 @@ def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -
         raise ShapeMismatch(f"{len(tokens)} tokens, {len(heights)} heights, {len(widths)} widths")
     areas = [_batch_area(t, h, w) for t, h, w in zip(tokens, heights, widths)]
     masks: list[BinaryMask] = []
-    lo = 0
-    while lo < len(tokens):
-        hi, chars = lo, 0
-        while hi < len(tokens) and chars < _BLOCK_CHARS:
-            chars += len(tokens[hi]) if areas[hi] else 0
-            hi += 1
+    for lo, hi in blocks([len(t) if a else 0 for t, a in zip(tokens, areas)]):
         batch = [i for i in range(lo, hi) if areas[i]]
         runs = {}
         if batch:
@@ -474,27 +496,7 @@ def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -
             except (ParseError, ShapeMismatch) as exc:
                 exc.index = i
                 raise
-        lo = hi
     return masks
-
-
-# Many-mask passes over run ends (the encoder, the extents) take masks in
-# blocks of about this many runs, so their int64 temporaries, a few per run,
-# stay small for any file.
-_BLOCK_RUNS = 1 << 14
-
-
-def _run_blocks(masks: list[BinaryMask]):
-    """``(lo, hi)`` of consecutive slices of ``masks`` of about
-    ``_BLOCK_RUNS`` runs, one mask at least."""
-    lo = 0
-    while lo < len(masks):
-        hi, runs = lo, 0
-        while hi < len(masks) and runs < _BLOCK_RUNS:
-            runs += len(masks[hi].run_ends)
-            hi += 1
-        yield lo, hi
-        lo = hi
 
 
 # The largest magnitude a value of k characters holds, for k = 1 .. 12: it
@@ -504,7 +506,8 @@ _CHAR_LIMITS = np.left_shift(1, 5 * np.arange(1, 13, dtype=np.int64) - 1) - 1
 
 def rle_to_strings(masks: list[BinaryMask]) -> list[str]:
     """``rle_to_string(m)`` for every mask, encoded together in a few numpy
-    passes over blocks of the masks' run ends.
+    passes over blocks of the masks, each mask weighing its run ends
+    (:func:`blocks`).
 
     The counts and their deltas come from the run ends, each value's
     character count from its magnitude, and one ``repeat`` spreads every
@@ -513,7 +516,7 @@ def rle_to_strings(masks: list[BinaryMask]) -> list[str]:
     """
     batch = [m for m in masks if m.height * m.width <= _BATCH_AREA]
     encoded: list[str] = []
-    for lo, hi in _run_blocks(batch):
+    for lo, hi in blocks([len(m.run_ends) for m in batch]):
         ends = [m.run_ends for m in batch[lo:hi]]
         runs = np.fromiter(map(len, ends), dtype=np.int64, count=len(ends))
         first = np.cumsum(runs) - runs
@@ -551,12 +554,12 @@ def fill_caches(masks: list[BinaryMask]) -> None:
     computes on first use.
 
     The extents come from the :func:`foreground_intervals` of the masks,
-    read in one pass over the run ends of each block of about
-    ``_BLOCK_RUNS`` runs. A mask of more pixels than int64 holds is left to
-    fill its own.
+    read in one pass over the run ends of each block of masks, each mask
+    weighing its run ends (:func:`blocks`). A mask of more pixels than int64
+    holds is left to fill its own.
     """
     masks = [m for m in masks if m.height * m.width <= _INT64_MAX]
-    for lo, hi in _run_blocks(masks):
+    for lo, hi in blocks([len(m.run_ends) for m in masks]):
         _fill_extents(masks[lo:hi])
 
 
@@ -883,9 +886,10 @@ def pair_intersections(
     Each pair gets a slot of its own on one position axis, as wide as the
     largest frame among the masks, so each side's table holds one mask per
     slot and is disjoint, and one :func:`table_intersections` merge gives
-    every pair's area at once. A mask may appear in many pairs. Raises
-    ShapeMismatch for index lists of unequal length, for a pair of masks of
-    different dimensions, or for more slots than int64 positions hold.
+    every pair's area at once. A mask may appear in many pairs, and ``a``
+    may be ``b``. Raises ShapeMismatch for index lists of unequal length,
+    for a pair of masks of different dimensions, or for more slots than
+    int64 positions hold.
     """
     ia = np.asarray(ia, dtype=np.int64)
     ib = np.asarray(ib, dtype=np.int64)
@@ -893,11 +897,12 @@ def pair_intersections(
         raise ShapeMismatch(f"{ia.size} indices into a but {ib.size} into b")
     if ia.size == 0:
         return np.zeros(0, dtype=np.int64)
-    masks, n = a + b, ia.size
+    n = ia.size
     slot = max(h * w for h, w in _check_pair_dims(a, b, ia, ib))
     if n > _INT64_MAX // slot:
         raise ShapeMismatch(f"{n} slots of {slot} pixels overflow int64 positions")
-    which = np.concatenate((ia, ib + len(a)))
+    masks, shift = (a, 0) if a is b else (a + b, len(a))  # one list as both sides is read once
+    which = np.concatenate((ia, ib + shift))
     starts, stops, entry = foreground_intervals(masks, which)
     k = entry.searchsorted(n)  # the intervals of side a come first
     entry[k:] -= n  # each interval's pair

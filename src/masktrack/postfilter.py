@@ -68,11 +68,12 @@ def _trajectory_ious(tracks: list[Tracklet], groups: list[int]) -> dict[tuple[in
     every other pair's is 0.0.
 
     Every same-frame mask pair whose extents meet (:func:`may_overlap`) has
-    its area taken by :func:`pair_intersections`, in blocks of as many pairs
-    as int64 positions hold. Each IOU is ``mask_iou``'s formula on those
-    integers; a pair's nonzero IOUs are summed by the builtin ``sum`` in
-    frame order and divided by its shared frames. Adding a zero is exact,
-    so every value is the per-frame mean to the bit.
+    its area taken by :func:`pair_intersections`, handed the masks of these
+    pairs, each once, in blocks of as many pairs as int64 positions hold.
+    Each IOU is ``mask_iou``'s formula on those integers; a pair's nonzero
+    IOUs are summed by the builtin ``sum`` in frame order and divided by its
+    shared frames. Adding a zero is exact, so every value is the per-frame
+    mean to the bit.
     """
     n = len(tracks)
     masks = [o.mask for t in tracks for o in t.observations]
@@ -92,17 +93,25 @@ def _trajectory_ious(tracks: list[Tracklet], groups: list[int]) -> dict[tuple[in
     order = np.lexsort((frame[p], track[q], track[p]))  # the per-pair loop's order
     p, q = p[order], q[order]
     pair = track[p] * n + track[q]  # sorted
-    meet = np.flatnonzero(may_overlap(masks, masks, p, q))
-    a, b = [masks[k] for k in p[meet].tolist()], [masks[k] for k in q[meet].tolist()]
+    meet = may_overlap(masks, masks, p, q)
+    p, q, met = p[meet], q[meet], pair[meet]
+    # the kernel is handed each mask of these pairs once, and no other: its
+    # slots are as wide as the largest frame it is handed, so a frame past
+    # int64 positions that meets no mask is no refusal
+    used = np.zeros(len(masks), dtype=bool)
+    used[p] = used[q] = True
+    scored = [masks[k] for k in np.flatnonzero(used).tolist()]
+    at = np.cumsum(used) - 1  # each used mask's index into scored
+    ip, iq = at[p], at[q]
     inter = []
-    block = max(min((slot_capacity(m.height, m.width) for m in a), default=1), 1)
-    for lo in range(0, meet.size, block):
-        at = np.arange(lo, min(lo + block, meet.size))
-        inter += pair_intersections(a, b, at, at).tolist()
+    block = max(min((slot_capacity(m.height, m.width) for m in scored), default=1), 1)
+    for lo in range(0, p.size, block):
+        inter += pair_intersections(scored, scored, ip[lo : lo + block], iq[lo : lo + block]).tolist()
+    area = [m.area for m in masks]
     ious: dict[int, list[float]] = {}
-    for key, x, ma, mb in zip(pair[meet].tolist(), inter, a, b):
+    for key, x, i, j in zip(met.tolist(), inter, p.tolist(), q.tolist()):
         if x:
-            ious.setdefault(key, []).append(x / (ma.area + mb.area - x))
+            ious.setdefault(key, []).append(x / (area[i] + area[j] - x))
     keys = np.fromiter(ious, dtype=np.int64, count=len(ious))
     shared = np.searchsorted(pair, keys, side="right") - np.searchsorted(pair, keys)
     return {divmod(key, n): sum(values) / count for (key, values), count in zip(ious.items(), shared.tolist())}

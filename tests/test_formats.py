@@ -1128,8 +1128,20 @@ class TestResolveRecords:
         budget, give the records of one block."""
         h, w, per_frame = drawn
         meta = SequenceMeta("resolve", 25.0, h, w, "static")
-        with patch.object(formats, "_BLOCK_INTERVALS", budget):
+        with patch.object(geometry, "_WEIGHT_BUDGET", budget):
             assert resolve_records(per_frame, meta) == pixel_reference(h, w, per_frame)
+
+    def test_a_small_budget_paints_in_many_blocks(self):
+        """Three frames of one 4-interval mask each, under a budget of 8
+        intervals: the first two frames make a block and the third its own."""
+        mask = run_mask(4, 4, (0, 1), (3, 5), (7, 9), (11, 13))
+        per_frame = {f: [(1, 1, mask)] for f in (1, 2, 3)}
+        meta = SequenceMeta("resolve", 25.0, 4, 4, "static")
+        paint = patch.object(formats, "paint_by_rank", wraps=formats.paint_by_rank)
+        with patch.object(geometry, "_WEIGHT_BUDGET", 8), paint as spy:
+            records = resolve_records(per_frame, meta)
+        assert [len(call.args[0]) for call in spy.call_args_list] == [2, 1]
+        assert records == pixel_reference(4, 4, per_frame)
 
     def test_paints_without_a_pair_merge(self, monkeypatch):
         def refuse(*args):

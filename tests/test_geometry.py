@@ -24,6 +24,7 @@ from masktrack.geometry import (
     BBox,
     BinaryMask,
     bbox_iou,
+    blocks,
     fill_caches,
     interval_table,
     mask_intersection_area,
@@ -393,8 +394,39 @@ def per_token(tokens, heights, widths):
     return masks, None
 
 
+class TestBlocks:
+    @given(
+        st.lists(st.one_of(st.just(0), st.integers(0, 20)), max_size=30),
+        st.integers(1, 60),
+        st.one_of(st.none(), st.integers(1, 4)),
+    )
+    def test_slices_follow_the_greedy_rule(self, weights, budget, cap):
+        """Consecutive slices that cover every item, each of 1 to ``cap``
+        items, that end only at the last item, at ``cap`` items, or once
+        their weight reaches the budget, and weigh under it less their last
+        item: the rule of every loop ``blocks`` replaced."""
+        cuts = blocks(weights, budget, cap)
+        ends = [0, *(hi for _, hi in cuts)]
+        assert cuts == list(zip(ends, ends[1:])) and ends[-1] == len(weights)
+        limit = len(weights) if cap is None else cap
+        for lo, hi in cuts:
+            assert 1 <= hi - lo <= limit
+            assert sum(weights[lo : hi - 1]) < budget
+            assert hi == len(weights) or hi - lo == cap or sum(weights[lo:hi]) >= budget
+
+    def test_the_default_budget_is_read_at_the_call(self):
+        with patch.object(geometry, "_WEIGHT_BUDGET", 2):
+            assert blocks([1, 1, 1, 1, 1]) == [(0, 2), (2, 4), (4, 5)]
+        assert blocks([1, 1, 1, 1, 1]) == [(0, 5)]
+
+    def test_a_heavy_item_fills_a_slice_alone_and_cap_cuts_light_ones(self):
+        assert blocks([0, 9, 0, 0, 0, 0], 5) == [(0, 2), (2, 6)]
+        assert blocks([0, 9, 0, 0, 0, 0], 5, cap=3) == [(0, 2), (2, 5), (5, 6)]
+        assert blocks([], 5, cap=3) == []
+
+
 class TestBatchEncode:
-    @given(st.lists(BATCH_COUNTS, max_size=10), st.sampled_from([1, 5, 64, geometry._BLOCK_RUNS]), st.booleans())
+    @given(st.lists(BATCH_COUNTS, max_size=10), st.sampled_from([1, 5, 64, geometry._WEIGHT_BUDGET]), st.booleans())
     @example([[0, 2**40], [2**40], [3, 2**64 + 5, 7], [6], [1, 2**40 - 1]], 5, True)
     def test_matches_the_per_character_oracle(self, runs, block, decode):
         """Blocks of any size encode what the per-character oracle writes,
@@ -406,15 +438,28 @@ class TestBatchEncode:
             decoded = iter(rle_from_strings([counts_token(m.counts) for m in batch], [1] * len(batch),
                                             [m.width for m in batch]))
             masks = [next(decoded) if m.width <= 2**40 else m for m in masks]
-        with patch.object(geometry, "_BLOCK_RUNS", block):
+        with patch.object(geometry, "_WEIGHT_BUDGET", block):
             assert rle_to_strings(masks) == [counts_token(c) for c in runs]
 
     def test_an_empty_list(self):
         assert rle_to_strings([]) == []
 
+    def test_a_small_budget_encodes_in_many_blocks(self):
+        masks = [BinaryMask(4, 8, (3, 9, 20))] * 5  # 3 run ends each
+        cuts = []
+
+        def spy(*args):
+            cuts.append(blocks(*args))
+            return cuts[-1]
+
+        with patch.object(geometry, "_WEIGHT_BUDGET", 6), patch.object(geometry, "blocks", spy):
+            tokens = rle_to_strings(masks)
+        assert cuts == [[(0, 2), (2, 4), (4, 5)]]
+        assert tokens == [rle_to_string(m) for m in masks]
+
 
 class TestBatchDecode:
-    @given(token_batches(), st.sampled_from([1, 2, 5, 16, 64, geometry._BLOCK_CHARS]))
+    @given(token_batches(), st.sampled_from([1, 2, 5, 16, 64, geometry._WEIGHT_BUDGET]))
     @example((["04", "P04", "0}4", "o01"], [2, 2, 2, 4], [2, 2, 2, 8]), 2)
     @example((["4", "04", ""], [2, 2, 2], [2, 2, 2]), 1)
     @example(([counts_token([0, 2**40])], [2**40], [1]), 16)
@@ -423,7 +468,7 @@ class TestBatchDecode:
         the per-character oracle, or raise its first error at its index."""
         tokens, heights, widths = batch
         expected, error = per_token(tokens, heights, widths)
-        with patch.object(geometry, "_BLOCK_CHARS", block):
+        with patch.object(geometry, "_WEIGHT_BUDGET", block):
             try:
                 masks = rle_from_strings(tokens, heights, widths)
             except MaskTrackError as exc:
@@ -433,7 +478,7 @@ class TestBatchDecode:
         assert masks == expected
         assert [m.counts for m in masks] == [tuple(token_counts(t)) for t in tokens]
 
-    @given(token_batches(), st.sampled_from([1, 5, 64, geometry._BLOCK_CHARS]))
+    @given(token_batches(), st.sampled_from([1, 5, 64, geometry._WEIGHT_BUDGET]))
     @example(([counts_token([3, 2**41 - 3])], [2**41], [1]), 64)
     def test_proven_masks_hold_their_run_ends_and_area(self, batch, block):
         """Every mask, whether the batch proves it or the constructor builds
@@ -442,7 +487,7 @@ class TestBatchDecode:
         sums of the token's counts, and its area, and equals, hashes and
         prints as the mask rebuilt from those counts."""
         tokens, heights, widths = batch
-        with patch.object(geometry, "_BLOCK_CHARS", block):
+        with patch.object(geometry, "_WEIGHT_BUDGET", block):
             try:
                 masks = rle_from_strings(tokens, heights, widths)
             except MaskTrackError:
@@ -453,6 +498,14 @@ class TestBatchDecode:
     def test_an_empty_batch(self):
         assert rle_from_strings([], [], []) == []
 
+    def test_a_small_budget_decodes_in_many_blocks(self):
+        token = rle_to_string(BinaryMask(4, 8, (3, 9, 20)))
+        decode = patch.object(geometry, "_decode_block", wraps=geometry._decode_block)
+        with patch.object(geometry, "_WEIGHT_BUDGET", len(token) * 2), decode as spy:
+            masks = rle_from_strings([token] * 5, [4] * 5, [8] * 5)
+        assert spy.call_count == 3
+        assert masks == [BinaryMask(4, 8, (3, 9, 20))] * 5
+
     def test_lists_of_unequal_length_refused(self):
         tokens = [counts_token([3, 9, 20])] * 3
         with pytest.raises(ShapeMismatch, match="^3 tokens, 1 heights, 1 widths$"):
@@ -461,7 +514,7 @@ class TestBatchDecode:
     def test_errors_name_the_first_bad_token_across_blocks(self):
         good = rle_to_string(BinaryMask(4, 8, (3, 9, 20)))
         tokens = [good] * 5 + ["0{4", good, "o"]
-        with patch.object(geometry, "_BLOCK_CHARS", len(good) * 2):
+        with patch.object(geometry, "_WEIGHT_BUDGET", len(good) * 2):
             with pytest.raises(ParseError, match=r"^invalid character '\{' at 1$") as info:
                 rle_from_strings(tokens, [4] * 8, [8] * 8)
         assert info.value.index == 5
@@ -508,13 +561,21 @@ def mask_lists(draw):
 
 
 class TestFillCaches:
-    @given(mask_lists(), st.sampled_from([1, 5, geometry._BLOCK_RUNS]))
+    @given(mask_lists(), st.sampled_from([1, 5, geometry._WEIGHT_BUDGET]))
     def test_fills_the_extent_each_mask_computes(self, masks, block):
         """In blocks of any number of runs."""
-        with patch.object(geometry, "_BLOCK_RUNS", block):
+        with patch.object(geometry, "_WEIGHT_BUDGET", block):
             fill_caches(masks)
         for m in masks:
             assert m.__dict__["extent"] == BinaryMask(m.height, m.width, m.counts).extent
+
+    def test_a_small_budget_reads_in_many_blocks(self):
+        masks = [BinaryMask(4, 8, (3, 9, 20)) for _ in range(5)]  # 3 run ends each
+        fill = patch.object(geometry, "_fill_extents", wraps=geometry._fill_extents)
+        with patch.object(geometry, "_WEIGHT_BUDGET", 6), fill as spy:
+            fill_caches(masks)
+        assert spy.call_count == 3
+        assert [m.__dict__["extent"] for m in masks] == [BinaryMask(4, 8, (3, 9, 20)).extent] * 5
 
     def test_frames_past_the_batch_area_or_int64_are_no_refusal(self):
         """Frames past 2**40 pixels, more of them than slot_capacity allows,
@@ -543,7 +604,7 @@ class TestOneRunEndLayout:
         fresh = [BinaryMask(m.height, m.width, m.counts) for m in masks]
         if block:
             tokens = [rle_to_string(m) for m in masks]
-            with patch.object(geometry, "_BLOCK_CHARS", block):
+            with patch.object(geometry, "_WEIGHT_BUDGET", block):
                 masks = rle_from_strings(tokens, [m.height for m in masks], [m.width for m in masks])
             assert all("run_ends" in m.__dict__ for m in masks)
         by_dims = {}

@@ -3,6 +3,7 @@ level and used, no cycle between its modules, and one pinned top-level API."""
 
 import ast
 import graphlib
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,34 @@ def test_only_the_mask_and_the_token_encoder_read_counts(name):
         if isinstance(node, ast.Attribute) and node.attr == "counts"
     ]
     assert not reads, f"{name} reads .counts at lines {reads}"
+
+
+# One rule cuts a batch into blocks under a weight budget, geometry.blocks,
+# with one budget in geometry. The tracker's pre-pass weighs another unit,
+# cells plus would-be merge intervals, and keeps a budget of its own.
+OWN_BLOCK_BUDGETS = {("tracker", "_BLOCK_BUDGET")}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_second_block_rule(name):
+    tree = MODULES[name]
+    slicers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith("_blocks")
+    ]
+    assert not slicers, f"{name} defines block slicers of its own: {slicers}"
+    targets = chain.from_iterable(
+        top.targets if isinstance(top, ast.Assign) else [top.target]
+        for top in tree.body
+        if isinstance(top, (ast.Assign, ast.AnnAssign))
+    )
+    budgets = [
+        t.id
+        for t in targets
+        if isinstance(t, ast.Name) and t.id.startswith("_BLOCK") and (name, t.id) not in OWN_BLOCK_BUDGETS
+    ]
+    assert not budgets, f"{name} defines block constants of its own: {budgets}"
 
 
 def test_import_graph_is_acyclic():

@@ -287,6 +287,24 @@ class TestBatchDedup:
         kept = dedup_tracks([b, a], cfg)
         assert [t.id for t in kept] == [t.id for t in reference_dedup_tracks([b, a], cfg)] == [2001]
 
+    def test_frames_past_int64_that_meet_no_mask_are_no_refusal(self):
+        """Only the masks of pairs that meet go to the intersection kernel: a
+        mask past int64 positions whose track shares no frame, or whose
+        extent is apart from the other mask of its frame, sizes no slot."""
+        h = w = 1 << 32
+        small = {f: run_mask(10, 10, [(0, 20)]) for f in (1, 2, 3)}
+        tracks = [
+            tracklet_of(2001, CAR, small),
+            tracklet_of(2002, CAR, dict(small)),
+            tracklet_of(2003, CAR, {9: run_mask(h, w, [(0, 5)])}),  # shares no frame
+            tracklet_of(2004, PEDESTRIAN, {5: run_mask(h, w, [(0, 5)])}),
+            tracklet_of(2005, PEDESTRIAN, {5: run_mask(h, w, [(h * w - 5, h * w)])}),  # apart
+        ]
+        kept = dedup_tracks(tracks, FilterConfig())
+        assert [t.id for t in kept] == [t.id for t in reference_dedup_tracks(tracks, FilterConfig())]
+        assert [t.id for t in kept] == [2001, 2003, 2004, 2005]
+        assert trajectory_iou(tracks[3], tracks[4]) == reference_trajectory_iou(tracks[3], tracks[4]) == 0.0
+
     def test_mixed_dims_name_the_first_pair_of_the_sweep(self):
         """As the per-frame loop, the first same-class pair in id order, and in
         it the first shared frame, whose masks differ in dims is named."""

@@ -14,7 +14,7 @@ from masktrack.config import PipelineConfig, resolve_for_sequence
 from masktrack.embedding import FeatureBank, bank_similarity, bank_update
 from masktrack.errors import ConfigError, OutOfOrderFrame, ShapeMismatch
 from masktrack.formats import write_results
-from masktrack.geometry import BBox, mask_iou, rect_mask, rle_encode
+from masktrack.geometry import BBox, blocks, mask_iou, rect_mask, rle_encode
 from masktrack.postfilter import filter_detections
 from masktrack.synth import (
     generate,
@@ -664,10 +664,8 @@ class TestFramePairIous:
     def test_each_cell_is_mask_iou_bit_for_bit(self, pairs, budget):
         # the pre-pass's blocks under a small budget, so block boundaries
         # fall between the pairs
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(tracker, "_BLOCK_BUDGET", budget)
-            blocks = list(tracker._pair_blocks(pairs))
-        cells = [c for lo, hi in blocks for c in frame_pair_ious(pairs[lo:hi])]
+        cuts = blocks([tracker._pair_weight(*p) for p in pairs], budget)
+        cells = [c for lo, hi in cuts for c in frame_pair_ious(pairs[lo:hi])]
         assert len(cells) == len(pairs)
         for (a, b), (rows, cols, iou) in zip(pairs, cells):
             assert len(set(zip(rows.tolist(), cols.tolist()))) == len(iou)  # each cell once
@@ -678,15 +676,15 @@ class TestFramePairIous:
                     want = mask_iou(da.mask, db.mask) if da.class_id == db.class_id else 0.0
                     assert float(matrix[i, j]).hex() == want.hex()
 
-    def test_blocks_split_under_the_budget(self, monkeypatch):
+    def test_blocks_split_under_the_budget(self):
         pairs = [
             ([make_det(f, 20, 30, unit(0))], [make_det(f + 1, 22, 30, unit(0))])
             for f in range(1, 6)
         ]
         whole = frame_pair_ious(pairs)
-        assert list(tracker._pair_blocks(pairs)) == [(0, 5)]
-        monkeypatch.setattr(tracker, "_BLOCK_BUDGET", 1)  # one pair a block
-        assert list(tracker._pair_blocks(pairs)) == [(k, k + 1) for k in range(5)]
+        weights = [tracker._pair_weight(*p) for p in pairs]
+        assert blocks(weights, tracker._BLOCK_BUDGET) == [(0, 5)]
+        assert blocks(weights, 1) == [(k, k + 1) for k in range(5)]  # one pair a block
         split = [frame_pair_ious([p])[0] for p in pairs]
         assert all(iou.size == 1 and iou[0] > 0 for _, _, iou in whole)
         for x, y in zip(split, whole):
@@ -779,6 +777,35 @@ class TestPrescore:
         outputs = [with_table.step(frame, dets) for frame, dets in enumerate(fed, start=1)]
         assert calls == [2]
         assert outputs == [without.step(frame, dets) for frame, dets in enumerate(fed, start=1)]
+        assert_same_tracks(with_table.finalize(), without.finalize())
+
+    def test_a_small_budget_scores_in_many_blocks(self, monkeypatch):
+        frames = [[make_det(f, 20 + 2 * f, 30, unit(0))] for f in range(1, 7)]
+        weight = tracker._pair_weight(frames[0], frames[1])  # every pair weighs this
+        with_table, without = MaskTracker(track_cfg()), MaskTracker(track_cfg())
+        blocked = []
+        real_ious = tracker.frame_pair_ious
+
+        def counted(pairs):
+            blocked.append(len(pairs))
+            return real_ious(pairs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(tracker, "frame_pair_ious", counted)
+            patched.setattr(tracker, "_BLOCK_BUDGET", weight + 1)  # two pairs a block
+            with_table.prescore(list(enumerate(frames, start=1)))
+        assert blocked == [2, 2, 1]
+        calls = []
+        real_cost = tracker.assignment_cost
+
+        def counted(tracks, dets):
+            calls.append(dets[0].frame)
+            return real_cost(tracks, dets)
+
+        monkeypatch.setattr(tracker, "assignment_cost", counted)
+        for frame, dets in enumerate(frames, start=1):
+            assert with_table.step(frame, dets) == without.step(frame, dets)
+        assert calls == [2, 3, 4, 5, 6]  # every step without the table, and none with it
         assert_same_tracks(with_table.finalize(), without.finalize())
 
     @pytest.mark.parametrize(
