@@ -5,6 +5,15 @@ a ``ParseError``, ``ShapeMismatch`` or ``ConfigError`` naming the file and
 line. The other classes mark bad values handed to the library in memory
 (``OutOfOrderFrame``, ``DegenerateInput``, ``SpecOutOfBounds``) and bad
 result sets (``OverlapAfterResolution``, ``OverlappingMasksInInput``).
+
+The writers refuse, before they open their file, what their reader would
+refuse. ``write_detections`` raises ``ShapeMismatch`` for a mask whose dims
+are not the sequence's and for a feature map that is not ``(gh, gw, c)``,
+and ``ParseError`` for a non-finite value it would write (the map's when
+there is one, else the embedding's), each naming the frame and the
+detection's index in it. ``resolve_records``, and so ``write_results``,
+raises ``ShapeMismatch`` for a mask whose dims are not the sequence's,
+naming the frame and the track.
 """
 
 

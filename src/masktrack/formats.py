@@ -15,6 +15,9 @@ Results use the plain text layout common to mask-level tracking benchmarks:
 ``frame track_id class_id img_h img_w rle`` per line, frames ascending, with
 same-frame masks guaranteed pairwise disjoint on write (overlaps lose to the
 lower track id).
+
+``mask_merge`` and ``rle_to_string`` stay imported for the benchmark, which
+patches them by name.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import os
 import re
 import sys
+from binascii import b2a_base64
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import NamedTuple
@@ -364,51 +368,76 @@ def _floats(value) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
-def _packed(values: np.ndarray) -> str:
-    """The packed form of a float array: base64 of its values as little-endian
-    float64, in C order."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
 def write_detections(
     meta: SequenceMeta, by_frame: dict[int, list[Detection]], path: str
 ):
     """Write a detection file readable by :func:`load_detections`; a detection
     with a feature map is written with the map, which pools to its embedding.
-    Both are written in the packed form."""
-    with open(path, "w", encoding="ascii") as fh:
-        header = {
-            "name": meta.name,
-            "fps": meta.fps,
-            "img_h": meta.img_h,
-            "img_w": meta.img_w,
-            "camera_mode": meta.camera_mode,
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for frame in sorted(by_frame):
-            for det in by_frame[frame]:
-                rec = {
-                    "frame": det.frame,
-                    "class_id": det.class_id,
-                    "score": det.score,
-                    "bbox": [det.box.x, det.box.y, det.box.w, det.box.h],
-                    "mask": {
-                        "h": det.mask.height,
-                        "w": det.mask.width,
-                        "counts": rle_to_string(det.mask),
-                    },
-                }
-                if det.feature_map is not None:
-                    gh, gw, ch = det.feature_map.shape
-                    rec["feature_map"] = {
-                        "gh": gh,
-                        "gw": gw,
-                        "c": ch,
-                        "values": _packed(det.feature_map),
-                    }
-                else:
-                    rec["embedding"] = _packed(det.embedding)
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    Both are written in the packed form.
+
+    Every detection is checked before the file is opened: a mask whose dims
+    are not the sequence's, or a feature map that is not ``(gh, gw, c)``,
+    raises ShapeMismatch, and a non-finite value written (the map's, else
+    the embedding's) raises ParseError, each naming the frame and the
+    detection's index in it. The masks are then encoded by one
+    :func:`rle_to_strings` call. Each line is ``json.dumps(rec,
+    sort_keys=True)`` with its packed field left empty, the field's base64
+    put in afterwards: base64 needs no escaping, so the line is the one json
+    would give, without its escaper's pass over the values.
+    """
+    dets, values = [], []
+    for frame in sorted(by_frame):
+        for k, det in enumerate(by_frame[frame]):
+            values.append(_written_values(det, meta, f"frame {frame}: detection {k}"))
+            dets.append(det)
+    tokens = rle_to_strings([det.mask for det in dets])
+    header = {
+        "name": meta.name,
+        "fps": meta.fps,
+        "img_h": meta.img_h,
+        "img_w": meta.img_w,
+        "camera_mode": meta.camera_mode,
+    }
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        for det, token, vals in zip(dets, tokens, values):
+            rec = {
+                "frame": det.frame,
+                "class_id": det.class_id,
+                "score": det.score,
+                "bbox": [det.box.x, det.box.y, det.box.w, det.box.h],
+                "mask": {"h": det.mask.height, "w": det.mask.width, "counts": token},
+            }
+            if det.feature_map is not None:
+                gh, gw, ch = det.feature_map.shape
+                rec["feature_map"] = {"gh": gh, "gw": gw, "c": ch, "values": ""}
+            else:
+                rec["embedding"] = ""
+            # the packed field is the line's only "": a token's characters
+            # run from '0' to 'o', so hold no quote
+            head, tail = json.dumps(rec, sort_keys=True).split('""')
+            fh.write(b"".join((
+                head.encode("ascii"), b'"', b2a_base64(vals, newline=False), b'"',
+                tail.encode("ascii"), b"\n",
+            )))
+
+
+def _written_values(det: Detection, meta: SequenceMeta, what: str) -> np.ndarray:
+    """The float64 values a detection's packed field holds, little-endian in
+    C order: its feature map's, else its embedding's, once the detection is
+    known to be one :func:`load_detections` reads back."""
+    mask = det.mask
+    if (mask.height, mask.width) != (meta.img_h, meta.img_w):
+        raise ShapeMismatch(
+            f"{what}: mask is {mask.height}x{mask.width}, the sequence is {meta.img_h}x{meta.img_w}"
+        )
+    fmap = det.feature_map
+    if fmap is not None and fmap.ndim != 3:
+        raise ShapeMismatch(f"{what}: feature map has shape {fmap.shape}, expected (gh, gw, c)")
+    values = np.ascontiguousarray(det.embedding if fmap is None else fmap, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise ParseError(f"{what}: non-finite {'embedding' if fmap is None else 'feature_map'} value")
+    return values
 
 
 # ---------------------------------------------------------------------------

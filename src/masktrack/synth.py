@@ -226,10 +226,11 @@ def generate(
             emb_noise = rng.normal(0.0, 1.0, spec.embedding.dim) * spec.embedding.noise_sigma
             if frame in dropped[idx] or u < spec.detector.dropout:
                 continue
-            x = float(np.clip(true_box.x + jitter[0], 0.0, spec.img_w - obj.width))
-            y = float(np.clip(true_box.y + jitter[1], 0.0, spec.img_h - obj.height))
+            jx, jy = jitter.tolist()
+            x = min(max(true_box.x + jx, 0.0), spec.img_w - obj.width)
+            y = min(max(true_box.y + jy, 0.0), spec.img_h - obj.height)
             det_box = BBox(x, y, obj.width, obj.height)
-            score = float(np.clip(spec.detector.score_mean + score_noise, 0.0, 1.0))
+            score = min(max(spec.detector.score_mean + float(score_noise), 0.0), 1.0)
             emb = l2_normalize(prototypes[idx] + emb_noise)
             dets_by_frame.setdefault(frame, []).append(
                 Detection(

@@ -28,6 +28,7 @@ from masktrack.geometry import (
     rect_mask,
     rle_decode,
     rle_from_string,
+    rle_to_string,
 )
 from masktrack.metrics import ClassStats, EvalReport
 from masktrack.regression import MAX_ITER, TOL
@@ -607,3 +608,38 @@ def reference_read_results(path):
             raise type(exc)(f"{where}: {exc}") from None
         records.append(ResultRecord(frame, track_id, class_id, img_h, img_w, parts[5], where, mask))
     return records
+
+
+def reference_write_detections(meta, by_frame, path):
+    """A detection file written one line at a time: each token encoded by
+    ``rle_to_string``, each packed field by ``packed``, and the whole record,
+    packed fields included, by ``json.dumps``. The oracle for
+    ``formats.write_detections``, whose file must equal its bytes."""
+    with open(path, "w", encoding="ascii") as fh:
+        header = {
+            "name": meta.name,
+            "fps": meta.fps,
+            "img_h": meta.img_h,
+            "img_w": meta.img_w,
+            "camera_mode": meta.camera_mode,
+        }
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for frame in sorted(by_frame):
+            for det in by_frame[frame]:
+                rec = {
+                    "frame": det.frame,
+                    "class_id": det.class_id,
+                    "score": det.score,
+                    "bbox": [det.box.x, det.box.y, det.box.w, det.box.h],
+                    "mask": {
+                        "h": det.mask.height,
+                        "w": det.mask.width,
+                        "counts": rle_to_string(det.mask),
+                    },
+                }
+                if det.feature_map is not None:
+                    gh, gw, ch = det.feature_map.shape
+                    rec["feature_map"] = {"gh": gh, "gw": gw, "c": ch, "values": packed(det.feature_map)}
+                else:
+                    rec["embedding"] = packed(det.embedding)
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")

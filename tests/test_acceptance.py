@@ -552,6 +552,70 @@ def test_workload_eval_report_matches_golden_hash(tmp_path, workload):
     announce(f"{workload} seed-7 eval report matches the golden hash")
 
 
+# sha256 of the detection file and of the ground-truth file, so a change in
+# any byte the writers give, not only in what is tracked from them, fails
+GOLDEN_INPUT_SHA256 = {
+    "crowd_seed7": (
+        "24747d22f4f596608181fdf546de7c827f20e07631114d7e90a3dcd2a9ae9d35",
+        "8f9a386826345c14acc7f9e96146e22a483cab05309e324fd271bd9e8b9ed009",
+    ),
+    "fragments_seed7": (
+        "c0d0cdb3504f62eb27bfabf363061d454833fc93fa471624749d3f1bfa0e446d",
+        "d14f6bb11d1407a55f5c92c291e9a701cb7904a74db419135020c37a17bd854f",
+    ),
+    "features_seed7": (
+        "5d67f6f430eb03bf583348cd437e29f17618632c000320412a96c83959307915",
+        "6ecf1c645193f8ac895ec66ab42c758072f8816fab1f2d4d571e1f45227fab9e",
+    ),
+    "clean": (
+        "e0d90c0b0e4586d38d3481a178fb8997784ceef054a6b8a567adde27822d2365",
+        "0ffd67eb50265a8b619170404f1d8803917b49cd45f78fbecee40741fcedfb5a",
+    ),
+    "detector_gaps": (
+        "c447420a8632f5e2eb90789901c22785aec14b47809a4f5fa6d11ed8dc83f9c4",
+        "1d8f474a74843c4c49267d3d9d12f465c8a7c001be61e5af20b03b5b19b9e160",
+    ),
+    "long_occlusions_static": (
+        "6e1db71240f024cd334f0b9e120f573f5de0c07f737d96cbe62899329b1b6847",
+        "f7c67d1af87c92e157f11f252a6d82e58f20cd3ede84ffdc4dee9d10855675d1",
+    ),
+    # the camera mode is in the header only
+    "long_occlusions_moving": (
+        "271ea7e9b66603ce5b3470f9d40168f3825c742eef3a729e4bd6db399d569f32",
+        "f7c67d1af87c92e157f11f252a6d82e58f20cd3ede84ffdc4dee9d10855675d1",
+    ),
+}
+
+
+def file_sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("workload", ["crowd", "fragments", "features"])
+def test_workload_input_files_match_golden_hashes(tmp_path, workload):
+    """The files ``masktrack synth`` writes for each benchmark workload at
+    seed 7 have fixed bytes."""
+    dets_path, gt_path = str(tmp_path / "dets.jsonl"), str(tmp_path / "gt.txt")
+    workloads.write_inputs(workload, 7, dets_path, gt_path)
+    assert (file_sha256(dets_path), file_sha256(gt_path)) == GOLDEN_INPUT_SHA256[f"{workload}_seed7"]
+    announce(f"{workload} seed-7 input files match their golden hashes")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [scenario_clean(), scenario_detector_gaps(), scenario_long_occlusions("static"),
+     scenario_long_occlusions("moving")],
+    ids=lambda spec: spec.name,
+)
+def test_scenario_files_match_golden_hashes(tmp_path, spec):
+    """The files ``generate_files`` writes for each ready-made scenario have
+    fixed bytes."""
+    dets_path, gt_path = generate_files(spec, str(tmp_path))
+    assert (file_sha256(dets_path), file_sha256(gt_path)) == GOLDEN_INPUT_SHA256[spec.name]
+    announce(f"{spec.name} scenario files match their golden hashes")
+
+
 def test_features_golden_hash_through_a_detection_file(tmp_path):
     """The features scenario written to a detection file (packed feature
     maps) and read back tracks to the same golden lines as in memory."""

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import tempfile
 from unittest.mock import patch
 
@@ -21,6 +22,7 @@ from helpers import (
     reference_load_detections,
     reference_mask_merge,
     reference_read_results,
+    reference_write_detections,
     token_counts,
     unit,
 )
@@ -51,7 +53,7 @@ from masktrack.geometry import (
     rle_to_string,
 )
 from masktrack.metrics import evaluate
-from masktrack.tracker import PEDESTRIAN, Detection, Tracklet
+from masktrack.tracker import CAR, PEDESTRIAN, Detection, Tracklet
 
 
 EMPTY_TOKEN = rle_to_string(BinaryMask(IMG_H, IMG_W, (IMG_H * IMG_W,)))
@@ -535,6 +537,129 @@ class TestPackedArrays:
         path.write_text(header_line() + "\n" + det_line() + "\n" + json.dumps(rec) + "\n")
         with pytest.raises(ParseError, match=rf"dets\.jsonl:3: .*{named}"):
             load_detections(str(path))
+
+
+# a run of 44 is written '\' then '1': json escapes the first
+BACKSLASH_RUN = 44
+
+
+@st.composite
+def written_sequences(draw):
+    """A sequence and its detections over one to four frames, each frame
+    with up to three detections of either form: a ``(gh, gw, c)`` map with
+    an embedding, or an embedding alone, both of edge-heavy finite values.
+    Masks are empty, full or of random runs, a run of ``BACKSLASH_RUN``
+    often among them; boxes and scores are any finite values a detection
+    holds."""
+    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    size = h * w
+    meta = SequenceMeta("seq", draw(st.sampled_from([25.0, 1 / 3, 30000 / 1001])), h, w, "static")
+    cut = st.integers(1, size - 1)
+    if size > 2 * BACKSLASH_RUN:
+        cut = cut | st.sampled_from([BACKSLASH_RUN, size - BACKSLASH_RUN])
+    coord = st.floats(-1e6, 1e6, allow_nan=False) | EDGE_FLOATS
+    extent = st.floats(0.0, 1e6) | st.sampled_from([0.0, 5e-324, 1 / 3])
+    by_frame = {}
+    for frame in sorted(draw(st.sets(st.integers(0, 10), min_size=1, max_size=4))):
+        dets = []
+        for _ in range(draw(st.integers(1, 3))):
+            cuts = sorted(draw(st.sets(cut, max_size=6)) if size > 1 else [])
+            counts = np.diff([0, *cuts, size]).tolist()
+            if draw(st.booleans()):
+                counts = [0, *counts]
+            c = draw(st.integers(1, 6))
+            emb = draw(arrays(np.float64, (c,), elements=FINITE_FLOATS))
+            fmap = None
+            if draw(st.booleans()):
+                gh, gw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+                fmap = draw(arrays(np.float64, (gh, gw, c), elements=FINITE_FLOATS))
+            box = BBox(draw(coord), draw(coord), draw(extent), draw(extent))
+            dets.append(Detection(frame, draw(st.sampled_from([1, 2])), draw(st.floats(0.0, 1.0)),
+                                  box, BinaryMask(h, w, tuple(counts)), emb, fmap))
+        by_frame[frame] = dets
+    return meta, by_frame
+
+
+class TestWriteDetections:
+    @settings(max_examples=150)
+    @given(written_sequences())
+    @example((
+        SequenceMeta("seq", 25.0, 10, 10, "static"),
+        {3: [Detection(3, PEDESTRIAN, 0.5, BBox(-0.0, 1 / 3, 5e-324, 1e308),
+                       BinaryMask(10, 10, (BACKSLASH_RUN, 100 - BACKSLASH_RUN)),
+                       np.array([-0.0, 5e-324, 1e308, 1 / 3]),
+                       np.array([-0.0, 5e-324, 1e308, 1 / 3]).reshape(1, 1, 4))],
+         7: [Detection(7, CAR, 1.0, BBox(0.0, 0.0, 1.0, 1.0), BinaryMask(10, 10, (0, 100)),
+                       np.array([1e308, -0.0, 1 / 3, 5e-324]))]},
+    ))
+    def test_equals_the_reference_writer_byte_for_byte(self, case):
+        meta, by_frame = case
+        with tempfile.TemporaryDirectory() as work:
+            ours, theirs = os.path.join(work, "ours.jsonl"), os.path.join(work, "theirs.jsonl")
+            write_detections(meta, by_frame, ours)
+            reference_write_detections(meta, by_frame, theirs)
+            with open(ours, "rb") as a, open(theirs, "rb") as b:
+                assert a.read() == b.read()
+
+    def test_a_backslash_in_a_token_is_escaped(self, tmp_path):
+        mask = BinaryMask(IMG_H, IMG_W, (BACKSLASH_RUN, IMG_H * IMG_W - BACKSLASH_RUN))
+        assert rle_to_string(mask).startswith("\\")
+        det = Detection(1, PEDESTRIAN, 0.9, BBox(0.0, 0.0, 1.0, 44.0), mask, unit(0, 4))
+        path = tmp_path / "dets.jsonl"
+        write_detections(make_meta(), {1: [det]}, str(path))
+        assert '"counts": "\\\\' in path.read_text().splitlines()[1]
+        assert load_detections(str(path))[1][1][0].mask == mask
+
+    def test_a_mask_off_the_sequence_dims_is_refused_before_the_file(self, tmp_path):
+        box = BBox(10.0, 12.0, 14.0, 22.0)
+        by_frame = {
+            2: [make_det(2, 5.0, 5.0, unit(0, 4))],
+            4: [make_det(4, 5.0, 5.0, unit(0, 4)),
+                Detection(4, PEDESTRIAN, 0.9, box, rect_mask(IMG_H + 1, IMG_W, box), unit(1, 4))],
+        }
+        path = tmp_path / "dets.jsonl"
+        with pytest.raises(ShapeMismatch, match=rf"frame 4: detection 1: mask is {IMG_H + 1}x{IMG_W}, the sequence is {IMG_H}x{IMG_W}"):
+            write_detections(make_meta(), by_frame, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "embedding, fmap, named",
+        [
+            ([0.5, float("nan")], None, "non-finite embedding"),
+            ([0.5, float("-inf")], None, "non-finite embedding"),
+            ([0.5, 0.5], [[[0.5, float("inf")]]], "non-finite feature_map"),
+            ([0.5, 0.5], [[[float("nan"), 0.5]]], "non-finite feature_map"),
+        ],
+        ids=["nan_embedding", "inf_embedding", "inf_map", "nan_map"],
+    )
+    def test_a_non_finite_value_is_refused_before_the_file(self, tmp_path, embedding, fmap, named):
+        box = BBox(10.0, 12.0, 14.0, 22.0)
+        bad = Detection(3, PEDESTRIAN, 0.9, box, rect_mask(IMG_H, IMG_W, box), np.array(embedding),
+                        None if fmap is None else np.array(fmap))
+        by_frame = {3: [make_det(3, 5.0, 5.0, unit(0, 2)), make_det(3, 50.0, 5.0, unit(1, 2)), bad]}
+        path = tmp_path / "dets.jsonl"
+        with pytest.raises(ParseError, match=rf"frame 3: detection 2: {named} value"):
+            write_detections(make_meta(), by_frame, str(path))
+        assert not path.exists()
+
+    def test_a_finite_map_with_a_non_finite_embedding_is_written(self, tmp_path):
+        """Only the map is written, and the reader pools it to a finite embedding."""
+        box = BBox(10.0, 12.0, 14.0, 22.0)
+        det = Detection(1, PEDESTRIAN, 0.9, box, rect_mask(IMG_H, IMG_W, box),
+                        np.array([float("nan"), 0.5]), np.full((1, 1, 2), 0.5))
+        path = tmp_path / "dets.jsonl"
+        write_detections(make_meta(), {1: [det]}, str(path))
+        assert np.isfinite(load_detections(str(path))[1][1][0].embedding).all()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2), (1, 2, 2, 1)])
+    def test_a_map_that_is_not_3d_is_refused_before_the_file(self, tmp_path, shape):
+        box = BBox(10.0, 12.0, 14.0, 22.0)
+        bad = Detection(5, PEDESTRIAN, 0.9, box, rect_mask(IMG_H, IMG_W, box), unit(0, 4),
+                        np.full(shape, 0.5))
+        path = tmp_path / "dets.jsonl"
+        with pytest.raises(ShapeMismatch, match=rf"frame 5: detection 0: feature map has shape {re.escape(str(shape))}"):
+            write_detections(make_meta(), {1: [make_det(1, 5.0, 5.0, unit(0, 4))], 5: [bad]}, str(path))
+        assert not path.exists()
 
 
 # values whose pooled sums stay finite, the smallest subnormal among them

@@ -118,6 +118,11 @@ BENCHMARK_ONLY = {
     # and for metrics.mask_intersection_area: an overlapping input's first
     # pair is named from one pair-table merge (geometry.pair_intersections)
     ("metrics", "mask_intersection_area"),
+    # and for formats.rle_to_string, which the set-up's speed probe and the
+    # tracer wrap: write_detections encodes every mask token in one
+    # rle_to_strings call, so without the import each set-up would raise
+    # AttributeError
+    ("formats", "rle_to_string"),
 }
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from masktrack import synth
 from masktrack.errors import SpecOutOfBounds
+from masktrack.geometry import rect_mask
 from masktrack.synth import (
     DetectorModel,
     EmbeddingModel,
@@ -93,6 +95,26 @@ class TestGenerate:
             for da, db in zip(a[1][f], b[1][f]):
                 assert da.box == db.box and da.score == db.score
                 np.testing.assert_array_equal(da.embedding, db.embedding)
+
+    def test_every_mask_is_made_through_the_module_rect_mask(self, monkeypatch):
+        """Each ground-truth and detection mask comes from one call of
+        ``synth.rect_mask``, looked up on the module at the call: the
+        benchmark's set-up times its speed probe around that name."""
+        made = []
+
+        def counted(*args):
+            made.append(rect_mask(*args))
+            return made[-1]
+
+        monkeypatch.setattr(synth, "rect_mask", counted)
+        spec = single_object_spec(dropout=0.3, jitter_sigma=2.0)
+        spec.objects.append(ObjectSpec(start_x=60.0, start_y=30.0))
+        spec.occlusions = [VisibilityEvent(object_index=1, start=5, length=3)]
+        _, dets, gt = generate(spec)
+        n_dets = sum(map(len, dets.values()))
+        assert len(gt) == 17 and 0 < n_dets < len(gt)
+        assert len(made) == len(gt) + n_dets
+        assert {id(d.mask) for f in dets.values() for d in f} <= set(map(id, made))
 
 
 class TestGenerateFiles:
