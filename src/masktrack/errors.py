@@ -9,8 +9,10 @@ result sets (``OverlapAfterResolution``, ``OverlappingMasksInInput``).
 The writers refuse, before they open their file, what their reader would
 refuse. ``write_detections`` raises ``ShapeMismatch`` for a mask whose dims
 are not the sequence's and for a feature map that is not ``(gh, gw, c)``,
-and ``ParseError`` for a non-finite value it would write (the map's when
-there is one, else the embedding's), each naming the frame and the
+and the reader's ``ParseError`` for a frame below 0, a class id that is not
+a known class, a score outside [0, 1], a non-finite value it would write
+(the map's when there is one, else the embedding's), and a channel count
+that is not the first detection's, each naming the frame and the
 detection's index in it. ``resolve_records``, and so ``write_results``,
 raises ``ShapeMismatch`` for a mask whose dims are not the sequence's,
 naming the frame and the track.

@@ -120,6 +120,31 @@ class ResultRecord:
         )
 
 
+def _proven_record(
+    frame: int, track_id: int, class_id: int, img_h: int, img_w: int, rle: str,
+    source: str, decoded: BinaryMask,
+) -> ResultRecord:
+    """A record built without ``ResultRecord``'s ``__init__``, for a mask
+    whose dims are ``img_h x img_w`` by construction: :func:`read_results`
+    decodes it at the record's own dims, and :func:`resolve_records` paints
+    it from masks checked to be the sequence's. The sibling of
+    ``geometry._proven_mask``."""
+    record = object.__new__(ResultRecord)
+    # stored as the dataclass __init__ stores them: through __dict__, each
+    # record would get a dict object of its own, more memory and slower
+    # attribute reads for every later reader, evaluate among them
+    put = object.__setattr__
+    put(record, "frame", frame)
+    put(record, "track_id", track_id)
+    put(record, "class_id", class_id)
+    put(record, "img_h", img_h)
+    put(record, "img_w", img_w)
+    put(record, "rle", rle)
+    put(record, "source", source)
+    put(record, "decoded", decoded)
+    return record
+
+
 # ---------------------------------------------------------------------------
 # detections
 # ---------------------------------------------------------------------------
@@ -375,20 +400,30 @@ def write_detections(
     with a feature map is written with the map, which pools to its embedding.
     Both are written in the packed form.
 
-    Every detection is checked before the file is opened: a mask whose dims
-    are not the sequence's, or a feature map that is not ``(gh, gw, c)``,
-    raises ShapeMismatch, and a non-finite value written (the map's, else
-    the embedding's) raises ParseError, each naming the frame and the
-    detection's index in it. The masks are then encoded by one
+    Every detection is checked before the file is opened, and each refusal
+    names the frame and the detection's index in it. A frame below 0, a
+    class id that is not a known class, a score outside [0, 1], a non-finite
+    value written (the map's, else the embedding's), and a channel count
+    that is not the first detection's raise ParseError, as on load; a mask
+    whose dims are not the sequence's, or a feature map that is not ``(gh,
+    gw, c)``, raises ShapeMismatch. The masks are then encoded by one
     :func:`rle_to_strings` call. Each line is ``json.dumps(rec,
     sort_keys=True)`` with its packed field left empty, the field's base64
     put in afterwards: base64 needs no escaping, so the line is the one json
     would give, without its escaper's pass over the values.
     """
     dets, values = [], []
+    channels: int | None = None  # of the first detection; every other must match
     for frame in sorted(by_frame):
         for k, det in enumerate(by_frame[frame]):
-            values.append(_written_values(det, meta, f"frame {frame}: detection {k}"))
+            what = f"frame {frame}: detection {k}"
+            vals = _written_values(det, meta, what)
+            dim = vals.size if det.feature_map is None else det.feature_map.shape[2]
+            if channels is None:
+                channels = dim
+            elif dim != channels:
+                raise ParseError(f"{what}: {dim} feature channels, the first detection has {channels}")
+            values.append(vals)
             dets.append(det)
     tokens = rle_to_strings([det.mask for det in dets])
     header = {
@@ -425,7 +460,14 @@ def write_detections(
 def _written_values(det: Detection, meta: SequenceMeta, what: str) -> np.ndarray:
     """The float64 values a detection's packed field holds, little-endian in
     C order: its feature map's, else its embedding's, once the detection is
-    known to be one :func:`load_detections` reads back."""
+    known to be one :func:`load_detections` reads back, its channel count
+    aside."""
+    if det.frame < 0:
+        raise ParseError(f"{what}: frame {det.frame} below 0")
+    if det.class_id not in CLASS_NAMES:
+        raise ParseError(f"{what}: unknown class_id {det.class_id}")
+    if not (0.0 <= det.score <= 1.0):
+        raise ParseError(f"{what}: score {det.score} outside [0, 1]")
     mask = det.mask
     if (mask.height, mask.width) != (meta.img_h, meta.img_w):
         raise ShapeMismatch(
@@ -492,7 +534,7 @@ def resolve_records(
         kept += [(e, m) for e, m in zip(block, painted) if m.area]
     tokens = rle_to_strings([m for _, m in kept])
     return [
-        ResultRecord(frame, track_id, class_id, h, w, token, decoded=mask)
+        _proven_record(frame, track_id, class_id, h, w, token, "", mask)
         for ((frame, track_id, class_id, _), mask), token in zip(kept, tokens)
     ]
 
@@ -584,7 +626,7 @@ def read_results(path: str) -> list[ResultRecord]:
         _decode(rows)  # a bad token on an earlier line is named first
         raise
     del seen  # freed before the masks are decoded, the reader's peak
-    return [ResultRecord(*row, decoded=mask) for row, mask in zip(rows, _decode(rows))]
+    return [_proven_record(*row, mask) for row, mask in zip(rows, _decode(rows))]
 
 
 def _checked_row(line: str, where: str) -> tuple:

@@ -46,12 +46,13 @@ up in a table. Non-canonical tokens, with needless continuation characters,
 decode as the shortest form would.
 
 A file's tokens are decoded together by :func:`rle_from_strings`, in blocks
-of about 16 K characters: one byte array, the values summed from their
-chunks with ``np.add.reduceat``, and the delta chains undone with cumulative
-sums restarted at each token; one more such sum gives the run ends. A mask
-it has proven is built without the constructor's checks and holds a
-read-only view of those run ends, and its area; no run-length tuple is
-built. A token it cannot prove valid, such as a bad one, goes through
+of about 16 K characters: one byte array, whose one-character values are
+read through the same translation table and whose longer values are put
+together in a few rounds over their subset, and the delta chains undone
+with cumulative sums restarted at each token; one more such sum gives the
+run ends. A mask it has proven is built without the constructor's checks
+and holds a read-only view of those run ends, and its area; no run-length
+tuple is built. A token it cannot prove valid, such as a bad one, goes through
 :func:`rle_from_string`, so both accept the same tokens and raise the same
 first error.
 
@@ -360,83 +361,113 @@ _BATCH_CHARS = 1 << 22
 _VALUE_CHARS = 12
 
 
-def _batch_area(token: str, height, width) -> int:
-    """``height * width`` when the batch can prove ``token`` right or wrong, else 0."""
+def _batch_dims(token: str, height, width) -> tuple[int, int] | None:
+    """``(height, width)`` as ints when the batch can prove ``token`` right
+    or wrong, else None."""
     try:
         h, w = operator.index(height), operator.index(width)
     except TypeError:
-        return 0
+        return None
     if h <= 0 or w <= 0 or h * w > _BATCH_AREA:
-        return 0
+        return None
     if not token or len(token) > _BATCH_CHARS or not token.isascii():
-        return 0
-    return h * w
+        return None
+    return h, w
 
 
-def _decode_block(tokens: list[str], areas: list[int]) -> list[tuple[np.ndarray, int] | None]:
-    """``(run_ends, area)`` of each token that decodes to a valid mask of
-    ``areas[k]`` pixels, or None: a bad character, a truncated token, a
-    value longer than ``_VALUE_CHARS`` characters, or a run list
-    ``BinaryMask`` refuses. ``run_ends`` is a read-only view of the block's
-    run ends.
+def _decode_block(
+    tokens: list[str], areas: list[int]
+) -> tuple[np.ndarray, list[tuple[int, int, int] | None]]:
+    """The block's run ends, read-only, and for each token ``(lo, hi,
+    area)`` when it decodes to a valid mask of ``areas[k]`` pixels, whose run
+    ends are ``ends[lo:hi]`` and whose foreground is ``area``; else None: a
+    bad character, a truncated token, a value longer than ``_VALUE_CHARS``
+    characters, or a run list ``BinaryMask`` refuses.
 
-    Every token is non-empty ASCII. The tokens are read as one byte array;
-    each value is the sum of its 5-bit chunks, and each delta chain is one
-    cumulative sum, restarted at every token; so are the run ends. int64
-    wraps, so a chain is exact up to its first count outside ``[0, area]``,
-    which marks the token bad, and the counts of a good token sum exactly.
+    Every token is non-empty ASCII. The tokens are read as one byte array,
+    checked for a bad character by its ``min`` and ``max``; only a block
+    that holds one looks for its tokens. Every value is first read from its
+    last character alone, through ``_SHORT_VALUES``: a character below 'P'
+    ends its value and carries its top 5 bits, the sign bit among them, so
+    that is the whole of a one-character value, which nine values in ten
+    are. Only the longer values take more, in a few rounds over their
+    subset: each round shifts the values that have a next lower character
+    up 5 bits and puts it in. Each delta chain is then one cumulative sum
+    over a stride-2 view, restarted at every token by taking the chain
+    before it off its first value; so are the run ends. int64 wraps, so a
+    chain is exact up to its first count outside ``[0, area]``, which marks
+    the token bad, and the counts of a good token sum exactly. The checks
+    of the counts are reduced per token only in a block where one fails.
     """
     lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
     stop = np.cumsum(lengths)
     start = stop - lengths
-    chunk = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8).astype(np.int64)
-    chunk -= 48
-    bad = np.logical_or.reduceat((chunk < 0) | (chunk > 63), start)
-    bad |= chunk[stop - 1] >= 32  # truncated: its last value goes on
-    # a character below 32 ends its value; a token's last one ends it anyway
-    end = chunk < 32
-    end[stop - 1] = True
-    vend = np.flatnonzero(end)
-    del end
-    vstart = np.concatenate(([0], vend[:-1] + 1))
-    size = vend - vstart + 1
-    first = np.searchsorted(vend, start)  # each token's first value
-    bad |= np.logical_or.reduceat(size > _VALUE_CHARS, first)
-    # the k-th character of a value carries its bits 5k .. 5k+4; the shifts
-    # of a longer value, whose token is bad already, only stay in range
-    shift = np.arange(chunk.size) - np.repeat(vstart, size)
-    np.minimum(shift, _VALUE_CHARS - 1, out=shift)
-    shift *= 5
-    negative = (chunk[vend] & 16) != 0
-    chunk &= 31
-    chunk <<= shift
-    del shift
-    counts = np.add.reduceat(chunk, vstart)
-    del chunk
-    np.minimum(size, _VALUE_CHARS, out=size)
-    counts[negative] -= np.left_shift(1, 5 * size[negative])  # sign extension
+    last = stop - 1
+    text = "".join(tokens).encode("ascii")
+    raw = np.frombuffer(text, dtype=np.uint8)
+    if raw.min() < 48 or raw.max() > 111:  # a character outside '0'..'o'
+        bad = np.logical_or.reduceat((raw < 48) | (raw > 111), start)
+    else:
+        bad = np.zeros(len(tokens), dtype=bool)
+    bad |= raw[last] >= 80  # truncated: its last value goes on
+    # a character from 'P' on continues its value; a token's last character
+    # ends it anyway, so no value runs on into the next token
+    more = raw >= 80
+    more[last] = False
+    cont = np.flatnonzero(more)
+    counts = np.frombuffer(text.translate(_SHORT_VALUES), dtype=np.int8)
+    if cont.size:
+        counts = counts[~more]  # each value's last character
+    counts = counts.astype(np.int64)
+    first = start - np.searchsorted(cont, start)  # each token's first value
+    if cont.size:
+        # the last character of each longer value, and its place among the
+        # values: its position less the continuation characters up to it
+        tail = cont + 1
+        k = np.flatnonzero(~more[tail])
+        tail = tail[k]
+        slot = tail - k - 1
+        value = counts[slot]
+        live = np.arange(tail.size)
+        at = tail - 1
+        for _ in range(_VALUE_CHARS - 1):
+            # a character from 'P' on carries 5 bits below those it precedes
+            value[live] = (value[live] << 5) | (raw[at] - 80)
+            # a value's first character follows one that ends a value: at 0,
+            # more[-1] is the block's last character
+            go = more[at - 1]
+            live, at = live[go], at[go] - 1
+            if not live.size:
+                break
+        if live.size:  # values of more than _VALUE_CHARS characters
+            bad[np.searchsorted(stop, tail[live], side="right")] = True
+        counts[slot] = value
     # undo the delta coding: a token's odd counts, and its even ones from the
     # third, are running sums of their own chain. Each chain is a contiguous
     # part of one stride-2 view; so is the first count, a part of its own.
+    # Taking each part's total off the first value of the part after it
+    # makes one cumulative sum over the view restart at every part.
     nv = np.diff(first, append=counts.size)
     parts = (first[:, None] + np.arange(3))[np.arange(3) < nv[:, None]]
     for parity in (0, 1):
         chain = counts[parity::2]
         seg = parts[(parts & 1) == parity] // 2
-        run = np.cumsum(chain)
-        run -= np.repeat(run[seg] - chain[seg], np.diff(seg, append=chain.size))
-        chain[...] = run
+        chain[seg[1:]] -= np.add.reduceat(chain, seg)[:-1]
+        np.cumsum(chain, out=chain)
     area = np.array(areas, dtype=np.int64)
-    bad |= np.minimum.reduceat(counts, first) < 0
-    bad |= np.maximum.reduceat(counts, first) > area
-    empty = counts == 0
-    empty[first] = False  # only the first run may be empty
-    bad |= np.logical_or.reduceat(empty, first)
+    # a negative count, or an empty run after a token's first
+    short = counts <= 0
+    short[first] = counts[first] < 0
+    if short.any():
+        bad |= np.logical_or.reduceat(short, first)
+    if counts.max() > area.min():
+        bad |= np.maximum.reduceat(counts, first) > area
     total = np.add.reduceat(counts, first)
     bad |= total != area
     # the runs at odd places of the block, summed per token: a token's
     # foreground when it starts at an even place, else its background
-    odd = np.concatenate(([0], np.cumsum(counts[1::2])))
+    odd = np.zeros(counts.size // 2 + 1, dtype=np.int64)
+    np.cumsum(counts[1::2], out=odd[1:])
     fg = odd[(first + nv) // 2] - odd[first // 2]
     fg = np.where(first & 1, area - fg, fg)
     # the run ends: one cumulative sum, restarted at each token by taking the
@@ -444,11 +475,10 @@ def _decode_block(tokens: list[str], areas: list[int]) -> list[tuple[np.ndarray,
     counts[first[1:]] -= total[:-1]
     ends = np.cumsum(counts, out=counts)
     ends.flags.writeable = False
-    ranges = zip(first.tolist(), (first + nv).tolist())
-    return [
-        None if b else (ends[lo:hi], a)
-        for b, (lo, hi), a in zip(bad.tolist(), ranges, fg.tolist())
-    ]
+    spans = list(zip(first.tolist(), (first + nv).tolist(), fg.tolist()))
+    for k in np.flatnonzero(bad).tolist():
+        spans[k] = None
+    return ends, spans
 
 
 def _proven_mask(height: int, width: int, run_ends: np.ndarray, area: int) -> BinaryMask:
@@ -464,32 +494,33 @@ def _proven_mask(height: int, width: int, run_ends: np.ndarray, area: int) -> Bi
 
 def rle_from_strings(tokens: list[str], heights: list[int], widths: list[int]) -> list[BinaryMask]:
     """``rle_from_string(tokens[k], heights[k], widths[k])`` for every ``k``,
-    decoded together in a few numpy passes over blocks of tokens.
+    decoded together in a few numpy passes over blocks of tokens
+    (:func:`_decode_block`).
 
     :func:`rle_from_string` stays the authority: a token the batch cannot
     prove valid (a bad character, a truncated or empty token, dims that are
     not positive, a value longer than 12 characters, a frame past 2**40
     pixels) goes through it, in order. So the masks, and the first error
     raised, are the ones the per-token loop gives; the error carries the
-    token's position as its ``index`` attribute. A proven mask holds a
-    read-only view of the block's run ends. Lists of unequal length raise
-    ShapeMismatch.
+    token's position as its ``index`` attribute. One loop over a block's
+    tokens builds each proven mask, holding a read-only view of the block's
+    run ends, and sends every other token through :func:`rle_from_string`.
+    Lists of unequal length raise ShapeMismatch.
     """
     if not len(tokens) == len(heights) == len(widths):
         raise ShapeMismatch(f"{len(tokens)} tokens, {len(heights)} heights, {len(widths)} widths")
-    areas = [_batch_area(t, h, w) for t, h, w in zip(tokens, heights, widths)]
+    dims = [_batch_dims(t, h, w) for t, h, w in zip(tokens, heights, widths)]
     masks: list[BinaryMask] = []
-    for lo, hi in blocks([len(t) if a else 0 for t, a in zip(tokens, areas)]):
-        batch = [i for i in range(lo, hi) if areas[i]]
-        runs = {}
-        if batch:
-            decoded = _decode_block([tokens[i] for i in batch], [areas[i] for i in batch])
-            runs = dict(zip(batch, decoded))
-        for i in range(lo, hi):
-            proven = runs.get(i)
-            if proven is not None:
-                h, w = operator.index(heights[i]), operator.index(widths[i])
-                masks.append(_proven_mask(h, w, *proven))
+    for lo, hi in blocks([len(t) if d else 0 for t, d in zip(tokens, dims)]):
+        batch = [i for i in range(lo, hi) if dims[i]]
+        areas = [dims[i][0] * dims[i][1] for i in batch]
+        ends, spans = _decode_block([tokens[i] for i in batch], areas) if batch else (None, [])
+        spans = iter(spans)
+        for i, d in enumerate(dims[lo:hi], lo):
+            span = d and next(spans)
+            if span:
+                a, b, area = span
+                masks.append(_proven_mask(*d, ends[a:b], area))
                 continue
             try:
                 masks.append(rle_from_string(tokens[i], heights[i], widths[i]))

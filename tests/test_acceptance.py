@@ -23,7 +23,13 @@ from helpers import least_squares_fit, matching_cost
 from masktrack import pipeline, reid, tracker
 from masktrack.assignment import INFEASIBLE, hungarian_solve
 from masktrack.config import PipelineConfig, load_config, parse_config_text
-from masktrack.formats import load_detections, read_results, records_from_tracks, write_detections
+from masktrack.formats import (
+    load_detections,
+    read_results,
+    records_from_tracks,
+    write_detections,
+    write_results,
+)
 from masktrack.geometry import (
     mask_intersection_area,
     mask_iou,
@@ -550,6 +556,22 @@ def test_workload_eval_report_matches_golden_hash(tmp_path, workload):
     report = evaluate(records_from_tracks(tracks, meta), read_results(gt_path))
     assert report_sha256(report) == GOLDEN_REPORT_SHA256[f"{workload}_seed7"]
     announce(f"{workload} seed-7 eval report matches the golden hash")
+
+
+@pytest.mark.parametrize("workload", ["crowd", "fragments", "features"])
+def test_workload_eval_report_through_result_files_matches_golden_hash(tmp_path, workload):
+    """The same report when the results go through their file too, as
+    ``masktrack eval`` reads them: written by ``write_results`` and read
+    back by ``read_results``, so both sides come from the batch decoder."""
+    dets_path, gt_path = str(tmp_path / "dets.jsonl"), str(tmp_path / "gt.txt")
+    res_path = str(tmp_path / "res.txt")
+    workloads.write_inputs(workload, 7, dets_path, gt_path)
+    meta, dets = load_detections(dets_path)
+    tracks, _ = run_pipeline(meta, dets, PipelineConfig())
+    write_results(tracks, meta, res_path)
+    report = evaluate(read_results(res_path), read_results(gt_path))
+    assert report_sha256(report) == GOLDEN_REPORT_SHA256[f"{workload}_seed7"]
+    announce(f"{workload} seed-7 eval report through result files matches the golden hash")
 
 
 # sha256 of the detection file and of the ground-truth file, so a change in

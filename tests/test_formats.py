@@ -3,6 +3,7 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import FrozenInstanceError
 from unittest.mock import patch
 
 import numpy as np
@@ -547,7 +548,8 @@ BACKSLASH_RUN = 44
 def written_sequences(draw):
     """A sequence and its detections over one to four frames, each frame
     with up to three detections of either form: a ``(gh, gw, c)`` map with
-    an embedding, or an embedding alone, both of edge-heavy finite values.
+    an embedding, or an embedding alone, both of edge-heavy finite values,
+    every detection of one channel count ``c``, as the reader asks.
     Masks are empty, full or of random runs, a run of ``BACKSLASH_RUN``
     often among them; boxes and scores are any finite values a detection
     holds."""
@@ -559,6 +561,7 @@ def written_sequences(draw):
         cut = cut | st.sampled_from([BACKSLASH_RUN, size - BACKSLASH_RUN])
     coord = st.floats(-1e6, 1e6, allow_nan=False) | EDGE_FLOATS
     extent = st.floats(0.0, 1e6) | st.sampled_from([0.0, 5e-324, 1 / 3])
+    c = draw(st.integers(1, 6))
     by_frame = {}
     for frame in sorted(draw(st.sets(st.integers(0, 10), min_size=1, max_size=4))):
         dets = []
@@ -567,7 +570,6 @@ def written_sequences(draw):
             counts = np.diff([0, *cuts, size]).tolist()
             if draw(st.booleans()):
                 counts = [0, *counts]
-            c = draw(st.integers(1, 6))
             emb = draw(arrays(np.float64, (c,), elements=FINITE_FLOATS))
             fmap = None
             if draw(st.booleans()):
@@ -650,6 +652,49 @@ class TestWriteDetections:
         path = tmp_path / "dets.jsonl"
         write_detections(make_meta(), {1: [det]}, str(path))
         assert np.isfinite(load_detections(str(path))[1][1][0].embedding).all()
+
+    @pytest.mark.parametrize(
+        "frame, class_id, score, named",
+        [
+            (-1, PEDESTRIAN, 0.9, "frame -1 below 0"),
+            (2, 3, 0.9, "unknown class_id 3"),
+            (2, PEDESTRIAN, 1.5, r"score 1\.5 outside \[0, 1\]"),
+        ],
+        ids=["frame", "class_id", "score"],
+    )
+    def test_a_field_the_reader_refuses_is_refused_before_the_file(
+        self, tmp_path, frame, class_id, score, named
+    ):
+        """The line the writer would give is refused on load; the writer
+        refuses the detection with the reader's error instead."""
+        bad = make_det(frame, 50.0, 5.0, unit(1, 4), class_id=class_id, score=score)
+        by_frame = {2: [make_det(2, 5.0, 5.0, unit(0, 4)), bad]}
+        written = tmp_path / "written.jsonl"
+        reference_write_detections(make_meta(), by_frame, str(written))
+        with pytest.raises(ParseError, match=rf"written\.jsonl:3: {named}$"):
+            load_detections(str(written))
+        path = tmp_path / "dets.jsonl"
+        with pytest.raises(ParseError, match=rf"^frame 2: detection 1: {named}$"):
+            write_detections(make_meta(), by_frame, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("form", ["embedding", "feature_map"])
+    def test_a_channel_count_off_the_first_detections_is_refused_before_the_file(
+        self, tmp_path, form
+    ):
+        box = BBox(10.0, 12.0, 14.0, 22.0)
+        fmap = np.full((1, 2, 6), 0.5) if form == "feature_map" else None
+        bad = Detection(4, PEDESTRIAN, 0.9, box, rect_mask(IMG_H, IMG_W, box), unit(0, 6), fmap)
+        by_frame = {1: [make_det(1, 5.0, 5.0, unit(0, 4))], 4: [make_det(4, 50.0, 5.0, unit(1, 4)), bad]}
+        named = "6 feature channels, the first detection has 4"
+        written = tmp_path / "written.jsonl"
+        reference_write_detections(make_meta(), by_frame, str(written))
+        with pytest.raises(ParseError, match=rf"written\.jsonl:4: {named}$"):
+            load_detections(str(written))
+        path = tmp_path / "dets.jsonl"
+        with pytest.raises(ParseError, match=rf"^frame 4: detection 1: {named}$"):
+            write_detections(make_meta(), by_frame, str(path))
+        assert not path.exists()
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2), (1, 2, 2, 1)])
     def test_a_map_that_is_not_3d_is_refused_before_the_file(self, tmp_path, shape):
@@ -1006,6 +1051,27 @@ class TestResults:
             ResultRecord(1, 2001, 2, 3, 2, "04", decoded=mask)
         # the mask is a cache of the token: it takes no part in equality
         assert ResultRecord(1, 2001, 2, 2, 2, "04", decoded=mask) == ResultRecord(1, 2001, 2, 2, 2, "04")
+
+    def test_proven_records_are_the_records_the_constructor_builds(self, tmp_path):
+        """``read_results`` and ``resolve_records`` build their records with
+        ``_proven_record``, skipping the constructor; each equals, hashes,
+        prints and holds its fields as the one ``ResultRecord(...)`` builds,
+        and is as frozen. The constructor still refuses a mask of other dims."""
+        tracks = [make_tracklet(2001, [(1, 10, 10), (2, 12, 10)], unit(0)),
+                  make_tracklet(2002, [(1, 15, 10)], unit(1))]
+        path = tmp_path / "r.txt"
+        records = write_results(tracks, make_meta(), str(path)) + read_results(str(path))
+        mask = BinaryMask(2, 2, (0, 4))
+        records.append(formats._proven_record(1, 2001, 2, 2, 2, "04", "r.txt:3", mask))
+        for rec in records:
+            fields = (rec.frame, rec.track_id, rec.class_id, rec.img_h, rec.img_w, rec.rle, rec.source)
+            built = ResultRecord(*fields, decoded=rec.decoded)
+            assert rec == built and hash(rec) == hash(built) and repr(rec) == repr(built)
+            assert list(vars(rec).items()) == list(vars(built).items())
+            with pytest.raises(FrozenInstanceError):
+                rec.frame = 0
+        with pytest.raises(ShapeMismatch, match=r"^r\.txt:3: mask is 2x2, the record is 2x3$"):
+            ResultRecord(1, 2001, 2, 2, 3, "04", "r.txt:3", mask)
 
 
 # Pieces a fuzzed result file is cut from. Each is one the per-line reader

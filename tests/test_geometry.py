@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError
 from unittest.mock import patch
 
@@ -543,6 +544,76 @@ class TestBatchDecode:
         for m, c in zip(masks, counts):
             assert (type(m.height), type(m.width), type(m.counts)) == (int, int, tuple)
             assert m.counts == tuple(c) and all(type(x) is int for x in m.counts)
+
+
+def value_shapes(token: str) -> list[tuple[int, bool]]:
+    """``(characters, negative)`` of each value of a token: its continuation
+    characters, then the one that ends it and carries its sign bit."""
+    return [(len(v), bool((ord(v[-1]) - 48) & 16)) for v in re.findall("[P-o]*[0-O]", token)]
+
+
+def sized_value(length: int, negative: bool) -> list[int]:
+    """A run list whose token holds a value of ``length`` characters, up to
+    9 (a frame of at most 2**40 pixels): a first count that long, or a
+    difference that long below zero."""
+    v = 1 << (5 * length - 6)  # the least magnitude written in ``length`` characters
+    return [1, v + 5, 2, 4] if negative else [v, 5, 1]
+
+
+def one_character_tokens() -> list[str]:
+    """Tokens whose every value is one character, counts and differences
+    alike in [-16, 15]."""
+    tokens = [counts_token(c) for c in ([3, 9, 5, 7, 2, 6], [0, 15, 1], [12], [4, 4, 4, 4, 4, 4, 4])]
+    assert all(n == 1 for t in tokens for n, _ in value_shapes(t))
+    return tokens
+
+
+class TestBatchDecodeValueLengths:
+    """The batch decoder on values of chosen lengths, checked as
+    ``test_matches_the_per_token_decoder`` checks drawn ones: equal to the
+    per-token decoder and the per-character oracle. A value of up to 12
+    characters is proven by the batch; a longer one takes the per-token
+    path."""
+
+    @staticmethod
+    def decode(tokens: list[str]) -> list[str]:
+        """Decode ``tokens`` as one block, each on a ``1 x total`` frame,
+        check the masks, and return the tokens that took the per-token path."""
+        widths = [sum(token_counts(t)) for t in tokens]
+        expected, error = per_token(tokens, [1] * len(tokens), widths)
+        assert error is None
+        spy = patch.object(geometry, "rle_from_string", wraps=geometry.rle_from_string)
+        with spy as per_token_path:
+            masks = rle_from_strings(tokens, [1] * len(tokens), widths)
+        assert masks == expected
+        for m, token in zip(masks, tokens):
+            assert_holds_its_runs(m, token_counts(token))
+        return [call.args[0] for call in per_token_path.call_args_list]
+
+    def test_a_block_of_one_character_values(self):
+        assert self.decode(one_character_tokens()) == []
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["positive", "negative"])
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_a_value_of_each_length_up_to_12_characters(self, length, negative):
+        """Written that long by its size where a frame of 2**40 pixels holds
+        it, and with needless continuation characters, among one-character
+        values."""
+        one = counts_token([3, 9, 20, 7])  # its last value, 7 - 9, is -2
+        ends = [i for i, c in enumerate(one) if c < "P"]
+        sized = [lengthen(one, ends[-1 if negative else 0], length - 1)]
+        if length <= 9:
+            sized.append(counts_token(sized_value(length, negative)))
+        for token in sized:
+            assert (length, negative) in value_shapes(token)
+        assert self.decode([*one_character_tokens(), *sized]) == []
+
+    def test_a_13_character_value_takes_the_per_token_path(self):
+        one = counts_token([3, 9, 20, 7])
+        long = lengthen(one, 1, 12)
+        assert (13, False) in value_shapes(long)
+        tokens = [*one_character_tokens(), long, counts_token(sized_value(9, True))]
+        assert self.decode(tokens) == [long]
 
 
 @st.composite

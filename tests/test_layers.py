@@ -154,6 +154,26 @@ def test_only_the_mask_and_the_token_encoder_read_counts(name):
     assert not reads, f"{name} reads .counts at lines {reads}"
 
 
+# An object built with ``object.__new__`` skips its constructor's checks. Two
+# named helpers do that, each for values proven by construction:
+# geometry._proven_mask for masks and formats._proven_record for records.
+UNCHECKED_BUILDERS = {"geometry": {"_proven_mask"}, "formats": {"_proven_record"}}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_only_the_proven_builders_skip_a_constructor(name):
+    allowed = UNCHECKED_BUILDERS.get(name, set())
+    builds = [
+        node.lineno
+        for top in MODULES[name].body
+        if getattr(top, "name", None) not in allowed
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert not builds, f"{name} calls object.__new__ at lines {builds}"
+
+
 # One rule cuts a batch into blocks under a weight budget, geometry.blocks,
 # with one budget in geometry. The tracker's pre-pass weighs another unit,
 # cells plus would-be merge intervals, and keeps a budget of its own.
